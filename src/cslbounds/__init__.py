@@ -37,9 +37,7 @@ from .deuteron import (
     build_zero_range,
     default_k_grid,
     dipole_radial_integral,
-    legendre_dipole_weight,
     mean_square_radius,
-    partial_wave_matrix_element,
     spectrum_density,
 )
 from .limits import (
@@ -48,7 +46,6 @@ from .limits import (
     CouplingBound,
     ElectronBound,
     ExclusionCurve,
-    ExclusionPoint,
     ExperimentConfig,
     ObservedCounts,
     ScanSpec,

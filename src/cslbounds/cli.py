@@ -25,7 +25,7 @@ from .config import (
 )
 from .constants import CODATA, GRW_LAMBDA_OVER_A2, grw_defaults, lambda_over_a2
 from .deuteron import ModelKind, default_k_grid, spectrum_density
-from .limits import AnalysisReport, run_full_analysis, scan_exclusion
+from .limits import AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
 from .rates import deuteron_spectrum, expected_count
 from .uncertainty import AsymmetricValue
@@ -35,6 +35,8 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 FORMATS = ("text", "csv", "structured")
+# ExclusionCurve array fields, in output column order
+CURVE_COLUMNS = ("lambda_over_a2", "gn_bound", "ge_bound")
 
 
 def _fmt(x: float) -> str:
@@ -75,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rate", "density"),
         default="rate",
         help="rate: dR/dk in 1/s per 1/fm (needs g_n); density: matrix-element spectrum in fm^3",
-    )
-    spectrum.add_argument(
-        "--skip-failures",
-        action="store_true",
-        help="report per-row quadrature failures as nan instead of aborting",
     )
     spectrum.set_defaults(handler=_cmd_spectrum)
 
@@ -142,6 +139,14 @@ def _asym_dict(v: AsymmetricValue) -> dict:
     return {"central": v.central, "err_up": v.err_up, "err_down": v.err_down}
 
 
+def _curve_rows(curve: ExclusionCurve) -> list[tuple[float, float, float]]:
+    return list(zip(*(getattr(curve, column).tolist() for column in CURVE_COLUMNS)))
+
+
+def _curve_points(curve: ExclusionCurve) -> list[dict]:
+    return [dict(zip(CURVE_COLUMNS, row)) for row in _curve_rows(curve)]
+
+
 def _report_dict(report: AnalysisReport, predicted: float | None) -> dict:
     data = {
         "counts": {
@@ -162,10 +167,7 @@ def _report_dict(report: AnalysisReport, predicted: float | None) -> dict:
         "curve": {
             "theoretical_floor": report.curve.theoretical_floor,
             "experimental_ceiling": report.curve.experimental_ceiling,
-            "points": [
-                {"lambda_over_a2": p.lambda_over_a2, "gn_bound": p.gn_bound, "ge_bound": p.ge_bound}
-                for p in report.curve.points
-            ],
+            "points": _curve_points(report.curve),
         },
         "floor_regime": report.floor_regime,
         "warnings": list(report.warnings),
@@ -273,10 +275,7 @@ def _cmd_scan(args) -> int:
         data = {
             "theoretical_floor": curve.theoretical_floor,
             "experimental_ceiling": curve.experimental_ceiling,
-            "points": [
-                {"lambda_over_a2": p.lambda_over_a2, "gn_bound": p.gn_bound, "ge_bound": p.ge_bound}
-                for p in curve.points
-            ],
+            "points": _curve_points(curve),
         }
         _write(args, json.dumps(data, indent=2) + "\n")
         return EXIT_OK
@@ -284,9 +283,8 @@ def _cmd_scan(args) -> int:
     buf.write(f"# theoretical_floor_per_s_cm2 = {curve.theoretical_floor!r}\n")
     buf.write(f"# experimental_ceiling_per_s_cm2 = {curve.experimental_ceiling!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda_over_a2", "gn_bound", "ge_bound"])
-    for p in curve.points:
-        writer.writerow([p.lambda_over_a2, p.gn_bound, p.ge_bound])
+    writer.writerow(CURVE_COLUMNS)
+    writer.writerows(_curve_rows(curve))
     _write(args, buf.getvalue())
     return EXIT_OK
 
@@ -300,18 +298,11 @@ def _cmd_spectrum(args) -> int:
         )
     column = "rate_density" if args.quantity == "rate" else "density_fm3"
     rows: list[tuple[float, float]] = []
-    for k in default_k_grid(model):
-        k = float(k)
-        try:
-            if args.quantity == "rate":
-                value = deuteron_spectrum(cfg.collapse, model, k)
-            else:
-                value = spectrum_density(model, k).density_fm3
-        except QuadratureError as exc:
-            if not args.skip_failures:
-                raise
-            sys.stderr.write(f"warning: k={k!r}: {exc}\n")
-            value = math.nan
+    for k in default_k_grid(model).tolist():
+        if args.quantity == "rate":
+            value = deuteron_spectrum(cfg.collapse, model, k)
+        else:
+            value = spectrum_density(model, k).density_fm3
         rows.append((k, float(value)))
     if args.format == "structured":
         data = {"columns": ["k_per_fm", column], "rows": [[k, v] for k, v in rows]}

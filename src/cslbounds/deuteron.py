@@ -4,6 +4,9 @@ Wavefunctions are reduced radial functions u(r) = r R(r) with r in fm,
 normalized so that int_0^inf u(r)^2 dr = 1. The dissociated final states
 are free plane waves of the relative momentum k; no final-state
 interaction is applied. Mean-square radii are returned in cm^2.
+
+Both models are sums of exponentials, so the dipole radial integral and
+the spectrum are evaluated in closed form; <r^2> uses adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -13,23 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn
 
 from .constants import CM2_PER_FM2, CODATA, PhysicalConstants
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_fourier, integrate_radial
-
-# Above this many kappa in k the spherical Bessel integrand oscillates too
-# fast for plain subdivision; switch to Fourier-weight quadrature.
-_OSCILLATORY_K_OVER_KAPPA = 8.0
-# exp(-45) puts the truncated tail far below every tolerance in use.
-_DECAY_CUTOFF = 45.0
-
-
-def _j1(x: float) -> float:
-    # scalar spherical Bessel j_1; series below the cancellation region
-    if x < 0.02:
-        return x / 3.0 - x**3 / 30.0 + x**5 / 840.0
-    return (math.sin(x) - x * math.cos(x)) / (x * x)
+from .quadrature import integrate_radial
 
 
 class ModelKind(str, enum.Enum):
@@ -62,11 +51,18 @@ class BoundStateModel:
 
     def u(self, r_fm):
         """Reduced radial wavefunction at r (fm); accepts scalars or arrays."""
-        if self.kind is ModelKind.ZERO_RANGE:
-            return self.norm * np.exp(-self.kappa_per_fm * r_fm)
-        return self.norm * (
-            np.exp(-self.kappa_per_fm * r_fm) - np.exp(-self.beta_per_fm * r_fm)
-        )
+        return self.norm * sum(c * np.exp(-a * r_fm) for c, a in _exponential_terms(self))
+
+
+def _exponential_terms(model: BoundStateModel) -> tuple[tuple[float, float], ...]:
+    """(coefficient, decay in fm^-1) pairs with u(r) = norm * sum c exp(-decay r).
+
+    The coefficients are +-1 and the norm is applied once outside the sum,
+    so multiplying by a coefficient never rounds.
+    """
+    if model.kind is ModelKind.ZERO_RANGE:
+        return ((1.0, model.kappa_per_fm),)
+    return ((1.0, model.kappa_per_fm), (-1.0, model.beta_per_fm))
 
 
 @dataclass(frozen=True)
@@ -128,79 +124,25 @@ def build_hulthen(
     )
 
 
-def mean_square_radius(model: BoundStateModel, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """<r^2> = int_0^inf r^2 u(r)^2 dr, converted to cm^2."""
-    value, _ = integrate_radial(lambda r: r * r * float(model.u(r)) ** 2, 0.0, math.inf, spec)
+def mean_square_radius(model: BoundStateModel) -> float:
+    """<r^2> = int_0^inf r^2 u(r)^2 dr by adaptive quadrature, converted to cm^2."""
+    value, _ = integrate_radial(lambda r: r * r * float(model.u(r)) ** 2, 0.0)
     return value * CM2_PER_FM2
 
 
-def dipole_radial_integral(
-    model: BoundStateModel, k_per_fm: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Radial part of the dipole matrix element, int r^2 u(r) j_1(k r) dr."""
+def dipole_radial_integral(model: BoundStateModel, k_per_fm: float) -> float:
+    """Radial part of the dipole matrix element, int r^2 u(r) j_1(k r) dr.
+
+    Exact for a sum of exponentials: int r^2 exp(-a r) j_1(k r) dr
+    = 2k / (k^2 + a^2)^2 for each term.
+    """
     if k_per_fm < 0:
         raise ValueError("k must be non-negative")
-    if k_per_fm == 0.0:
-        return 0.0
-    if k_per_fm <= _OSCILLATORY_K_OVER_KAPPA * model.kappa_per_fm:
-        value, _ = integrate_radial(
-            lambda r: r * r * float(model.u(r)) * _j1(k_per_fm * r),
-            0.0,
-            math.inf,
-            spec,
-        )
-        return value
-    # j_1(x) = sin(x)/x^2 - cos(x)/x; at large k both pieces are clean
-    # Fourier integrals of the exponentially decaying wavefunction
-    r_max = _DECAY_CUTOFF / model.kappa_per_fm
-    sin_part, _ = integrate_fourier(
-        lambda r: float(model.u(r)), k_per_fm, "sin", 0.0, r_max, spec
-    )
-    cos_part, _ = integrate_fourier(
-        lambda r: r * float(model.u(r)), k_per_fm, "cos", 0.0, r_max, spec
-    )
-    return sin_part / k_per_fm**2 - cos_part / k_per_fm
+    terms = _exponential_terms(model)
+    return model.norm * sum(c * 2.0 * k_per_fm / (k_per_fm**2 + a**2) ** 2 for c, a in terms)
 
 
-def legendre_dipole_weight(ell: int) -> float:
-    """Legendre coefficient of cos(theta): (2l+1)/2 int_-1^1 mu P_l(mu) dmu.
-
-    Evaluated by direct angular quadrature; it is 1 for l = 1 and 0 for
-    every other partial wave, which is the dipole selection rule.
-    """
-    if ell < 0:
-        raise ValueError("partial-wave index must be non-negative")
-    # the integrand is bounded by 1, so an absolute tolerance is safe and
-    # lets the exactly-zero projections converge
-    angular = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12)
-    value, _ = integrate_radial(lambda mu: mu * eval_legendre(ell, mu), -1.0, 1.0, angular)
-    return 0.5 * (2 * ell + 1) * value
-
-
-def partial_wave_matrix_element(
-    model: BoundStateModel,
-    ell: int,
-    k_per_fm: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Contribution of final-state partial wave l to <k|r|psi> (fm^(5/2)).
-
-    The full matrix element is the sum over l; parity restricts it to l = 1.
-    """
-    if k_per_fm <= 0:
-        return 0.0
-    radial, _ = integrate_radial(
-        lambda r: r * r * float(model.u(r)) * spherical_jn(ell, k_per_fm * r),
-        0.0,
-        math.inf,
-        spec,
-    )
-    return legendre_dipole_weight(ell) * radial
-
-
-def spectrum_density(
-    model: BoundStateModel, k_per_fm: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> SpectrumDensity:
+def spectrum_density(model: BoundStateModel, k_per_fm: float) -> SpectrumDensity:
     """Momentum spectrum of the squared dipole matrix element.
 
     density(k) = (2/pi) k^2 I(k)^2 with I the dipole radial integral, so the
@@ -208,7 +150,7 @@ def spectrum_density(
     """
     if k_per_fm < 0:
         raise ValueError("k must be non-negative")
-    radial = dipole_radial_integral(model, k_per_fm, spec)
+    radial = dipole_radial_integral(model, k_per_fm)
     density = (2.0 / math.pi) * k_per_fm**2 * radial**2
     return SpectrumDensity(k_per_fm=k_per_fm, density_fm3=density)
 

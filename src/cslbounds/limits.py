@@ -22,7 +22,6 @@ from .constants import (
     RateDensity,
 )
 from .deuteron import BoundStateModel, mean_square_radius
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .rates import count_coefficient
 from .uncertainty import (
     AsymmetricValue,
@@ -42,7 +41,7 @@ RADIATION_CEILING = 2.5
 R2_REFERENCE_CM2 = 9e-26
 R2_SPREAD_TOLERANCE = 0.10
 
-DAYS_PER_YEAR = 365.0
+DAYS_PER_YEAR = CODATA.seconds_per_year / CODATA.seconds_per_day
 
 
 @dataclass(frozen=True)
@@ -123,26 +122,18 @@ class SphereVisibilityConfig:
         return math.pi / 6.0 * self.diameter_cm**3
 
 
-@dataclass(frozen=True)
-class ExclusionPoint:
-    lambda_over_a2: float   # s^-1 cm^-2
-    gn_bound: float         # max |g_n - m_n/m_p|
-    ge_bound: float         # max |g_e - m_e/m_p|
-
-    def __post_init__(self) -> None:
-        if self.gn_bound < 0 or self.ge_bound < 0:
-            raise ValueError("bounds must be non-negative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExclusionCurve:
-    points: tuple[ExclusionPoint, ...]
+    """Coupling bounds on a lambda/a^2 grid; the three arrays run in parallel."""
+
+    lambda_over_a2: np.ndarray    # s^-1 cm^-2
+    gn_bound: np.ndarray          # max |g_n - m_n/m_p|
+    ge_bound: np.ndarray          # max |g_e - m_e/m_p|
     theoretical_floor: float      # s^-1 cm^-2
     experimental_ceiling: float   # s^-1 cm^-2
 
     def __post_init__(self) -> None:
-        lds = [p.lambda_over_a2 for p in self.points]
-        if any(x2 <= x1 for x1, x2 in zip(lds, lds[1:])):
+        if np.any(np.diff(self.lambda_over_a2) <= 0):
             raise ValueError("points must be sorted ascending in lambda_over_a2")
         if self.theoretical_floor > self.experimental_ceiling:
             raise ValueError("theoretical floor exceeds experimental ceiling")
@@ -315,23 +306,25 @@ def scan_exclusion(
     n_sigma: float = 1.0,
     a_cm: float = GRW_A_LENGTH,
     pc: PhysicalConstants = CODATA,
-    spec: QuadratureSpec = DEFAULT_QUAD,
     ceiling: float = RADIATION_CEILING,
 ) -> ExclusionCurve:
-    """Coupling bounds on a lambda/a^2 grid with floor and ceiling attached."""
+    """Coupling bounds on a lambda/a^2 grid with floor and ceiling attached.
+
+    Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so they are
+    evaluated once at the GRW strength and scaled over the whole grid.
+    """
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
-    coefficient = count_coefficient(model, e.deuteron_density_per_cc, pc, spec)
-    t_yr = e.live_time_yr
-    v = e.fiducial_volume_kilotonne_m3
-    points = []
-    for ld in scan.grid():
-        density = RateDensity(float(ld))
-        gn = neutron_coupling_bound(n_limit, density, coefficient, t_yr, v).value
-        ge = electron_coupling_bound(density, pc).half_width
-        points.append(ExclusionPoint(lambda_over_a2=float(ld), gn_bound=gn, ge_bound=ge))
+    coefficient = count_coefficient(model, e.deuteron_density_per_cc, pc)
+    grw = RateDensity(GRW_LAMBDA_OVER_A2)
+    gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    ge = electron_coupling_bound(grw, pc)
+    grid = scan.grid()
+    scaling = np.sqrt(GRW_LAMBDA_OVER_A2 / grid)
     return ExclusionCurve(
-        points=tuple(points),
+        lambda_over_a2=grid,
+        gn_bound=gn.value * scaling,
+        ge_bound=ge.half_width * scaling,
         theoretical_floor=theoretical_floor(s, a_cm),
         experimental_ceiling=ceiling,
     )
@@ -345,14 +338,13 @@ def run_full_analysis(
     scan: ScanSpec = ScanSpec(),
     a_cm: float = GRW_A_LENGTH,
     pc: PhysicalConstants = CODATA,
-    spec: QuadratureSpec = DEFAULT_QUAD,
     ceiling: float = RADIATION_CEILING,
 ) -> AnalysisReport:
     """Compose the whole pipeline into a report at the GRW strength plus a scan."""
     n_expt, n_ssm, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
-    coefficient = count_coefficient(model, e.deuteron_density_per_cc, pc, spec)
-    r2_cm2 = mean_square_radius(model, spec)
+    coefficient = count_coefficient(model, e.deuteron_density_per_cc, pc)
+    r2_cm2 = mean_square_radius(model)
 
     grw = RateDensity(GRW_LAMBDA_OVER_A2)
     gn = neutron_coupling_bound(
@@ -374,7 +366,7 @@ def run_full_analysis(
             " coefficients assume the reference"
         )
 
-    curve = scan_exclusion(e, s, scan, model, n_sigma, a_cm, pc, spec, ceiling)
+    curve = scan_exclusion(e, s, scan, model, n_sigma, a_cm, pc, ceiling)
     return AnalysisReport(
         n_expt=n_expt,
         n_ssm=n_ssm,

@@ -74,45 +74,3 @@ def integrate_radial(
     value, error = result[0], result[1]
     return value, error
 
-
-def integrate_fourier(
-    f: Callable[[float], float],
-    omega: float,
-    kind: str,
-    lower: float,
-    upper: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> tuple[float, float]:
-    """Integrate f(x) sin(omega x) or f(x) cos(omega x) over [lower, upper].
-
-    Uses the Chebyshev-moment oscillatory method, which stays accurate when
-    the interval spans many oscillation periods.
-    """
-    if kind not in ("sin", "cos"):
-        raise ValueError(f"kind must be 'sin' or 'cos' (got {kind!r})")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive (got {omega!r})")
-    if not (math.isfinite(lower) and math.isfinite(upper) and upper > lower):
-        raise ValueError("finite limits with upper > lower required")
-
-    def checked(x: float) -> float:
-        y = f(x)
-        if not math.isfinite(y):
-            raise QuadratureError(f"integrand returned non-finite value at x={x!r}")
-        return y
-
-    result = integrate.quad(
-        checked,
-        lower,
-        upper,
-        weight=kind,
-        wvar=omega,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        maxp1=100,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise QuadratureError(f"oscillatory quadrature did not converge: {result[3].strip()}")
-    return result[0], result[1]

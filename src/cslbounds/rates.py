@@ -21,7 +21,6 @@ from .constants import (
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_density
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 # 10^3 m^3 expressed in cm^3
 CC_PER_KILOTONNE_M3 = 1e9
@@ -96,11 +95,10 @@ def deuteron_rate(
     p: CollapseParams,
     model: BoundStateModel,
     pc: PhysicalConstants = CODATA,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> ExcitationRate:
     """Total dissociation rate per deuteron, integrated over final momenta."""
     g_n = _require_gn(p)
-    r2_cm2 = mean_square_radius(model, spec)
+    r2_cm2 = mean_square_radius(model)
     return general_rate(p, MatrixElementSq(relative_coupling_weight(g_n, pc) * r2_cm2))
 
 
@@ -109,14 +107,13 @@ def deuteron_spectrum(
     model: BoundStateModel,
     k_per_fm: float,
     pc: PhysicalConstants = CODATA,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Differential dissociation rate dR/dk in s^-1 per fm^-1.
 
     Integrating over k reproduces deuteron_rate by the completeness sum rule.
     """
     g_n = _require_gn(p)
-    density = spectrum_density(model, k_per_fm, spec).density_fm3
+    density = spectrum_density(model, k_per_fm).density_fm3
     prefactor = 0.5 * p.lambda_rate / p.a_length**2
     return prefactor * relative_coupling_weight(g_n, pc) * density * CM2_PER_FM2
 
@@ -125,12 +122,11 @@ def count_coefficient(
     model: BoundStateModel,
     deuteron_density_per_cc: float,
     pc: PhysicalConstants = CODATA,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Counts per unit coupling deviation squared per (yr x 10^3 m^3) at GRW strength."""
     if deuteron_density_per_cc <= 0:
         raise ValueError("deuteron density must be positive")
-    r2_cm2 = mean_square_radius(model, spec)
+    r2_cm2 = mean_square_radius(model)
     unit_weight = (1.0 / (1.0 + pc.m_n_over_m_p)) ** 2
     deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3
     return (
@@ -150,7 +146,6 @@ def expected_count(
     deuteron_density_per_cc: float,
     model: BoundStateModel,
     pc: PhysicalConstants = CODATA,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> CountPrediction:
     """Expected number of collapse-induced dissociations over a live exposure.
 
@@ -160,7 +155,7 @@ def expected_count(
     if live_time_yr <= 0 or volume_kilotonne_m3 <= 0:
         raise ValueError("live time and volume must be positive")
     g_n = _require_gn(p)
-    coefficient = count_coefficient(model, deuteron_density_per_cc, pc, spec)
+    coefficient = count_coefficient(model, deuteron_density_per_cc, pc)
     strength_ratio = lambda_over_a2(p).lambda_over_a2 / GRW_LAMBDA_OVER_A2
     deviation = g_n - pc.m_n_over_m_p
     expected = coefficient * strength_ratio * deviation * deviation * live_time_yr * volume_kilotonne_m3

@@ -185,28 +185,6 @@ def test_spectrum_structured(capsys, tmp_path):
     assert len(data["rows"]) == 200
 
 
-def test_spectrum_skip_failures_marks_rows(capsys, tmp_path, monkeypatch):
-    real = cli.spectrum_density
-
-    def flaky(model, k, *args, **kwargs):
-        if 0.05 < k < 0.06:
-            raise QuadratureError("synthetic failure")
-        return real(model, k, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "spectrum_density", flaky)
-    code, out, err = run_cli(capsys, "spectrum", "--quantity", "density", "--skip-failures")
-    assert code == 0
-    assert "warning:" in err
-    _, _, rows = parse_csv(out)
-    assert len(rows) == 200
-    assert any(r[1] == "nan" for r in rows)
-
-    # without the flag the same failure aborts with the numeric exit code
-    code, _, err = run_cli(capsys, "spectrum", "--quantity", "density")
-    assert code == 2
-    assert err.startswith("error[numeric]:")
-
-
 def test_constants_output(capsys):
     code, out, err = run_cli(capsys, "constants")
     assert code == 0 and err == ""

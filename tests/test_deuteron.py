@@ -1,8 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_legendre, spherical_jn
 
 from cslbounds import (
     CODATA,
@@ -13,9 +17,7 @@ from cslbounds import (
     default_k_grid,
     dipole_radial_integral,
     integrate_radial,
-    legendre_dipole_weight,
     mean_square_radius,
-    partial_wave_matrix_element,
     spectrum_density,
 )
 
@@ -42,6 +44,54 @@ def _spectral_integral_cm2(model, rel=1e-6):
         lambda k: spectrum_density(model, k).density_fm3, 0.0, 60.0 * kap, limit=200, epsrel=rel
     )
     return value * 1e-26
+
+
+def _bessel_radial_integral(model, ell, k):
+    # int r^2 u(r) j_l(kr) dr by adaptive quadrature
+    value, _ = integrate_radial(lambda r: r * r * float(model.u(r)) * spherical_jn(ell, k * r), 0.0)
+    return value
+
+
+def _quadrature_dipole(model, k):
+    # oracle for the closed-form dipole integral, switching to Fourier-weight
+    # quadrature where j_1 oscillates too fast for plain subdivision
+    kap = model.kappa_per_fm
+    if k <= 8.0 * kap:
+        return _bessel_radial_integral(model, 1, k)
+    # j_1(x) = sin(x)/x^2 - cos(x)/x; exp(-45) puts the truncated tail far below tolerance
+    r_max = 45.0 / kap
+    fourier = dict(wvar=k, epsabs=0.0, epsrel=1e-9, limit=200, maxp1=100)
+    sin_part, _ = si.quad(lambda r: float(model.u(r)), 0.0, r_max, weight="sin", **fourier)
+    cos_part, _ = si.quad(lambda r: r * float(model.u(r)), 0.0, r_max, weight="cos", **fourier)
+    return sin_part / k**2 - cos_part / k
+
+
+def _mpmath_dipole(model, k):
+    # the same integral at 30 significant digits from the model's float parameters;
+    # tanh-sinh on these intervals is accurate only while k is at most a few kappa
+    with mpmath.workdps(30):
+        kap, k = mpmath.mpf(model.kappa_per_fm), mpmath.mpf(k)
+        decays = [kap] if model.beta_per_fm is None else [kap, mpmath.mpf(model.beta_per_fm)]
+
+        def integrand(r):
+            u = model.norm * sum((-1) ** i * mpmath.exp(-a * r) for i, a in enumerate(decays))
+            x = k * r
+            return r * r * u * (mpmath.sin(x) / x**2 - mpmath.cos(x) / x)
+
+        return float(mpmath.quad(integrand, [0, 1 / kap, 10 / kap, mpmath.inf]))
+
+
+def _legendre_dipole_weight(ell):
+    # Legendre coefficient of cos(theta): (2l+1)/2 int_-1^1 mu P_l(mu) dmu; the
+    # integrand is bounded by 1, so an absolute tolerance lets zeros converge
+    angular = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12)
+    value, _ = integrate_radial(lambda mu: mu * eval_legendre(ell, mu), -1.0, 1.0, angular)
+    return 0.5 * (2 * ell + 1) * value
+
+
+def _partial_wave_matrix_element(model, ell, k):
+    # contribution of final-state partial wave l to <k|r|psi>; parity keeps only l = 1
+    return _legendre_dipole_weight(ell) * _bessel_radial_integral(model, ell, k)
 
 
 def test_binding_wavenumber_value():
@@ -148,7 +198,7 @@ def test_spectrum_density_non_negative_sampled():
 def test_spectrum_matches_zero_range_closed_form():
     m = build_zero_range(EB_DEFAULT)
     kap = m.kappa_per_fm
-    for factor in (0.05, 0.3, 1.0, 3.0, 7.0, 12.0, 40.0):  # spans both quadrature routes
+    for factor in (0.05, 0.3, 1.0, 3.0, 7.0, 12.0, 40.0):
         k = factor * kap
         got = spectrum_density(m, k).density_fm3
         assert got == pytest.approx(_zero_range_density(m, k), rel=1e-9)
@@ -163,20 +213,51 @@ def test_spectrum_sum_rule(build, eb):
 
 def test_dipole_selection_rule():
     # direct angular projections of cos(theta): zero except l = 1
-    assert abs(legendre_dipole_weight(0)) < 1e-9
-    assert legendre_dipole_weight(1) == pytest.approx(1.0, rel=1e-9)
-    assert abs(legendre_dipole_weight(2)) < 1e-9
-    assert abs(legendre_dipole_weight(3)) < 1e-9
+    assert abs(_legendre_dipole_weight(0)) < 1e-9
+    assert _legendre_dipole_weight(1) == pytest.approx(1.0, rel=1e-9)
+    assert abs(_legendre_dipole_weight(2)) < 1e-9
+    assert abs(_legendre_dipole_weight(3)) < 1e-9
 
 
 def test_partial_wave_contributions_vanish_off_dipole():
     m = build_zero_range(EB_DEFAULT)
     kap = m.kappa_per_fm
     for k in (0.2 * kap, kap, 4.0 * kap):
-        dipole = partial_wave_matrix_element(m, 1, k)
+        dipole = _partial_wave_matrix_element(m, 1, k)
         assert dipole == pytest.approx(dipole_radial_integral(m, k), rel=1e-9)
-        assert abs(partial_wave_matrix_element(m, 0, k)) < 1e-9 * abs(dipole)
-        assert abs(partial_wave_matrix_element(m, 2, k)) < 1e-9 * abs(dipole)
+        assert abs(_partial_wave_matrix_element(m, 0, k)) < 1e-9 * abs(dipole)
+        assert abs(_partial_wave_matrix_element(m, 2, k)) < 1e-9 * abs(dipole)
+
+
+@settings(deadline=None)
+@given(
+    hulthen=st.booleans(),
+    eb=st.floats(min_value=0.5, max_value=10.0),
+    beta_over_kappa=st.floats(min_value=1.5, max_value=20.0),
+    k_over_kappa=st.floats(min_value=1e-3, max_value=50.0),
+)
+def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over_kappa):
+    # the quadrature oracle itself misses by up to about 1.2e-7 relative
+    m = build_hulthen(eb, beta_over_kappa) if hulthen else build_zero_range(eb)
+    k = k_over_kappa * m.kappa_per_fm
+    assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-6)
+
+
+# (E_B, beta/kappa, k) where adaptive quadrature missed I(k) by 0.8e-7 and
+# 1.2e-7 relative while estimating its error at about 1e-9
+@pytest.mark.parametrize("eb, beta_over_kappa, k", [
+    (2.4018392372956066, 9.365697267342417, 0.16698494761867266),
+    (2.5610729958445257, 7.515905352544166, 0.019547678200599907),
+])
+@pytest.mark.parametrize("hulthen", [False, True])
+def test_dipole_integral_matches_mpmath_where_quadrature_missed(eb, beta_over_kappa, k, hulthen):
+    m = build_hulthen(eb, beta_over_kappa) if hulthen else build_zero_range(eb)
+    assert dipole_radial_integral(m, k) == pytest.approx(_mpmath_dipole(m, k), rel=1e-12)
+
+
+def test_dipole_integral_rejects_negative_k():
+    with pytest.raises(ValueError):
+        dipole_radial_integral(build_zero_range(EB_DEFAULT), -1.0)
 
 
 def test_default_k_grid_span():
@@ -187,9 +268,3 @@ def test_default_k_grid_span():
     assert grid[-1] == pytest.approx(20.0 * m.kappa_per_fm, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
 
-
-def test_quadrature_spec_is_honoured():
-    # a loose spec must still give the loose tolerance, not silently tighten
-    m = build_zero_range(EB_DEFAULT)
-    loose = QuadratureSpec(rel_tol=1e-5, abs_tol=0.0, max_subdivisions=50)
-    assert mean_square_radius(m, loose) == pytest.approx(0.5 / m.kappa_per_fm**2 * 1e-26, rel=1e-5)

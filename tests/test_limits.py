@@ -9,7 +9,6 @@ from cslbounds import (
     RADIATION_CEILING,
     AsymmetricValue,
     ExclusionCurve,
-    ExclusionPoint,
     ExperimentConfig,
     ObservedCounts,
     RateDensity,
@@ -240,9 +239,7 @@ def test_round_up_dominates_value():
 def test_scan_exclusion_defaults():
     e = reference_experiment()
     curve = scan_exclusion(e, reference_sphere(), ScanSpec(), build_zero_range(EB_DEFAULT))
-    lds = np.array([p.lambda_over_a2 for p in curve.points])
-    gns = np.array([p.gn_bound for p in curve.points])
-    ges = np.array([p.ge_bound for p in curve.points])
+    lds, gns, ges = curve.lambda_over_a2, curve.gn_bound, curve.ge_bound
 
     assert curve.experimental_ceiling == RADIATION_CEILING == 2.5
     assert 1.8e-10 <= curve.theoretical_floor <= 2.1e-10
@@ -269,17 +266,32 @@ def test_scan_spec_validation():
 
 
 def test_exclusion_curve_validation():
-    pts = (
-        ExclusionPoint(1e-8, 0.1, 0.2),
-        ExclusionPoint(1e-7, 0.05, 0.1),
-    )
-    ExclusionCurve(points=pts, theoretical_floor=1e-10, experimental_ceiling=2.5)
+    lds, gns, ges = np.array([1e-8, 1e-7]), np.array([0.1, 0.05]), np.array([0.2, 0.1])
+    ExclusionCurve(lds, gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
     with pytest.raises(ValueError):
-        ExclusionCurve(points=pts[::-1], theoretical_floor=1e-10, experimental_ceiling=2.5)
+        ExclusionCurve(lds[::-1], gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
     with pytest.raises(ValueError):
-        ExclusionCurve(points=pts, theoretical_floor=3.0, experimental_ceiling=2.5)
+        ExclusionCurve(np.array([1e-8, 1e-8]), gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
     with pytest.raises(ValueError):
-        ExclusionPoint(1e-6, -0.1, 0.0)
+        ExclusionCurve(lds, gns, ges, theoretical_floor=3.0, experimental_ceiling=2.5)
+
+
+def test_scan_exclusion_matches_pointwise_bounds():
+    # the scan scales the GRW bounds over the grid; it must equal inverting
+    # the count limit at each grid point, to the last bit
+    e = reference_experiment()
+    model = build_hulthen(EB_DEFAULT)
+    scan = ScanSpec(points=1001)
+    curve = scan_exclusion(e, reference_sphere(), scan, model, n_sigma=2.0)
+    _, _, n_csl = net_csl_counts(e)
+    n_limit = one_sided_upper_limit(n_csl, 2.0)
+    coeff = count_coefficient(model, e.deuteron_density_per_cc)
+    for ld, gn, ge in zip(scan.grid().tolist(), curve.gn_bound.tolist(), curve.ge_bound.tolist()):
+        density = RateDensity(ld)
+        assert gn == neutron_coupling_bound(
+            n_limit, density, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
+        ).value
+        assert ge == electron_coupling_bound(density).half_width
 
 
 def test_run_full_analysis_reference():

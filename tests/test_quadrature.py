@@ -3,7 +3,6 @@ import math
 import pytest
 
 from cslbounds import QuadratureError, QuadratureSpec, integrate_radial
-from cslbounds.quadrature import integrate_fourier
 
 
 def test_exponential_integral():
@@ -57,25 +56,3 @@ def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         QuadratureSpec(**kwargs)
 
-
-def test_fourier_sin_against_closed_form():
-    # int_0^inf exp(-r) sin(w r) dr = w / (1 + w^2), truncated far into the tail
-    for w in (3.0, 25.0, 400.0):
-        value, _ = integrate_fourier(lambda r: math.exp(-r), w, "sin", 0.0, 60.0)
-        assert value == pytest.approx(w / (1 + w * w), rel=1e-9)
-
-
-def test_fourier_cos_against_closed_form():
-    # int_0^inf exp(-r) cos(w r) dr = 1 / (1 + w^2)
-    for w in (3.0, 25.0, 400.0):
-        value, _ = integrate_fourier(lambda r: math.exp(-r), w, "cos", 0.0, 60.0)
-        assert value == pytest.approx(1 / (1 + w * w), rel=1e-9)
-
-
-def test_fourier_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        integrate_fourier(math.exp, 1.0, "tan", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        integrate_fourier(math.exp, 0.0, "sin", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        integrate_fourier(math.exp, 1.0, "sin", 0.0, math.inf)
