@@ -12,16 +12,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 from .config import (
     ConfigError,
     RunConfig,
     build_model,
     load_config,
+    update_config,
 )
 from .constants import CODATA, GRW_LAMBDA_OVER_A2, grw_defaults, lambda_over_a2
 from .deuteron import ModelKind, default_k_grid, spectrum_density
@@ -115,66 +115,80 @@ def entrypoint() -> None:
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "model", None):
-        cfg = replace(cfg, model=replace(cfg.model, kind=ModelKind(args.model)))
-    nsigma = getattr(args, "nsigma", None)
-    if nsigma is not None:
-        if not (math.isfinite(nsigma) and nsigma >= 0):
-            raise ConfigError(f"n_sigma must be non-negative (got {nsigma!r})")
-        cfg = replace(cfg, n_sigma=nsigma)
-    return cfg
+    changes = {"model": {"kind": args.model}} if args.model else {}
+    if args.nsigma is not None:
+        changes["n_sigma"] = args.nsigma
+    return update_config(load_config(args.config), changes)
 
 
 def _write(args, text: str) -> None:
-    path = getattr(args, "output", None)
-    if path:
+    path = args.output
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from None
 
 
-def _asym_dict(v: AsymmetricValue) -> dict:
-    return {"central": v.central, "err_up": v.err_up, "err_down": v.err_down}
+def _json(data: dict) -> str:
+    return json.dumps(data, indent=2, default=asdict) + "\n"
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _curve_rows(curve: ExclusionCurve) -> list[tuple[float, float, float]]:
     return list(zip(*(getattr(curve, column).tolist() for column in CURVE_COLUMNS)))
 
 
-def _curve_points(curve: ExclusionCurve) -> list[dict]:
-    return [dict(zip(CURVE_COLUMNS, row)) for row in _curve_rows(curve)]
+def _curve_block(curve: ExclusionCurve) -> dict:
+    """The curve as structured output shows it, in `scan` and in the analyze report."""
+    return {
+        "theoretical_floor": curve.theoretical_floor,
+        "experimental_ceiling": curve.experimental_ceiling,
+        "points": [dict(zip(CURVE_COLUMNS, row)) for row in _curve_rows(curve)],
+    }
 
 
-def _report_dict(report: AnalysisReport, predicted: float | None) -> dict:
+def _pick(report: AnalysisReport, *names: str) -> dict:
+    return {name: getattr(report, name) for name in names}
+
+
+def _analyze_report(report: AnalysisReport, predicted: float | None) -> dict:
+    """The analyze report; the structured output is this dict, the csv output a view of it."""
     data = {
-        "counts": {
-            "n_expt": _asym_dict(report.n_expt),
-            "n_ssm": _asym_dict(report.n_ssm),
-            "n_csl": _asym_dict(report.n_csl),
-            "n_limit": report.n_limit,
-            "n_sigma": report.n_sigma,
-        },
-        "bounds": {
-            "gn_bound_at_grw": report.gn_bound_at_grw,
-            "gn_bound_rounded": report.gn_bound_rounded,
-            "ge_half_width_at_grw": report.ge_half_width_at_grw,
-            "ge_upper_at_grw": report.ge_upper_at_grw,
-            "strength_ratio": report.strength_ratio,
-        },
+        "counts": _pick(report, "n_expt", "n_ssm", "n_csl", "n_limit", "n_sigma"),
+        "bounds": _pick(
+            report, "gn_bound_at_grw", "gn_bound_rounded", "ge_half_width_at_grw", "ge_upper_at_grw", "strength_ratio"
+        ),
         "model": {"r2_cm2": report.model_r2_cm2},
-        "curve": {
-            "theoretical_floor": report.curve.theoretical_floor,
-            "experimental_ceiling": report.curve.experimental_ceiling,
-            "points": _curve_points(report.curve),
-        },
+        "curve": _curve_block(report.curve),
         "floor_regime": report.floor_regime,
         "warnings": list(report.warnings),
     }
     if predicted is not None:
         data["predicted_csl_counts"] = predicted
     return data
+
+
+def _report_csv_rows(data: dict):
+    """One row per number in the report, named by its key; model keys carry the section
+    name, and n_sigma, the input the limit was computed at, is left out."""
+    for section, block in data.items():
+        for key, value in block.items() if isinstance(block, dict) else [(section, block)]:
+            name = f"{section}_{key}" if section == "model" else key
+            if isinstance(value, AsymmetricValue):
+                yield [name, value.central, value.err_up, value.err_down]
+            elif isinstance(value, (int, float)) and key != "n_sigma":
+                yield [name, value, "", ""]
 
 
 def _report_text(report: AnalysisReport, predicted: float | None) -> str:
@@ -206,29 +220,6 @@ def _report_text(report: AnalysisReport, predicted: float | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_csv(report: AnalysisReport, predicted: float | None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "central", "err_up", "err_down"])
-    for name, v in (("n_expt", report.n_expt), ("n_ssm", report.n_ssm), ("n_csl", report.n_csl)):
-        writer.writerow([name, v.central, v.err_up, v.err_down])
-    for name, value in (
-        ("n_limit", report.n_limit),
-        ("gn_bound_at_grw", report.gn_bound_at_grw),
-        ("gn_bound_rounded", report.gn_bound_rounded),
-        ("ge_half_width_at_grw", report.ge_half_width_at_grw),
-        ("ge_upper_at_grw", report.ge_upper_at_grw),
-        ("strength_ratio", report.strength_ratio),
-        ("model_r2_cm2", report.model_r2_cm2),
-        ("theoretical_floor", report.curve.theoretical_floor),
-        ("experimental_ceiling", report.curve.experimental_ceiling),
-    ):
-        writer.writerow([name, value, "", ""])
-    if predicted is not None:
-        writer.writerow(["predicted_csl_counts", predicted, "", ""])
-    return buf.getvalue()
-
-
 def _cmd_analyze(args) -> int:
     cfg = _load(args)
     model = build_model(cfg.model)
@@ -251,12 +242,13 @@ def _cmd_analyze(args) -> int:
             cfg.experiment.deuteron_density_per_cc,
             model,
         ).expected_neutrons
-    if args.format == "structured":
-        _write(args, json.dumps(_report_dict(report, predicted), indent=2) + "\n")
-    elif args.format == "csv":
-        _write(args, _report_csv(report, predicted))
-    else:
+    if args.format == "text":
         _write(args, _report_text(report, predicted))
+    elif args.format == "csv":
+        rows = _report_csv_rows(_analyze_report(report, predicted))
+        _write(args, _csv(["quantity", "central", "err_up", "err_down"], rows))
+    else:
+        _write(args, _json(_analyze_report(report, predicted)))
     return EXIT_OK
 
 
@@ -272,20 +264,13 @@ def _cmd_scan(args) -> int:
         a_cm=cfg.collapse.a_length,
     )
     if args.format == "structured":
-        data = {
-            "theoretical_floor": curve.theoretical_floor,
-            "experimental_ceiling": curve.experimental_ceiling,
-            "points": _curve_points(curve),
-        }
-        _write(args, json.dumps(data, indent=2) + "\n")
+        _write(args, _json(_curve_block(curve)))
         return EXIT_OK
-    buf = io.StringIO()
-    buf.write(f"# theoretical_floor_per_s_cm2 = {curve.theoretical_floor!r}\n")
-    buf.write(f"# experimental_ceiling_per_s_cm2 = {curve.experimental_ceiling!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    writer.writerows(_curve_rows(curve))
-    _write(args, buf.getvalue())
+    comments = (
+        f"# theoretical_floor_per_s_cm2 = {curve.theoretical_floor!r}\n"
+        f"# experimental_ceiling_per_s_cm2 = {curve.experimental_ceiling!r}\n"
+    )
+    _write(args, comments + _csv(CURVE_COLUMNS, _curve_rows(curve)))
     return EXIT_OK
 
 
@@ -304,16 +289,11 @@ def _cmd_spectrum(args) -> int:
         else:
             value = spectrum_density(model, k).density_fm3
         rows.append((k, float(value)))
+    header = ["k_per_fm", column]
     if args.format == "structured":
-        data = {"columns": ["k_per_fm", column], "rows": [[k, v] for k, v in rows]}
-        _write(args, json.dumps(data, indent=2) + "\n")
-        return EXIT_OK
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k_per_fm", column])
-    for k, v in rows:
-        writer.writerow([k, v])
-    _write(args, buf.getvalue())
+        _write(args, _json({"columns": header, "rows": rows}))
+    else:
+        _write(args, _csv(header, rows))
     return EXIT_OK
 
 

@@ -2,14 +2,16 @@
 heavy-water exposure (254.2 live days inside a 5.5 m fiducial radius).
 
 Every key is optional; unknown keys are rejected with their full path so
-typos cannot silently fall back to defaults.
+typos cannot silently fall back to defaults. One table, SCHEMA, declares
+each key once: parsing, overriding and serializing all walk it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .constants import CODATA, CollapseParams, PhysicalConstants, grw_defaults
@@ -58,29 +60,17 @@ def build_model(spec: ModelSpec, constants: PhysicalConstants = CODATA) -> Bound
     return build_hulthen(spec.binding_energy_mev, spec.beta_over_kappa, constants)
 
 
-def default_observed() -> ObservedCounts:
-    return ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8)
-
-
-def default_ssm_rate() -> AsymmetricValue:
-    return AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08)
-
-
-def default_experiment() -> ExperimentConfig:
-    return ExperimentConfig(
-        live_time_days=254.2,
-        fiducial_radius_m=5.5,
-        deuteron_density_per_cc=DEFAULT_DEUTERON_DENSITY_PER_CC,
-        efficiency=0.40,
-        observed=default_observed(),
-        ssm_rate_per_day=default_ssm_rate(),
-    )
-
-
 def default_config() -> RunConfig:
     return RunConfig(
         collapse=grw_defaults(),
-        experiment=default_experiment(),
+        experiment=ExperimentConfig(
+            live_time_days=254.2,
+            fiducial_radius_m=5.5,
+            deuteron_density_per_cc=DEFAULT_DEUTERON_DENSITY_PER_CC,
+            efficiency=0.40,
+            observed=ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8),
+            ssm_rate_per_day=AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08),
+        ),
         sphere=SphereVisibilityConfig(),
         scan=ScanSpec(),
         model=ModelSpec(),
@@ -88,180 +78,153 @@ def default_config() -> RunConfig:
     )
 
 
-def _as_mapping(node: Any, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object (got {type(node).__name__})")
-    return node
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _reject_unknown(node: dict, path: str, known: tuple[str, ...]) -> None:
-    for key in node:
-        if key not in known:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: unknown key")
+# Readers turn one JSON value into a field value; `where` is the key's full path.
+Reader = Callable[[Any, str], Any]
 
 
-def _number(
-    node: dict,
-    path: str,
-    key: str,
-    default: float,
-    check: Callable[[float], bool],
-    constraint: str,
-) -> float:
-    if key not in node:
-        return default
-    raw = node[key]
-    where = f"{path}.{key}" if path else key
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{where}: expected a number (got {raw!r})")
-    value = float(raw)
-    if not math.isfinite(value) or not check(value):
-        raise ConfigError(f"{where}: must be {constraint} (got {raw!r})")
-    return value
+def _number(check: Callable[[float], bool], constraint: str) -> Reader:
+    def read(raw: Any, where: str) -> float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"{where}: expected a number (got {raw!r})")
+        value = float(raw)
+        if not (math.isfinite(value) and check(value)):
+            raise ConfigError(f"{where}: must be {constraint} (got {raw!r})")
+        return value
+
+    return read
 
 
-def _optional_number(node: dict, path: str, key: str, check, constraint) -> float | None:
-    if key not in node or node[key] is None:
-        return None
-    return _number(node, path, key, math.nan, check, constraint)
+def _optional(read: Reader) -> Reader:
+    return lambda raw, where: None if raw is None else read(raw, where)
 
 
-def _flag(node: dict, path: str, key: str, default: bool) -> bool:
-    if key not in node:
-        return default
-    raw = node[key]
+def _integer(at_least: int) -> Reader:
+    def read(raw: Any, where: str) -> int:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise ConfigError(f"{where}: expected an integer (got {raw!r})")
+        if raw < at_least:
+            raise ConfigError(f"{where}: must be at least {at_least} (got {raw!r})")
+        return raw
+
+    return read
+
+
+def _flag(raw: Any, where: str) -> bool:
     if not isinstance(raw, bool):
-        raise ConfigError(f"{path}.{key}: expected true or false (got {raw!r})")
+        raise ConfigError(f"{where}: expected true or false (got {raw!r})")
     return raw
 
 
-_POSITIVE = (lambda v: v > 0, "positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
-_ANY = (lambda v: True, "a finite number")
-
-
-def _parse_collapse(node: dict) -> CollapseParams:
-    _reject_unknown(node, "collapse", ("lambda_per_sec", "a_cm", "g_n", "g_e"))
-    defaults = grw_defaults()
-    return CollapseParams(
-        lambda_rate=_number(node, "collapse", "lambda_per_sec", defaults.lambda_rate, *_POSITIVE),
-        a_length=_number(node, "collapse", "a_cm", defaults.a_length, *_POSITIVE),
-        g_n=_optional_number(node, "collapse", "g_n", *_NON_NEGATIVE),
-        g_e=_optional_number(node, "collapse", "g_e", *_NON_NEGATIVE),
-    )
-
-
-def _parse_observed(node: dict) -> ObservedCounts:
-    _reject_unknown(
-        node, "experiment.observed", ("value", "stat_up", "stat_down", "syst_up", "syst_down")
-    )
-    d = default_observed()
-    p = "experiment.observed"
-    return ObservedCounts(
-        value=_number(node, p, "value", d.value, *_ANY),
-        stat_up=_number(node, p, "stat_up", d.stat_up, *_NON_NEGATIVE),
-        stat_down=_number(node, p, "stat_down", d.stat_down, *_NON_NEGATIVE),
-        syst_up=_number(node, p, "syst_up", d.syst_up, *_NON_NEGATIVE),
-        syst_down=_number(node, p, "syst_down", d.syst_down, *_NON_NEGATIVE),
-    )
-
-
-def _parse_ssm_rate(node: dict) -> AsymmetricValue:
-    _reject_unknown(node, "experiment.ssm_rate_per_day", ("value", "up", "down"))
-    d = default_ssm_rate()
-    p = "experiment.ssm_rate_per_day"
-    return AsymmetricValue(
-        central=_number(node, p, "value", d.central, *_ANY),
-        err_up=_number(node, p, "up", d.err_up, *_NON_NEGATIVE),
-        err_down=_number(node, p, "down", d.err_down, *_NON_NEGATIVE),
-    )
-
-
-def _parse_experiment(node: dict) -> ExperimentConfig:
-    _reject_unknown(
-        node,
-        "experiment",
-        (
-            "live_time_days",
-            "fiducial_radius_m",
-            "deuteron_density_per_cc",
-            "efficiency",
-            "observed",
-            "ssm_rate_per_day",
-        ),
-    )
-    d = default_experiment()
-    efficiency = _number(
-        node,
-        "experiment",
-        "efficiency",
-        d.efficiency,
-        lambda v: 0 < v <= 1,
-        "in (0,1]",
-    )
-    return ExperimentConfig(
-        live_time_days=_number(node, "experiment", "live_time_days", d.live_time_days, *_POSITIVE),
-        fiducial_radius_m=_number(node, "experiment", "fiducial_radius_m", d.fiducial_radius_m, *_POSITIVE),
-        deuteron_density_per_cc=_number(
-            node, "experiment", "deuteron_density_per_cc", d.deuteron_density_per_cc, *_POSITIVE
-        ),
-        efficiency=efficiency,
-        observed=_parse_observed(_as_mapping(node.get("observed", {}), "experiment.observed")),
-        ssm_rate_per_day=_parse_ssm_rate(
-            _as_mapping(node.get("ssm_rate_per_day", {}), "experiment.ssm_rate_per_day")
-        ),
-    )
-
-
-def _parse_sphere(node: dict) -> SphereVisibilityConfig:
-    _reject_unknown(node, "sphere", ("diameter_cm", "nucleon_count", "perception_time_s", "margin"))
-    d = SphereVisibilityConfig()
-    return SphereVisibilityConfig(
-        diameter_cm=_number(node, "sphere", "diameter_cm", d.diameter_cm, *_POSITIVE),
-        nucleon_count=_number(node, "sphere", "nucleon_count", d.nucleon_count, *_POSITIVE),
-        perception_time_s=_number(node, "sphere", "perception_time_s", d.perception_time_s, *_POSITIVE),
-        collapse_margin=_number(node, "sphere", "margin", d.collapse_margin, *_POSITIVE),
-    )
-
-
-def _parse_scan(node: dict) -> ScanSpec:
-    _reject_unknown(node, "scan", ("min", "max", "points", "log_spacing"))
-    d = ScanSpec()
-    points = node.get("points", d.points)
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError(f"scan.points: expected an integer (got {points!r})")
-    if points < 2:
-        raise ConfigError(f"scan.points: must be at least 2 (got {points!r})")
-    lo = _number(node, "scan", "min", d.lo, *_POSITIVE)
-    hi = _number(node, "scan", "max", d.hi, *_POSITIVE)
-    if not lo < hi:
-        raise ConfigError(f"scan: min must be below max (got min={lo!r}, max={hi!r})")
-    return ScanSpec(lo=lo, hi=hi, points=points, log_spacing=_flag(node, "scan", "log_spacing", d.log_spacing))
-
-
-def _parse_model(node: dict) -> ModelSpec:
-    _reject_unknown(node, "model", ("kind", "binding_energy_mev", "beta_over_kappa"))
-    d = ModelSpec()
-    kind_raw = node.get("kind", d.kind.value)
+def _model_kind(raw: Any, where: str) -> ModelKind:
     try:
-        kind = ModelKind(kind_raw)
+        return ModelKind(raw)
     except ValueError:
         choices = ", ".join(k.value for k in ModelKind)
-        raise ConfigError(f"model.kind: must be one of {choices} (got {kind_raw!r})") from None
-    beta_over_kappa = _number(
-        node,
-        "model",
-        "beta_over_kappa",
-        d.beta_over_kappa,
-        lambda v: v > 1,
-        "greater than 1",
-    )
-    return ModelSpec(
-        kind=kind,
-        binding_energy_mev=_number(node, "model", "binding_energy_mev", d.binding_energy_mev, *_POSITIVE),
-        beta_over_kappa=beta_over_kappa,
-    )
+        raise ConfigError(f"{where}: must be one of {choices} (got {raw!r})") from None
+
+
+_POSITIVE = _number(lambda v: v > 0, "positive")
+_NON_NEGATIVE = _number(lambda v: v >= 0, "non-negative")
+_FINITE = _number(lambda v: True, "a finite number")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One JSON key: the dataclass attribute it sets and the reader that checks it."""
+
+    key: str
+    attr: str
+    read: Reader
+    write: Callable[[Any], Any] = lambda value: value
+
+    def parse(self, raw: Any, where: str, default: Any) -> Any:
+        return self.read(raw, where)
+
+    def dump(self, value: Any) -> Any:
+        return self.write(value)
+
+
+@dataclass(frozen=True)
+class Section:
+    """A JSON object onto a frozen dataclass; absent keys keep the default's values."""
+
+    key: str
+    attr: str
+    fields: tuple[Field | Section, ...]
+
+    def parse(self, node: Any, where: str, default: Any) -> Any:
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where or 'document root'}: expected an object (got {type(node).__name__})")
+        by_key = {f.key: f for f in self.fields}
+        for key in node:
+            if key not in by_key:
+                raise ConfigError(f"{_join(where, key)}: unknown key")
+        changes = {
+            f.attr: f.parse(node[f.key], _join(where, f.key), getattr(default, f.attr))
+            for f in self.fields
+            if f.key in node
+        }
+        try:
+            return replace(default, **changes)
+        except ValueError as exc:
+            # an invariant across fields (scan min < max); report it under the JSON keys
+            message = str(exc)
+            for f in self.fields:
+                message = re.sub(rf"\b{f.attr}\b", f.key, message)
+            raise ConfigError(f"{where}: {message}") from None
+
+    def dump(self, value: Any) -> dict:
+        return {f.key: f.dump(getattr(value, f.attr)) for f in self.fields}
+
+
+SCHEMA = Section("", "", (
+    Section("collapse", "collapse", (
+        Field("lambda_per_sec", "lambda_rate", _POSITIVE),
+        Field("a_cm", "a_length", _POSITIVE),
+        Field("g_n", "g_n", _optional(_NON_NEGATIVE)),
+        Field("g_e", "g_e", _optional(_NON_NEGATIVE)),
+    )),
+    Section("experiment", "experiment", (
+        Field("live_time_days", "live_time_days", _POSITIVE),
+        Field("fiducial_radius_m", "fiducial_radius_m", _POSITIVE),
+        Field("deuteron_density_per_cc", "deuteron_density_per_cc", _POSITIVE),
+        Field("efficiency", "efficiency", _number(lambda v: 0 < v <= 1, "in (0,1]")),
+        Section("observed", "observed", (
+            Field("value", "value", _FINITE),
+            Field("stat_up", "stat_up", _NON_NEGATIVE),
+            Field("stat_down", "stat_down", _NON_NEGATIVE),
+            Field("syst_up", "syst_up", _NON_NEGATIVE),
+            Field("syst_down", "syst_down", _NON_NEGATIVE),
+        )),
+        Section("ssm_rate_per_day", "ssm_rate_per_day", (
+            Field("value", "central", _FINITE),
+            Field("up", "err_up", _NON_NEGATIVE),
+            Field("down", "err_down", _NON_NEGATIVE),
+        )),
+    )),
+    Section("sphere", "sphere", (
+        Field("diameter_cm", "diameter_cm", _POSITIVE),
+        Field("nucleon_count", "nucleon_count", _POSITIVE),
+        Field("perception_time_s", "perception_time_s", _POSITIVE),
+        Field("margin", "collapse_margin", _POSITIVE),
+    )),
+    Section("scan", "scan", (
+        Field("min", "lo", _POSITIVE),
+        Field("max", "hi", _POSITIVE),
+        Field("points", "points", _integer(at_least=2)),
+        Field("log_spacing", "log_spacing", _flag),
+    )),
+    Section("model", "model", (
+        Field("kind", "kind", _model_kind, write=lambda kind: kind.value),
+        Field("binding_energy_mev", "binding_energy_mev", _POSITIVE),
+        Field("beta_over_kappa", "beta_over_kappa", _number(lambda v: v > 1, "greater than 1")),
+    )),
+    Field("n_sigma", "n_sigma", _NON_NEGATIVE),
+))
 
 
 def parse_config(document: str | bytes) -> RunConfig:
@@ -272,22 +235,12 @@ def parse_config(document: str | bytes) -> RunConfig:
         root = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    root = _as_mapping(root, "document root")
-    _reject_unknown(root, "", ("collapse", "experiment", "sphere", "scan", "model", "n_sigma"))
-    try:
-        return RunConfig(
-            collapse=_parse_collapse(_as_mapping(root.get("collapse", {}), "collapse")),
-            experiment=_parse_experiment(_as_mapping(root.get("experiment", {}), "experiment")),
-            sphere=_parse_sphere(_as_mapping(root.get("sphere", {}), "sphere")),
-            scan=_parse_scan(_as_mapping(root.get("scan", {}), "scan")),
-            model=_parse_model(_as_mapping(root.get("model", {}), "model")),
-            n_sigma=_number(root, "", "n_sigma", 1.0, *_NON_NEGATIVE),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # constructor invariants not caught by the schema checks above
-        raise ConfigError(str(exc)) from None
+    return SCHEMA.parse(root, "", default_config())
+
+
+def update_config(rc: RunConfig, changes: dict) -> RunConfig:
+    """Apply schema-shaped changes to rc, checked as a config document's keys are."""
+    return SCHEMA.parse(changes, "", rc)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -303,50 +256,7 @@ def load_config(path: str | None) -> RunConfig:
 
 def config_to_dict(rc: RunConfig) -> dict:
     """Schema-shaped dict; round-trips through parse_config."""
-    return {
-        "collapse": {
-            "lambda_per_sec": rc.collapse.lambda_rate,
-            "a_cm": rc.collapse.a_length,
-            "g_n": rc.collapse.g_n,
-            "g_e": rc.collapse.g_e,
-        },
-        "experiment": {
-            "live_time_days": rc.experiment.live_time_days,
-            "fiducial_radius_m": rc.experiment.fiducial_radius_m,
-            "deuteron_density_per_cc": rc.experiment.deuteron_density_per_cc,
-            "efficiency": rc.experiment.efficiency,
-            "observed": {
-                "value": rc.experiment.observed.value,
-                "stat_up": rc.experiment.observed.stat_up,
-                "stat_down": rc.experiment.observed.stat_down,
-                "syst_up": rc.experiment.observed.syst_up,
-                "syst_down": rc.experiment.observed.syst_down,
-            },
-            "ssm_rate_per_day": {
-                "value": rc.experiment.ssm_rate_per_day.central,
-                "up": rc.experiment.ssm_rate_per_day.err_up,
-                "down": rc.experiment.ssm_rate_per_day.err_down,
-            },
-        },
-        "sphere": {
-            "diameter_cm": rc.sphere.diameter_cm,
-            "nucleon_count": rc.sphere.nucleon_count,
-            "perception_time_s": rc.sphere.perception_time_s,
-            "margin": rc.sphere.collapse_margin,
-        },
-        "scan": {
-            "min": rc.scan.lo,
-            "max": rc.scan.hi,
-            "points": rc.scan.points,
-            "log_spacing": rc.scan.log_spacing,
-        },
-        "model": {
-            "kind": rc.model.kind.value,
-            "binding_energy_mev": rc.model.binding_energy_mev,
-            "beta_over_kappa": rc.model.beta_over_kappa,
-        },
-        "n_sigma": rc.n_sigma,
-    }
+    return SCHEMA.dump(rc)
 
 
 def serialize_config(rc: RunConfig) -> str:

@@ -127,7 +127,7 @@ def count_coefficient(
     if deuteron_density_per_cc <= 0:
         raise ValueError("deuteron density must be positive")
     r2_cm2 = mean_square_radius(model)
-    unit_weight = (1.0 / (1.0 + pc.m_n_over_m_p)) ** 2
+    unit_weight = com_reduction_coefficients(pc)[1] ** 2   # |c_n|^2 at unit coupling deviation
     deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3
     return (
         0.5

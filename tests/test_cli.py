@@ -240,3 +240,16 @@ def test_numerical_failure_exits_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 2
     assert err.startswith("error[numeric]:")
+
+
+def test_unwritable_output_is_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "curve.csv"
+    code, out, err = run_cli(capsys, "scan", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error[config]: cannot write output file {str(target)!r}: No such file or directory\n"
+
+
+def test_nsigma_override_checked_like_config_key(capsys):
+    code, _, err = run_cli(capsys, "analyze", "--nsigma", "-1")
+    assert code == 1
+    assert err == "error[config]: n_sigma: must be non-negative (got -1.0)\n"

@@ -1,10 +1,21 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cslbounds import (
+    AsymmetricValue,
+    CollapseParams,
     ConfigError,
+    ExperimentConfig,
     ModelKind,
+    ModelSpec,
+    ObservedCounts,
+    RunConfig,
+    ScanSpec,
+    SphereVisibilityConfig,
     build_model,
     config_to_dict,
     default_config,
@@ -133,3 +144,79 @@ def test_load_config(tmp_path):
     assert load_config(str(path)).n_sigma == 2.0
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+coupling = st.none() | non_negative
+
+
+@st.composite
+def scan_specs(draw):
+    lo, hi = sorted(draw(st.lists(positive, min_size=2, max_size=2, unique=True)))
+    return ScanSpec(lo=lo, hi=hi, points=draw(st.integers(min_value=2, max_value=10**6)), log_spacing=draw(st.booleans()))
+
+
+run_configs = st.builds(
+    RunConfig,
+    collapse=st.builds(CollapseParams, lambda_rate=positive, a_length=positive, g_e=coupling, g_n=coupling),
+    experiment=st.builds(
+        ExperimentConfig,
+        live_time_days=positive,
+        fiducial_radius_m=positive,
+        deuteron_density_per_cc=positive,
+        efficiency=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        observed=st.builds(
+            ObservedCounts,
+            value=finite,
+            stat_up=non_negative,
+            stat_down=non_negative,
+            syst_up=non_negative,
+            syst_down=non_negative,
+        ),
+        ssm_rate_per_day=st.builds(AsymmetricValue, central=finite, err_up=non_negative, err_down=non_negative),
+    ),
+    sphere=st.builds(
+        SphereVisibilityConfig,
+        diameter_cm=positive,
+        nucleon_count=positive,
+        perception_time_s=positive,
+        collapse_margin=positive,
+    ),
+    scan=scan_specs(),
+    model=st.builds(
+        ModelSpec,
+        kind=st.sampled_from(ModelKind),
+        binding_energy_mev=positive,
+        beta_over_kappa=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    ),
+    n_sigma=non_negative,
+)
+
+
+@given(run_configs)
+def test_round_trip_generated(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def _readme_schema() -> dict:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration schema", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def _assert_documented(documented, actual, path):
+    if isinstance(actual, dict):
+        assert isinstance(documented, dict) and documented.keys() == actual.keys(), path
+        for key, value in actual.items():
+            _assert_documented(documented[key], value, f"{path}.{key}")
+    elif isinstance(actual, float):
+        # the README rounds, for example (2/3)e23 to 6.667e22
+        assert documented == pytest.approx(actual, rel=1e-3), path
+    else:
+        assert type(documented) is type(actual) and documented == actual, path
+
+
+def test_readme_schema_lists_every_key_with_its_default():
+    _assert_documented(_readme_schema(), config_to_dict(default_config()), "README schema")
