@@ -14,6 +14,7 @@ import io
 import json
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
 
 from .config import (
@@ -137,16 +138,17 @@ def _json(data: dict) -> str:
     return json.dumps(data, indent=2, default=asdict) + "\n"
 
 
-def _csv(header, rows) -> str:
+def _csv(header, rows, preamble: str = "") -> str:
     buf = io.StringIO()
+    buf.write(preamble)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _curve_rows(curve: ExclusionCurve) -> list[tuple[float, float, float]]:
-    return list(zip(*(getattr(curve, column).tolist() for column in CURVE_COLUMNS)))
+def _curve_rows(curve: ExclusionCurve) -> Iterator[tuple[float, float, float]]:
+    return zip(*(getattr(curve, column).tolist() for column in CURVE_COLUMNS))
 
 
 def _curve_block(curve: ExclusionCurve) -> dict:
@@ -270,7 +272,7 @@ def _cmd_scan(args) -> int:
         f"# theoretical_floor_per_s_cm2 = {curve.theoretical_floor!r}\n"
         f"# experimental_ceiling_per_s_cm2 = {curve.experimental_ceiling!r}\n"
     )
-    _write(args, comments + _csv(CURVE_COLUMNS, _curve_rows(curve)))
+    _write(args, _csv(CURVE_COLUMNS, _curve_rows(curve), preamble=comments))
     return EXIT_OK
 
 

@@ -29,18 +29,13 @@ class ConfigError(ValueError):
     """Invalid configuration document."""
 
 
-DEFAULT_BINDING_ENERGY_MEV = 2.224575
-DEFAULT_BETA_OVER_KAPPA = 6.163
-DEFAULT_DEUTERON_DENSITY_PER_CC = (2.0 / 3.0) * 1e23
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Bound-state model selection."""
 
     kind: ModelKind = ModelKind.ZERO_RANGE
-    binding_energy_mev: float = DEFAULT_BINDING_ENERGY_MEV
-    beta_over_kappa: float = DEFAULT_BETA_OVER_KAPPA
+    binding_energy_mev: float = 2.224575
+    beta_over_kappa: float = 6.163
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ def default_config() -> RunConfig:
         experiment=ExperimentConfig(
             live_time_days=254.2,
             fiducial_radius_m=5.5,
-            deuteron_density_per_cc=DEFAULT_DEUTERON_DENSITY_PER_CC,
+            deuteron_density_per_cc=(2.0 / 3.0) * 1e23,
             efficiency=0.40,
             observed=ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8),
             ssm_rate_per_day=AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08),
@@ -150,7 +145,7 @@ class Field:
 
 @dataclass(frozen=True)
 class Section:
-    """A JSON object onto a frozen dataclass; absent keys keep the default's values."""
+    """A JSON object mapped onto a frozen dataclass; absent keys keep the default's values."""
 
     key: str
     attr: str
