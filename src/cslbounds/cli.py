@@ -100,13 +100,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error[config]: {exc}\n")
-        return EXIT_CONFIG
     except QuadratureError as exc:
         sys.stderr.write(f"error[numeric]: {exc}\n")
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:   # ConfigError, and the input checks of the library's constructors
         sys.stderr.write(f"error[config]: {exc}\n")
         return EXIT_CONFIG
 
@@ -135,7 +132,14 @@ def _write(args, text: str) -> None:
 
 
 def _json(data: dict) -> str:
-    return json.dumps(data, indent=2, default=asdict) + "\n"
+    return json.dumps(data, indent=2, default=_json_value) + "\n"
+
+
+def _json_value(obj):
+    """JSON for the report's objects: a curve as its list of points, other dataclasses by field."""
+    if isinstance(obj, ExclusionCurve):
+        return [dict(zip(CURVE_COLUMNS, row)) for row in _curve_rows(obj)]
+    return asdict(obj)
 
 
 def _csv(header, rows, preamble: str = "") -> str:
@@ -156,7 +160,7 @@ def _curve_block(curve: ExclusionCurve) -> dict:
     return {
         "theoretical_floor": curve.theoretical_floor,
         "experimental_ceiling": curve.experimental_ceiling,
-        "points": [dict(zip(CURVE_COLUMNS, row)) for row in _curve_rows(curve)],
+        "points": curve,   # listed point by point only when written as JSON
     }
 
 
@@ -189,7 +193,7 @@ def _report_csv_rows(data: dict):
             name = f"{section}_{key}" if section == "model" else key
             if isinstance(value, AsymmetricValue):
                 yield [name, value.central, value.err_up, value.err_down]
-            elif isinstance(value, (int, float)) and key != "n_sigma":
+            elif isinstance(value, float) and key != "n_sigma":
                 yield [name, value, "", ""]
 
 
@@ -265,13 +269,11 @@ def _cmd_scan(args) -> int:
         n_sigma=cfg.n_sigma,
         a_cm=cfg.collapse.a_length,
     )
+    block = _curve_block(curve)
     if args.format == "structured":
-        _write(args, _json(_curve_block(curve)))
+        _write(args, _json(block))
         return EXIT_OK
-    comments = (
-        f"# theoretical_floor_per_s_cm2 = {curve.theoretical_floor!r}\n"
-        f"# experimental_ceiling_per_s_cm2 = {curve.experimental_ceiling!r}\n"
-    )
+    comments = "".join(f"# {name}_per_s_cm2 = {value!r}\n" for name, value in block.items() if isinstance(value, float))
     _write(args, _csv(CURVE_COLUMNS, _curve_rows(curve), preamble=comments))
     return EXIT_OK
 
