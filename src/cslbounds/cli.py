@@ -100,7 +100,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.handler(args)
-    except QuadratureError as exc:
+    except (QuadratureError, OverflowError) as exc:
         sys.stderr.write(f"error[numeric]: {exc}\n")
         return EXIT_NUMERIC
     except ValueError as exc:   # ConfigError, and the input checks of the library's constructors

@@ -3,7 +3,8 @@
 Errors are treated as independent and Gaussian: combination is in
 quadrature, separately for the up and down sides, and subtraction pairs
 opposite sides because a negative term turns an upward fluctuation of the
-subtrahend into a downward one of the difference.
+subtrahend into a downward one of the difference. Operands are finite, so a
+non-finite result is an overflow and raises OverflowError.
 """
 
 from __future__ import annotations
@@ -32,40 +33,34 @@ class AsymmetricValue:
         return f"{self.central:.{digits}f} +{self.err_up:.{digits}f}/-{self.err_down:.{digits}f}"
 
 
+def _finite(op: str, central: float, err_up: float, err_down: float) -> AsymmetricValue:
+    if not (math.isfinite(central) and math.isfinite(err_up) and math.isfinite(err_down)):
+        raise OverflowError(f"{op} overflowed (central={central!r}, err_up={err_up!r}, err_down={err_down!r})")
+    return AsymmetricValue(central, err_up, err_down)
+
+
 def combine_quadrature(a: AsymmetricValue, b: AsymmetricValue) -> AsymmetricValue:
     """Merge two error pairs on the same measurement (e.g. stat and syst)."""
     if a.central != b.central:
         raise ValueError("combine_quadrature merges errors of one measurement; centrals must match")
-    return AsymmetricValue(
-        central=a.central,
-        err_up=math.hypot(a.err_up, b.err_up),
-        err_down=math.hypot(a.err_down, b.err_down),
-    )
+    return _finite("combine_quadrature", a.central, math.hypot(a.err_up, b.err_up), math.hypot(a.err_down, b.err_down))
 
 
 def scale(v: AsymmetricValue, factor: float) -> AsymmetricValue:
     """Multiply central and both errors by a positive factor."""
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"scale factor must be positive (got {factor!r})")
-    return AsymmetricValue(v.central * factor, v.err_up * factor, v.err_down * factor)
+    return _finite("scale", v.central * factor, v.err_up * factor, v.err_down * factor)
 
 
 def add(a: AsymmetricValue, b: AsymmetricValue) -> AsymmetricValue:
     """Sum of independent values; same-sided errors add in quadrature."""
-    return AsymmetricValue(
-        central=a.central + b.central,
-        err_up=math.hypot(a.err_up, b.err_up),
-        err_down=math.hypot(a.err_down, b.err_down),
-    )
+    return _finite("add", a.central + b.central, math.hypot(a.err_up, b.err_up), math.hypot(a.err_down, b.err_down))
 
 
 def subtract(a: AsymmetricValue, b: AsymmetricValue) -> AsymmetricValue:
     """Difference a - b; b enters negatively so its error sides swap."""
-    return AsymmetricValue(
-        central=a.central - b.central,
-        err_up=math.hypot(a.err_up, b.err_down),
-        err_down=math.hypot(a.err_down, b.err_up),
-    )
+    return _finite("subtract", a.central - b.central, math.hypot(a.err_up, b.err_down), math.hypot(a.err_down, b.err_up))
 
 
 def one_sided_upper_limit(v: AsymmetricValue, n_sigma: float) -> float:
@@ -76,11 +71,14 @@ def one_sided_upper_limit(v: AsymmetricValue, n_sigma: float) -> float:
     """
     if not (math.isfinite(n_sigma) and n_sigma >= 0):
         raise ValueError(f"n_sigma must be non-negative (got {n_sigma!r})")
-    return v.central + n_sigma * v.err_up
+    limit = v.central + n_sigma * v.err_up
+    if not math.isfinite(limit):
+        raise OverflowError(f"one_sided_upper_limit overflowed ({v.central!r} + {n_sigma!r} * {v.err_up!r})")
+    return limit
 
 
 def from_rate_per_day(rate: AsymmetricValue, days: float) -> AsymmetricValue:
     """Total over a live time from a per-day rate; all fields scale with days."""
     if not (math.isfinite(days) and days > 0):
         raise ValueError(f"days must be positive (got {days!r})")
-    return AsymmetricValue(rate.central * days, rate.err_up * days, rate.err_down * days)
+    return _finite("from_rate_per_day", rate.central * days, rate.err_up * days, rate.err_down * days)

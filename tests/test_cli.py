@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +246,22 @@ def test_numerical_failure_exits_two(capsys, monkeypatch):
     assert err.startswith("error[numeric]:")
 
 
+def test_overflowing_counts_are_numeric_failure(capsys, tmp_path):
+    # finite inputs whose efficiency-corrected total overflows to inf
+    path = write_config(tmp_path, {"experiment": {"observed": {"value": 1e308, "stat_up": 1e308}}})
+    code, out, err = run_cli(capsys, "analyze", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error[numeric]: scale overflowed")
+
+
+def test_infinite_config_value_stays_config_error(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": {"observed": {"value": Infinity}}}')
+    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error[config]:")
+
+
 def test_unwritable_output_is_config_error(capsys, tmp_path):
     target = tmp_path / "missing" / "curve.csv"
     code, out, err = run_cli(capsys, "scan", "--output", str(target))
@@ -253,3 +273,13 @@ def test_nsigma_override_checked_like_config_key(capsys):
     code, _, err = run_cli(capsys, "analyze", "--nsigma", "-1")
     assert code == 1
     assert err == "error[config]: n_sigma: must be non-negative (got -1.0)\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: a cold CLI start must not import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import cslbounds.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -31,10 +31,12 @@ def _zero_range_density(model, k):
     return (16.0 * kap / math.pi) * k**4 / (kap**2 + k**2) ** 4
 
 
-def _hulthen_r2_fm2(model):
-    # closed-form exponential integrals times N^2
-    kap, beta, n2 = model.kappa_per_fm, model.beta_per_fm, model.norm**2
-    return n2 * (0.25 / kap**3 + 0.25 / beta**3 - 4.0 / (kap + beta) ** 3)
+def _r2_closed_form_fm2(model):
+    # u = N sum_i c_i exp(-a_i r), so int r^2 u^2 dr = N^2 sum_ij c_i c_j 2 / (a_i + a_j)^3
+    terms = [(1.0, model.kappa_per_fm)]
+    if model.beta_per_fm is not None:
+        terms.append((-1.0, model.beta_per_fm))
+    return model.norm**2 * sum(ci * cj * 2.0 / (ai + aj) ** 3 for ci, ai in terms for cj, aj in terms)
 
 
 def _spectral_integral_cm2(model, rel=1e-6):
@@ -165,13 +167,18 @@ def test_zero_range_r2_analytic_oracle_randomized():
     for eb in rng.uniform(0.5, 10.0, size=10):
         m = build_zero_range(float(eb))
         analytic = 0.5 / m.kappa_per_fm**2 * 1e-26
-        assert mean_square_radius(m) == pytest.approx(analytic, rel=1e-8)
+        assert mean_square_radius(m) == pytest.approx(analytic, rel=1e-11)
+        assert mean_square_radius(m) == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11)
 
 
 def test_hulthen_r2_closed_form():
+    rng = np.random.default_rng(3)
+    for eb, beta_over_kappa in zip(rng.uniform(0.5, 10.0, size=20), rng.uniform(1.5, 20.0, size=20)):
+        m = build_hulthen(float(eb), float(beta_over_kappa))
+        assert mean_square_radius(m) == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11)
     m = build_hulthen(2.2246, 6.163)
     r2 = mean_square_radius(m)
-    assert r2 == pytest.approx(_hulthen_r2_fm2(m) * 1e-26, rel=1e-9)
+    assert r2 == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11)
     # 0.7954 / kappa^2 for the conventional shape parameter
     assert r2 == pytest.approx(0.7954 / m.kappa_per_fm**2 * 1e-26, rel=1e-3)
     assert r2 == pytest.approx(1.48e-25, rel=5e-3)

@@ -189,3 +189,19 @@ def test_asymmetric_value_validation():
 def test_display_format():
     v = AsymmetricValue(3360.5, 300.99, 297.19)
     assert v.display() == "3360.5 +301.0/-297.2"
+
+
+BIG = AsymmetricValue(1e308, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: combine_quadrature(BIG, AsymmetricValue(1e308, 1.7e308, 0.0)),
+    lambda: scale(BIG, 10.0),
+    lambda: add(BIG, BIG),
+    lambda: subtract(BIG, AsymmetricValue(-1e308)),
+    lambda: from_rate_per_day(BIG, 2.0),
+    lambda: one_sided_upper_limit(BIG, 2.0),
+], ids=["combine_quadrature", "scale", "add", "subtract", "from_rate_per_day", "one_sided_upper_limit"])
+def test_overflow_of_finite_operands_raises(op):
+    with pytest.raises(OverflowError, match="overflowed"):
+        op()
