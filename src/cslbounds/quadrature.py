@@ -6,7 +6,10 @@ error estimate the distance to the embedded 7-point Gauss sum. The interval
 with the largest estimate is bisected until the estimates sum to within
 tolerance. A half-line [lower, inf) is first mapped onto [0, 1) by
 x = lower + t/(1-t), dx = dt/(1-t)^2; the nodes are symmetric, so these are
-the points QUADPACK's qk15i samples.
+the points QUADPACK's qk15i samples. There is no extrapolation, so the
+estimate suits smooth integrands: at an endpoint singularity, such as the
+one the map makes at t = 1 from an algebraic tail x^-p, it can fall short
+of the true error.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def integrate_radial(
     intervals = [(-error, a, b, value)]
     while True:
         value = math.fsum(v for *_, v in intervals)
-        error = -math.fsum(e for e, *_ in intervals)
+        error = math.fsum(-e for e, *_ in intervals)
         tolerance = max(spec.rel_tol * abs(value), spec.abs_tol)
         if error <= tolerance:
             return value, error

@@ -168,7 +168,6 @@ def test_zero_range_r2_analytic_oracle_randomized():
         m = build_zero_range(float(eb))
         analytic = 0.5 / m.kappa_per_fm**2 * 1e-26
         assert mean_square_radius(m) == pytest.approx(analytic, rel=1e-11)
-        assert mean_square_radius(m) == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11)
 
 
 def test_hulthen_r2_closed_form():
