@@ -29,7 +29,7 @@ from .deuteron import ModelKind, default_k_grid, spectrum_density
 from .limits import AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
 from .rates import deuteron_spectrum, expected_count
-from .uncertainty import AsymmetricValue
+from .uncertainty import AsymmetricValue, display_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,6 +38,8 @@ EXIT_NUMERIC = 2
 FORMATS = ("text", "csv", "structured")
 # ExclusionCurve array fields, in output column order
 CURVE_COLUMNS = ("lambda_over_a2", "gn_bound", "ge_bound")
+# written by the JSON encoder where a curve's points go, then replaced by them
+_POINTS_MARK = "\0points"
 
 
 def _fmt(x: float) -> str:
@@ -50,9 +52,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error[usage]: {message}\n")
 
 
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
+def _add_common_options(sub: argparse.ArgumentParser, text_is_csv: bool = False) -> None:
+    format_help = "output format (default: text)"
+    if text_is_csv:
+        format_help += "; text prints exactly what csv prints"
     sub.add_argument("--config", metavar="PATH", help="JSON configuration file (defaults reproduce the reference experiment)")
-    sub.add_argument("--format", choices=FORMATS, default="text", help="output format (default: text)")
+    sub.add_argument("--format", choices=FORMATS, default="text", help=format_help)
     sub.add_argument("--output", metavar="PATH", help="write output to a file instead of stdout")
     sub.add_argument("--model", choices=[k.value for k in ModelKind], help="override the bound-state model kind")
     sub.add_argument("--nsigma", type=float, metavar="X", help="override the limit significance")
@@ -68,11 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(handler=_cmd_analyze)
 
     scan = subparsers.add_parser("scan", help="emit the exclusion curve over lambda/a^2")
-    _add_common_options(scan)
+    _add_common_options(scan, text_is_csv=True)
     scan.set_defaults(handler=_cmd_scan)
 
     spectrum = subparsers.add_parser("spectrum", help="emit the dissociation spectrum over relative momentum")
-    _add_common_options(spectrum)
+    _add_common_options(spectrum, text_is_csv=True)
     spectrum.add_argument(
         "--quantity",
         choices=("rate", "density"),
@@ -132,19 +137,39 @@ def _write(args, text: str) -> None:
 
 
 def _json(data: dict) -> str:
-    return json.dumps(data, indent=2, default=_json_value) + "\n"
+    """`json.dumps(data, indent=2)`, dataclasses written by field. A curve's points are
+    written by `_points_json` into the place the encoder leaves for them, so the encoder
+    never walks one dict per point."""
+    curves = []
+
+    def encode(obj):
+        if isinstance(obj, ExclusionCurve):
+            curves.append(obj)
+            return _POINTS_MARK
+        return asdict(obj)
+
+    text = json.dumps(data, indent=2, default=encode)
+    for curve in curves:
+        head, _, tail = text.partition(json.dumps(_POINTS_MARK))
+        line = head[head.rfind("\n") + 1 :]
+        text = head + _points_json(curve, line[: len(line) - len(line.lstrip(" "))]) + tail
+    return text + "\n"
 
 
-def _json_value(obj):
-    """JSON for the report's objects: a curve as its list of points, other dataclasses by field."""
-    if isinstance(obj, ExclusionCurve):
-        return [dict(zip(CURVE_COLUMNS, row)) for row in _curve_rows(obj)]
-    return asdict(obj)
+def _points_json(curve: ExclusionCurve, pad: str) -> str:
+    """The points in the layout `json.dumps(indent=2)` gives a list of {column: value}
+    dicts on a line indented by pad. One `%r` template per point gives the same bytes:
+    the encoder also writes a finite float as its repr, and ExclusionCurve holds only
+    finite values."""
+    if not len(curve.lambda_over_a2):
+        return "[]"
+    item, key = pad + "  ", pad + "    "
+    row = f"\n{item}{{" + ",".join(f"\n{key}{json.dumps(c)}: %r" for c in CURVE_COLUMNS) + f"\n{item}}}"
+    return "[" + ",".join(row % values for values in _curve_rows(curve)) + f"\n{pad}]"
 
 
-def _csv(header, rows, preamble: str = "") -> str:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
-    buf.write(preamble)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -153,6 +178,12 @@ def _csv(header, rows, preamble: str = "") -> str:
 
 def _curve_rows(curve: ExclusionCurve) -> Iterator[tuple[float, float, float]]:
     return zip(*(getattr(curve, column).tolist() for column in CURVE_COLUMNS))
+
+
+def _curve_csv(curve: ExclusionCurve, preamble: str) -> str:
+    """The points as csv.writer writes them: a finite float is its repr, never quoted."""
+    row = ",".join(["%r"] * len(CURVE_COLUMNS)) + "\n"
+    return preamble + ",".join(CURVE_COLUMNS) + "\n" + "".join(row % values for values in _curve_rows(curve))
 
 
 def _curve_block(curve: ExclusionCurve) -> dict:
@@ -204,7 +235,7 @@ def _report_text(report: AnalysisReport, predicted: float | None) -> str:
         f"  n_expt  = {report.n_expt.display()}   (exact {report.n_expt.central!r})",
         f"  n_ssm   = {report.n_ssm.display()}   (exact {report.n_ssm.central!r})",
         f"  n_csl   = {report.n_csl.display()}   (exact {report.n_csl.central!r})",
-        f"  one-sided upper limit ({_fmt(report.n_sigma)} sigma) = {report.n_limit:.1f}",
+        f"  one-sided upper limit ({_fmt(report.n_sigma)} sigma) = {display_number(report.n_limit)}",
         "model",
         f"  <r^2> = {report.model_r2_cm2:.6e} cm^2",
         f"bounds at lambda/a^2 = {_fmt(GRW_LAMBDA_OVER_A2)} 1/(s cm^2)",
@@ -274,7 +305,7 @@ def _cmd_scan(args) -> int:
         _write(args, _json(block))
         return EXIT_OK
     comments = "".join(f"# {name}_per_s_cm2 = {value!r}\n" for name, value in block.items() if isinstance(value, float))
-    _write(args, _csv(CURVE_COLUMNS, _curve_rows(curve), preamble=comments))
+    _write(args, _curve_csv(curve, comments))
     return EXIT_OK
 
 

@@ -133,8 +133,13 @@ class ExclusionCurve:
     experimental_ceiling: float   # s^-1 cm^-2
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.lambda_over_a2) <= 0):
+        grid = self.lambda_over_a2
+        if np.any(grid[1:] <= grid[:-1]):   # compared, not subtracted: a difference can overflow
             raise ValueError("points must be sorted ascending in lambda_over_a2")
+        finite = np.isfinite(grid) & np.isfinite(self.gn_bound) & np.isfinite(self.ge_bound)
+        if not finite.all():
+            at = float(grid[np.argmin(finite)])
+            raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {at!r} s^-1 cm^-2")
         if self.theoretical_floor > self.experimental_ceiling:
             raise ValueError("theoretical floor exceeds experimental ceiling")
 
@@ -319,12 +324,15 @@ def scan_exclusion(
     grw = RateDensity(GRW_LAMBDA_OVER_A2)
     gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     ge = electron_coupling_bound(grw, pc)
-    grid = scan.grid()
-    scaling = np.sqrt(GRW_LAMBDA_OVER_A2 / grid)
+    # a grid point or scaling that overflows is reported by ExclusionCurve
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = scan.grid()
+        scaling = np.sqrt(GRW_LAMBDA_OVER_A2 / grid)
+        gn_bound, ge_bound = gn.value * scaling, ge.half_width * scaling
     return ExclusionCurve(
         lambda_over_a2=grid,
-        gn_bound=gn.value * scaling,
-        ge_bound=ge.half_width * scaling,
+        gn_bound=gn_bound,
+        ge_bound=ge_bound,
         theoretical_floor=theoretical_floor(s, a_cm),
         experimental_ceiling=ceiling,
     )

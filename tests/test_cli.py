@@ -1,22 +1,31 @@
 import csv
+import dataclasses
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import cslbounds.cli as cli
 from cslbounds import (
     CODATA,
     CollapseParams,
+    ExclusionCurve,
     QuadratureError,
+    build_model,
     build_zero_range,
+    default_config,
     deuteron_rate,
     expected_count,
+    run_full_analysis,
 )
 
 
@@ -260,6 +269,101 @@ def test_infinite_config_value_stays_config_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error[config]:")
+
+
+@pytest.mark.parametrize("argv", [("scan",), ("scan", "--format", "structured"), ("analyze",)])
+@pytest.mark.parametrize(
+    "scan",
+    [
+        {"min": 1e-320, "max": 1.0, "points": 3},   # GRW/1e-320 overflows: inf bounds at the first point
+        {"min": 1.0, "max": 1.7976931348623157e308, "points": 3},   # the log grid's last point rounds to inf
+    ],
+)
+def test_overflowing_scan_is_numeric_failure(capsys, tmp_path, argv, scan):
+    path = write_config(tmp_path, {"scan": scan})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error[numeric]: ") and err.count("\n") == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_huge_counts_keep_text_lines_short(capsys, tmp_path):
+    path = write_config(tmp_path, {"experiment": {"observed": {"value": 1e307, "stat_up": 1e307}}})
+    code, out, err = run_cli(capsys, "analyze", "--config", path)
+    assert code == 0 and err == ""
+    assert "n_expt  = 2.50000e+307 +2.50000e+307/" in out
+    assert max(len(line) for line in out.splitlines()) < 200
+
+
+@pytest.mark.parametrize("argv", [("scan",), ("spectrum", "--quantity", "density")])
+def test_table_commands_print_csv_as_text(capsys, argv):
+    code, text, err = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0 and err == ""
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, text, "")
+
+
+# Curve points are written from templates; the oracle is what the json and csv
+# modules write for the same values.
+EDGE_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, 1e16)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+curve_columns = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.sets(finite_floats, min_size=n, max_size=n).map(sorted),   # ascending lambda/a^2
+        st.lists(finite_floats, min_size=n, max_size=n),
+        st.lists(finite_floats, min_size=n, max_size=n),
+    )
+)
+CURVE_EXAMPLES = (
+    ([1.0], [-0.0], [5e-324]),
+    ([-1.7976931348623157e308, 1.7976931348623157e308], [1.0, 2.2250738585072014e-308], [-0.0, 1e16]),
+)
+
+
+def with_curve_examples(test):
+    for columns in CURVE_EXAMPLES:
+        test = example(columns)(test)
+    return test
+
+
+def curve_of(columns) -> ExclusionCurve:
+    return ExclusionCurve(*(np.array(c, dtype=float) for c in columns), theoretical_floor=1e-10, experimental_ceiling=2.5)
+
+
+def point_dicts(columns) -> list[dict]:
+    return [dict(zip(cli.CURVE_COLUMNS, row)) for row in zip(*columns)]
+
+
+@functools.cache
+def default_report():
+    cfg = default_config()
+    return run_full_analysis(cfg.experiment, cfg.sphere, build_model(cfg.model), scan=cfg.scan)
+
+
+@given(curve_columns)
+@with_curve_examples
+def test_scan_json_matches_encoder(columns):
+    block = cli._curve_block(curve_of(columns))
+    assert cli._json(block) == json.dumps({**block, "points": point_dicts(columns)}, indent=2) + "\n"
+
+
+@given(curve_columns)
+@with_curve_examples
+def test_analyze_json_matches_encoder(columns):
+    data = cli._analyze_report(dataclasses.replace(default_report(), curve=curve_of(columns)), None)
+    expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns)}}
+    assert cli._json(data) == json.dumps(expected, indent=2, default=dataclasses.asdict) + "\n"
+
+
+@given(curve_columns)
+@with_curve_examples
+def test_scan_csv_matches_csv_writer(columns):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.CURVE_COLUMNS)
+    writer.writerows(zip(*columns))
+    assert cli._curve_csv(curve_of(columns), "# note\n") == "# note\n" + buf.getvalue()
 
 
 def test_unwritable_output_is_config_error(capsys, tmp_path):

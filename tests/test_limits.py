@@ -274,6 +274,12 @@ def test_exclusion_curve_validation():
         ExclusionCurve(np.array([1e-8, 1e-8]), gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
     with pytest.raises(ValueError):
         ExclusionCurve(lds, gns, ges, theoretical_floor=3.0, experimental_ceiling=2.5)
+    with pytest.raises(OverflowError, match="1e-07"):
+        ExclusionCurve(lds, np.array([0.1, np.inf]), ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
+    with pytest.raises(OverflowError, match="1e-08"):
+        ExclusionCurve(lds, gns, np.array([np.nan, 0.1]), theoretical_floor=1e-10, experimental_ceiling=2.5)
+    with pytest.raises(OverflowError, match="inf"):
+        ExclusionCurve(np.array([1e-8, np.inf]), gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
 
 
 def test_scan_exclusion_matches_pointwise_bounds():

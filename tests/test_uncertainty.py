@@ -189,6 +189,9 @@ def test_asymmetric_value_validation():
 def test_display_format():
     v = AsymmetricValue(3360.5, 300.99, 297.19)
     assert v.display() == "3360.5 +301.0/-297.2"
+    # fixed point would print every integer digit of a huge count
+    assert AsymmetricValue(2.5e307, 999999999999999.9, 1e15).display() == "2.50000e+307 +999999999999999.9/-1.00000e+15"
+    assert AsymmetricValue(-1.23456789e20, 0.0, 0.0).display() == "-1.23457e+20 +0.0/-0.0"
 
 
 BIG = AsymmetricValue(1e308, 1e308, 1e308)
