@@ -36,7 +36,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 FORMATS = ("text", "csv", "structured")
-# ExclusionCurve array fields, in output column order
+# ExclusionCurve column fields, in output column order
 CURVE_COLUMNS = ("lambda_over_a2", "gn_bound", "ge_bound")
 # written by the JSON encoder where a curve's points go, then replaced by them
 _POINTS_MARK = "\0points"
@@ -177,7 +177,7 @@ def _csv(header, rows) -> str:
 
 
 def _curve_rows(curve: ExclusionCurve) -> Iterator[tuple[float, float, float]]:
-    return zip(*(getattr(curve, column).tolist() for column in CURVE_COLUMNS))
+    return zip(*(getattr(curve, column) for column in CURVE_COLUMNS))
 
 
 def _curve_csv(curve: ExclusionCurve, preamble: str) -> str:
@@ -318,7 +318,7 @@ def _cmd_spectrum(args) -> int:
         )
     column = "rate_density" if args.quantity == "rate" else "density_fm3"
     rows: list[tuple[float, float]] = []
-    for k in default_k_grid(model).tolist():
+    for k in default_k_grid(model):
         if args.quantity == "rate":
             value = deuteron_spectrum(cfg.collapse, model, k)
         else:

@@ -15,9 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CM2_PER_FM2, CODATA, PhysicalConstants
+from .grids import logspace
 from .quadrature import integrate_radial
 
 
@@ -49,9 +48,9 @@ class BoundStateModel:
         elif self.beta_per_fm is not None:
             raise ValueError("beta is only meaningful for the Hulthen model")
 
-    def u(self, r_fm):
-        """Reduced radial wavefunction at r (fm); accepts scalars or arrays."""
-        return self.norm * sum(c * np.exp(-a * r_fm) for c, a in _exponential_terms(self))
+    def u(self, r_fm: float) -> float:
+        """Reduced radial wavefunction at one radius r (fm)."""
+        return self.norm * sum(c * math.exp(-a * r_fm) for c, a in _exponential_terms(self))
 
 
 def _exponential_terms(model: BoundStateModel) -> tuple[tuple[float, float], ...]:
@@ -126,7 +125,7 @@ def build_hulthen(
 
 def mean_square_radius(model: BoundStateModel) -> float:
     """<r^2> = int_0^inf r^2 u(r)^2 dr by adaptive quadrature, converted to cm^2."""
-    value, _ = integrate_radial(lambda r: r * r * float(model.u(r)) ** 2, 0.0)
+    value, _ = integrate_radial(lambda r: r * r * model.u(r) ** 2, 0.0)
     return value * CM2_PER_FM2
 
 
@@ -160,9 +159,9 @@ def default_k_grid(
     points: int = 200,
     lo_factor: float = 0.01,
     hi_factor: float = 20.0,
-) -> np.ndarray:
+) -> list[float]:
     """Logarithmic k grid spanning the spectrum support set by kappa."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     kappa = model.kappa_per_fm
-    return np.logspace(math.log10(lo_factor * kappa), math.log10(hi_factor * kappa), points)
+    return logspace(math.log10(lo_factor * kappa), math.log10(hi_factor * kappa), points)

@@ -1,0 +1,25 @@
+"""Evenly spaced grids as lists of Python floats.
+
+Point i of a linear grid is i * step + lo, and its last point is hi exactly.
+A log grid raises 10.0 to each point of a linear grid of exponents with the
+C library's `pow`, so its points do not depend on the SIMD kernels a CPU
+offers.
+"""
+
+from __future__ import annotations
+
+
+def linspace(lo: float, hi: float, points: int) -> list[float]:
+    """`points` (at least 2) evenly spaced values from lo to hi, both included."""
+    step = (hi - lo) / (points - 1)
+    grid = [i * step + lo for i in range(points - 1)]
+    grid.append(hi)
+    return grid
+
+
+def logspace(lo_exponent: float, hi_exponent: float, points: int) -> list[float]:
+    """10**y for y on linspace(lo_exponent, hi_exponent, points)."""
+    try:
+        return [10.0**y for y in linspace(lo_exponent, hi_exponent, points)]
+    except OverflowError:
+        raise OverflowError(f"log grid overflowed: 10**{hi_exponent!r} is beyond the float range") from None

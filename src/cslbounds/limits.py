@@ -10,9 +10,9 @@ radiation) ceiling.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain, islice
 
 from .constants import (
     CODATA,
@@ -22,6 +22,7 @@ from .constants import (
     RateDensity,
 )
 from .deuteron import BoundStateModel, mean_square_radius
+from .grids import linspace, logspace
 from .rates import count_coefficient
 from .uncertainty import (
     AsymmetricValue,
@@ -124,21 +125,29 @@ class SphereVisibilityConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExclusionCurve:
-    """Coupling bounds on a lambda/a^2 grid; the three arrays run in parallel."""
+    """Coupling bounds on a lambda/a^2 grid; the three columns run in parallel.
 
-    lambda_over_a2: np.ndarray    # s^-1 cm^-2
-    gn_bound: np.ndarray          # max |g_n - m_n/m_p|
-    ge_bound: np.ndarray          # max |g_e - m_e/m_p|
-    theoretical_floor: float      # s^-1 cm^-2
-    experimental_ceiling: float   # s^-1 cm^-2
+    Each column may be given as any iterable of reals, arrays included, and is
+    stored as a tuple of Python floats.
+    """
+
+    lambda_over_a2: tuple[float, ...]    # s^-1 cm^-2
+    gn_bound: tuple[float, ...]          # max |g_n - m_n/m_p|
+    ge_bound: tuple[float, ...]          # max |g_e - m_e/m_p|
+    theoretical_floor: float             # s^-1 cm^-2
+    experimental_ceiling: float          # s^-1 cm^-2
 
     def __post_init__(self) -> None:
-        grid = self.lambda_over_a2
-        if np.any(grid[1:] <= grid[:-1]):   # compared, not subtracted: a difference can overflow
+        for name in ("lambda_over_a2", "gn_bound", "ge_bound"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        grid, gn, ge = self.lambda_over_a2, self.gn_bound, self.ge_bound
+        if not len(grid) == len(gn) == len(ge):
+            raise ValueError("the three columns must have the same length")
+        # compared, not subtracted: a difference can overflow; NaN fails no comparison
+        if any(map(operator.ge, grid, islice(grid, 1, None))):
             raise ValueError("points must be sorted ascending in lambda_over_a2")
-        finite = np.isfinite(grid) & np.isfinite(self.gn_bound) & np.isfinite(self.ge_bound)
-        if not finite.all():
-            at = float(grid[np.argmin(finite)])
+        if not all(map(math.isfinite, chain(grid, gn, ge))):
+            at = next(x for x, g, e in zip(grid, gn, ge) if not all(map(math.isfinite, (x, g, e))))
             raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {at!r} s^-1 cm^-2")
         if self.theoretical_floor > self.experimental_ceiling:
             raise ValueError("theoretical floor exceeds experimental ceiling")
@@ -159,10 +168,10 @@ class ScanSpec:
         if self.points < 2:
             raise ValueError(f"scan needs at least 2 points (got {self.points!r})")
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list[float]:
         if self.log_spacing:
-            return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+            return logspace(math.log10(self.lo), math.log10(self.hi), self.points)
+        return linspace(self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -324,15 +333,13 @@ def scan_exclusion(
     grw = RateDensity(GRW_LAMBDA_OVER_A2)
     gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     ge = electron_coupling_bound(grw, pc)
-    # a grid point or scaling that overflows is reported by ExclusionCurve
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = scan.grid()
-        scaling = np.sqrt(GRW_LAMBDA_OVER_A2 / grid)
-        gn_bound, ge_bound = gn.value * scaling, ge.half_width * scaling
+    grid = scan.grid()
+    # a scaling that overflows to inf is reported by ExclusionCurve
+    scaling = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
     return ExclusionCurve(
         lambda_over_a2=grid,
-        gn_bound=gn_bound,
-        ge_bound=ge_bound,
+        gn_bound=[gn.value * f for f in scaling],
+        ge_bound=[ge.half_width * f for f in scaling],
         theoretical_floor=theoretical_floor(s, a_cm),
         experimental_ceiling=ceiling,
     )

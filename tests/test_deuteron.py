@@ -11,6 +11,7 @@ from scipy.special import eval_legendre, spherical_jn
 from cslbounds import (
     CODATA,
     QuadratureSpec,
+    ScanSpec,
     binding_wavenumber,
     build_hulthen,
     build_zero_range,
@@ -20,6 +21,7 @@ from cslbounds import (
     mean_square_radius,
     spectrum_density,
 )
+from cslbounds.grids import linspace, logspace
 
 EB_DEFAULT = 2.224575
 
@@ -274,3 +276,43 @@ def test_default_k_grid_span():
     assert grid[-1] == pytest.approx(20.0 * m.kappa_per_fm, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-320.0, max_value=300.0),
+    st.floats(min_value=1e-12, max_value=600.0),
+    st.integers(min_value=2, max_value=400),
+)
+def test_linspace_matches_numpy_bit_for_bit(lo, width, points):
+    hi = lo + width
+    if not hi > lo:
+        return
+    assert linspace(lo, hi, points) == np.linspace(lo, hi, points).tolist()
+
+
+def test_default_grids_no_farther_from_exact_powers_than_numpy():
+    # 10**y by the C library's pow is at least as close to the exact power as the
+    # SIMD pow behind np.logspace, at every point of the default scan and k grids
+    kappa = build_zero_range(EB_DEFAULT).kappa_per_fm
+    spans = [
+        (math.log10(ScanSpec().lo), math.log10(ScanSpec().hi), ScanSpec().points),
+        (math.log10(0.01 * kappa), math.log10(20.0 * kappa), 200),
+    ]
+    ours = [ScanSpec().grid(), default_k_grid(build_zero_range(EB_DEFAULT))]
+    with mpmath.workprec(200):
+        for (lo, hi, points), grid in zip(spans, ours):
+            exponents = linspace(lo, hi, points)
+            assert grid == logspace(lo, hi, points)
+            for y, got, numpy_point in zip(exponents, grid, np.logspace(lo, hi, points).tolist()):
+                exact = mpmath.power(10, mpmath.mpf(y))
+                assert abs(mpmath.mpf(got) - exact) <= abs(mpmath.mpf(numpy_point) - exact), y
+
+
+def test_wavefunction_and_grids_are_python_floats():
+    for m in (build_zero_range(EB_DEFAULT), build_hulthen(EB_DEFAULT)):
+        assert type(m.u(1.5)) is float
+        assert type(m.u(np.float64(1.5))) is float
+        assert {type(k) for k in default_k_grid(m)} == {float}
+    for spec in (ScanSpec(), ScanSpec(lo=1.0, hi=2.0, points=5, log_spacing=False)):
+        assert {type(x) for x in spec.grid()} == {float}

@@ -239,7 +239,7 @@ def test_round_up_dominates_value():
 def test_scan_exclusion_defaults():
     e = reference_experiment()
     curve = scan_exclusion(e, reference_sphere(), ScanSpec(), build_zero_range(EB_DEFAULT))
-    lds, gns, ges = curve.lambda_over_a2, curve.gn_bound, curve.ge_bound
+    lds, gns, ges = (np.asarray(c) for c in (curve.lambda_over_a2, curve.gn_bound, curve.ge_bound))
 
     assert curve.experimental_ceiling == RADIATION_CEILING == 2.5
     assert 1.8e-10 <= curve.theoretical_floor <= 2.1e-10
@@ -282,6 +282,21 @@ def test_exclusion_curve_validation():
         ExclusionCurve(np.array([1e-8, np.inf]), gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
 
 
+@pytest.mark.parametrize("container", [np.array, list, tuple, lambda c: (x for x in c)])
+def test_exclusion_curve_stores_python_floats(container):
+    columns = ([1e-8, 1e-7], [np.float64(0.1), 0.05], [0.2, np.float32(0.125)])
+    curve = ExclusionCurve(*(container(c) for c in columns), theoretical_floor=1e-10, experimental_ceiling=2.5)
+    for name, expected in zip(("lambda_over_a2", "gn_bound", "ge_bound"), columns):
+        stored = getattr(curve, name)
+        assert type(stored) is tuple and {type(x) for x in stored} == {float}
+        assert stored == tuple(float(x) for x in expected)
+
+
+def test_exclusion_curve_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="same length"):
+        ExclusionCurve([1e-8, 1e-7], [0.1], [0.2, 0.1], theoretical_floor=1e-10, experimental_ceiling=2.5)
+
+
 def test_scan_exclusion_matches_pointwise_bounds():
     # the scan scales the GRW bounds over the grid; it must equal inverting
     # the count limit at each grid point, to the last bit
@@ -292,7 +307,7 @@ def test_scan_exclusion_matches_pointwise_bounds():
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, 2.0)
     coeff = count_coefficient(model, e.deuteron_density_per_cc)
-    for ld, gn, ge in zip(scan.grid().tolist(), curve.gn_bound.tolist(), curve.ge_bound.tolist()):
+    for ld, gn, ge in zip(list(scan.grid()), list(curve.gn_bound), list(curve.ge_bound)):
         density = RateDensity(ld)
         assert gn == neutron_coupling_bound(
             n_limit, density, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
