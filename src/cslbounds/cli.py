@@ -47,6 +47,11 @@ def _fmt(x: float) -> str:
     return re.sub(r"e([+-])0(\d)", r"e\1\2", f"{x:g}")
 
 
+def _fmt_ratio(x: float) -> str:
+    """One decimal (1606.5), or `_fmt` where one decimal would print a nonzero ratio as 0.0."""
+    return _fmt(x) if 0 < x < 0.05 else f"{x:.1f}"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_CONFIG, f"error[usage]: {message}\n")
@@ -241,7 +246,7 @@ def _report_text(report: AnalysisReport, predicted: float | None) -> str:
         f"bounds at lambda/a^2 = {_fmt(GRW_LAMBDA_OVER_A2)} 1/(s cm^2)",
         f"  |g_n - m_n/m_p| < {report.gn_bound_at_grw:.6g}   (rounded up: {_fmt(report.gn_bound_rounded)})",
         f"  |g_e - m_e/m_p| < {report.ge_half_width_at_grw:.6g}   (g_e < {report.ge_upper_at_grw:.6g})",
-        f"  electron/neutron fractional-width ratio = {report.strength_ratio:.1f}",
+        f"  electron/neutron fractional-width ratio = {_fmt_ratio(report.strength_ratio)}",
         "exclusion curve",
         f"  theoretical floor    = {report.curve.theoretical_floor:.6g} 1/(s cm^2)",
         f"  experimental ceiling = {_fmt(report.curve.experimental_ceiling)} 1/(s cm^2)",

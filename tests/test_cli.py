@@ -297,6 +297,17 @@ def test_huge_counts_keep_text_lines_short(capsys, tmp_path):
     assert max(len(line) for line in out.splitlines()) < 200
 
 
+def test_tiny_strength_ratio_is_printed_nonzero(capsys, tmp_path):
+    path = write_config(tmp_path, {"experiment": {"observed": {"value": 1e307, "stat_up": 1e307}}})
+    _, structured, _ = run_cli(capsys, "analyze", "--config", path, "--format", "structured")
+    ratio = json.loads(structured)["bounds"]["strength_ratio"]
+    assert 0 < ratio < 0.05
+    code, out, err = run_cli(capsys, "analyze", "--config", path)
+    assert code == 0 and err == ""
+    assert f"  electron/neutron fractional-width ratio = {cli._fmt(ratio)}\n" in out
+    assert float(cli._fmt(ratio)) == pytest.approx(ratio, rel=1e-5)
+
+
 @pytest.mark.parametrize("argv", [("scan",), ("spectrum", "--quantity", "density")])
 def test_table_commands_print_csv_as_text(capsys, argv):
     code, text, err = run_cli(capsys, *argv, "--format", "text")
