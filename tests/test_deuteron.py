@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, spherical_jn
 
@@ -277,34 +277,34 @@ def test_default_k_grid_span():
     assert np.all(np.diff(grid) > 0)
 
 
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.floats(min_value=-320.0, max_value=300.0),
-    st.floats(min_value=1e-12, max_value=600.0),
+    st.sampled_from([1e300, 400.0, 1.0]).flatmap(
+        lambda scale: st.sets(st.floats(min_value=-scale, max_value=scale), min_size=2, max_size=2)
+    ),
     st.integers(min_value=2, max_value=400),
 )
-def test_linspace_matches_numpy_bit_for_bit(lo, width, points):
-    hi = lo + width
-    if not hi > lo:
-        return
+def test_linspace_matches_numpy_bit_for_bit(ends, points):
+    lo, hi = sorted(ends)
+    # numpy has a separate rule for a step that underflows to zero; such a grid
+    # repeats points, which ExclusionCurve rejects whichever rule built it
+    assume((hi - lo) / (points - 1) != 0)
     assert linspace(lo, hi, points) == np.linspace(lo, hi, points).tolist()
 
 
 def test_default_grids_no_farther_from_exact_powers_than_numpy():
     # 10**y by the C library's pow is at least as close to the exact power as the
     # SIMD pow behind np.logspace, at every point of the default scan and k grids
-    kappa = build_zero_range(EB_DEFAULT).kappa_per_fm
-    spans = [
-        (math.log10(ScanSpec().lo), math.log10(ScanSpec().hi), ScanSpec().points),
-        (math.log10(0.01 * kappa), math.log10(20.0 * kappa), 200),
+    spec, model = ScanSpec(), build_zero_range(EB_DEFAULT)
+    kappa = model.kappa_per_fm
+    cases = [
+        (spec.grid(), math.log10(spec.lo), math.log10(spec.hi), spec.points),
+        (default_k_grid(model), math.log10(0.01 * kappa), math.log10(20.0 * kappa), 200),
     ]
-    ours = [ScanSpec().grid(), default_k_grid(build_zero_range(EB_DEFAULT))]
     with mpmath.workprec(200):
-        for (lo, hi, points), grid in zip(spans, ours):
-            exponents = linspace(lo, hi, points)
+        for grid, lo, hi, points in cases:
             assert grid == logspace(lo, hi, points)
-            for y, got, numpy_point in zip(exponents, grid, np.logspace(lo, hi, points).tolist()):
+            for y, got, numpy_point in zip(linspace(lo, hi, points), grid, np.logspace(lo, hi, points).tolist()):
                 exact = mpmath.power(10, mpmath.mpf(y))
                 assert abs(mpmath.mpf(got) - exact) <= abs(mpmath.mpf(numpy_point) - exact), y
 
