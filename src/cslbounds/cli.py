@@ -9,13 +9,12 @@ constants. Exit codes: 0 success, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
+from itertools import chain
 
 from .config import (
     ConfigError,
@@ -173,12 +172,10 @@ def _points_json(curve: ExclusionCurve, pad: str) -> str:
     return "[" + ",".join(row % values for values in _curve_rows(curve)) + f"\n{pad}]"
 
 
-def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv(header: Iterable[str], rows: Iterable[Iterable[str | float]]) -> str:
+    """The rows as csv.writer writes them: a float is its repr, a name or "" is written as
+    it is. No name here holds a comma, a quote or a line break, so none is quoted."""
+    return "".join(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in chain([header], rows))
 
 
 def _curve_rows(curve: ExclusionCurve) -> Iterator[tuple[float, float, float]]:
@@ -205,7 +202,7 @@ def _pick(report: AnalysisReport, *names: str) -> dict:
 
 
 def _analyze_report(report: AnalysisReport, predicted: float | None) -> dict:
-    """The analyze report; the structured output is this dict, the csv output a view of it."""
+    """The analyze report; the structured output is this dict, the text and csv outputs views of it."""
     data = {
         "counts": _pick(report, "n_expt", "n_ssm", "n_csl", "n_limit", "n_sigma"),
         "bounds": _pick(
@@ -233,32 +230,31 @@ def _report_csv_rows(data: dict):
                 yield [name, value, "", ""]
 
 
-def _report_text(report: AnalysisReport, predicted: float | None) -> str:
-    lines = [
-        "collapse-coupling constraint analysis",
-        "counts (efficiency-corrected)",
-        f"  n_expt  = {report.n_expt.display()}   (exact {report.n_expt.central!r})",
-        f"  n_ssm   = {report.n_ssm.display()}   (exact {report.n_ssm.central!r})",
-        f"  n_csl   = {report.n_csl.display()}   (exact {report.n_csl.central!r})",
-        f"  one-sided upper limit ({_fmt(report.n_sigma)} sigma) = {display_number(report.n_limit)}",
+def _report_text(data: dict) -> str:
+    """The analyze report as text, a view of the `_analyze_report` dict."""
+    counts, bounds, curve = data["counts"], data["bounds"], data["curve"]
+    lines = ["collapse-coupling constraint analysis", "counts (efficiency-corrected)"]
+    lines.extend(
+        f"  {name:<7} = {counts[name].display()}   (exact {counts[name].central!r})"
+        for name in ("n_expt", "n_ssm", "n_csl")
+    )
+    lines += [
+        f"  one-sided upper limit ({_fmt(counts['n_sigma'])} sigma) = {display_number(counts['n_limit'])}",
         "model",
-        f"  <r^2> = {report.model_r2_cm2:.6e} cm^2",
+        f"  <r^2> = {data['model']['r2_cm2']:.6e} cm^2",
         f"bounds at lambda/a^2 = {_fmt(GRW_LAMBDA_OVER_A2)} 1/(s cm^2)",
-        f"  |g_n - m_n/m_p| < {report.gn_bound_at_grw:.6g}   (rounded up: {_fmt(report.gn_bound_rounded)})",
-        f"  |g_e - m_e/m_p| < {report.ge_half_width_at_grw:.6g}   (g_e < {report.ge_upper_at_grw:.6g})",
-        f"  electron/neutron fractional-width ratio = {_fmt_ratio(report.strength_ratio)}",
+        f"  |g_n - m_n/m_p| < {bounds['gn_bound_at_grw']:.6g}   (rounded up: {_fmt(bounds['gn_bound_rounded'])})",
+        f"  |g_e - m_e/m_p| < {bounds['ge_half_width_at_grw']:.6g}   (g_e < {bounds['ge_upper_at_grw']:.6g})",
+        f"  electron/neutron fractional-width ratio = {_fmt_ratio(bounds['strength_ratio'])}",
         "exclusion curve",
-        f"  theoretical floor    = {report.curve.theoretical_floor:.6g} 1/(s cm^2)",
-        f"  experimental ceiling = {_fmt(report.curve.experimental_ceiling)} 1/(s cm^2)",
-        f"  {report.floor_regime}",
+        f"  theoretical floor    = {curve['theoretical_floor']:.6g} 1/(s cm^2)",
+        f"  experimental ceiling = {_fmt(curve['experimental_ceiling'])} 1/(s cm^2)",
+        f"  {data['floor_regime']}",
     ]
-    if predicted is not None:
-        lines.append(f"predicted excess count for configured g_n = {predicted:.6g}")
+    if "predicted_csl_counts" in data:
+        lines.append(f"predicted excess count for configured g_n = {data['predicted_csl_counts']:.6g}")
     lines.append("warnings")
-    if report.warnings:
-        lines.extend(f"  {w}" for w in report.warnings)
-    else:
-        lines.append("  none")
+    lines.extend(f"  {w}" for w in data["warnings"] or ["none"])
     return "\n".join(lines) + "\n"
 
 
@@ -284,13 +280,13 @@ def _cmd_analyze(args) -> int:
             cfg.experiment.deuteron_density_per_cc,
             model,
         ).expected_neutrons
+    data = _analyze_report(report, predicted)
     if args.format == "text":
-        _write(args, _report_text(report, predicted))
+        _write(args, _report_text(data))
     elif args.format == "csv":
-        rows = _report_csv_rows(_analyze_report(report, predicted))
-        _write(args, _csv(["quantity", "central", "err_up", "err_down"], rows))
+        _write(args, _csv(["quantity", "central", "err_up", "err_down"], _report_csv_rows(data)))
     else:
-        _write(args, _json(_analyze_report(report, predicted)))
+        _write(args, _json(data))
     return EXIT_OK
 
 
@@ -328,7 +324,7 @@ def _cmd_spectrum(args) -> int:
             value = deuteron_spectrum(cfg.collapse, model, k)
         else:
             value = spectrum_density(model, k).density_fm3
-        rows.append((k, float(value)))
+        rows.append((k, value))
     header = ["k_per_fm", column]
     if args.format == "structured":
         _write(args, _json({"columns": header, "rows": rows}))

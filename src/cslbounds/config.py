@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .constants import CODATA, CollapseParams, PhysicalConstants, grw_defaults
-from .deuteron import BoundStateModel, ModelKind, build_hulthen, build_zero_range
+from .constants import CollapseParams, grw_defaults
+from .deuteron import HULTHEN_BETA_OVER_KAPPA, BoundStateModel, ModelKind, build_hulthen, build_zero_range
 from .limits import (
     ExperimentConfig,
     ObservedCounts,
@@ -35,7 +35,7 @@ class ModelSpec:
 
     kind: ModelKind = ModelKind.ZERO_RANGE
     binding_energy_mev: float = 2.224575
-    beta_over_kappa: float = 6.163
+    beta_over_kappa: float = HULTHEN_BETA_OVER_KAPPA
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,11 @@ class RunConfig:
     n_sigma: float = 1.0
 
 
-def build_model(spec: ModelSpec, constants: PhysicalConstants = CODATA) -> BoundStateModel:
+def build_model(spec: ModelSpec) -> BoundStateModel:
     """Construct the bound-state model a ModelSpec selects."""
     if spec.kind is ModelKind.ZERO_RANGE:
-        return build_zero_range(spec.binding_energy_mev, constants)
-    return build_hulthen(spec.binding_energy_mev, spec.beta_over_kappa, constants)
+        return build_zero_range(spec.binding_energy_mev)
+    return build_hulthen(spec.binding_energy_mev, spec.beta_over_kappa)
 
 
 def default_config() -> RunConfig:

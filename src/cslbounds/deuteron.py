@@ -15,9 +15,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import CM2_PER_FM2, CODATA, PhysicalConstants
+from .constants import CM2_PER_FM2, CODATA
 from .grids import logspace
 from .quadrature import integrate_radial
+
+# Hulthen short-range scale beta in units of kappa
+HULTHEN_BETA_OVER_KAPPA = 6.163
 
 
 class ModelKind(str, enum.Enum):
@@ -78,18 +81,16 @@ class SpectrumDensity:
             raise ValueError("density must be non-negative")
 
 
-def binding_wavenumber(binding_energy_mev: float, constants: PhysicalConstants = CODATA) -> float:
+def binding_wavenumber(binding_energy_mev: float) -> float:
     """kappa = sqrt(2 mu E_B)/(hbar c) in fm^-1."""
     if not (math.isfinite(binding_energy_mev) and binding_energy_mev > 0):
         raise ValueError(f"binding energy must be positive (got {binding_energy_mev!r})")
-    return math.sqrt(2.0 * constants.reduced_mass_np_mev * binding_energy_mev) / constants.hbar_c_mev_fm
+    return math.sqrt(2.0 * CODATA.reduced_mass_np_mev * binding_energy_mev) / CODATA.hbar_c_mev_fm
 
 
-def build_zero_range(
-    binding_energy_mev: float, constants: PhysicalConstants = CODATA
-) -> BoundStateModel:
+def build_zero_range(binding_energy_mev: float) -> BoundStateModel:
     """Zero-range model u(r) = sqrt(2 kappa) exp(-kappa r)."""
-    kappa = binding_wavenumber(binding_energy_mev, constants)
+    kappa = binding_wavenumber(binding_energy_mev)
     return BoundStateModel(
         kind=ModelKind.ZERO_RANGE,
         kappa_per_fm=kappa,
@@ -99,9 +100,7 @@ def build_zero_range(
 
 
 def build_hulthen(
-    binding_energy_mev: float,
-    beta_over_kappa: float = 6.163,
-    constants: PhysicalConstants = CODATA,
+    binding_energy_mev: float, beta_over_kappa: float = HULTHEN_BETA_OVER_KAPPA
 ) -> BoundStateModel:
     """Hulthen model u(r) = N (exp(-kappa r) - exp(-beta r)).
 
@@ -111,7 +110,7 @@ def build_hulthen(
     """
     if not (math.isfinite(beta_over_kappa) and beta_over_kappa > 1.0):
         raise ValueError(f"beta_over_kappa must exceed 1 (got {beta_over_kappa!r})")
-    kappa = binding_wavenumber(binding_energy_mev, constants)
+    kappa = binding_wavenumber(binding_energy_mev)
     beta = beta_over_kappa * kappa
     norm_sq = 2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2
     return BoundStateModel(
@@ -154,14 +153,7 @@ def spectrum_density(model: BoundStateModel, k_per_fm: float) -> SpectrumDensity
     return SpectrumDensity(k_per_fm=k_per_fm, density_fm3=density)
 
 
-def default_k_grid(
-    model: BoundStateModel,
-    points: int = 200,
-    lo_factor: float = 0.01,
-    hi_factor: float = 20.0,
-) -> list[float]:
-    """Logarithmic k grid spanning the spectrum support set by kappa."""
-    if points < 2:
-        raise ValueError("grid needs at least 2 points")
+def default_k_grid(model: BoundStateModel) -> list[float]:
+    """200 log-spaced k from 0.01 to 20 kappa, spanning the spectrum's support."""
     kappa = model.kappa_per_fm
-    return logspace(math.log10(lo_factor * kappa), math.log10(hi_factor * kappa), points)
+    return logspace(math.log10(0.01 * kappa), math.log10(20.0 * kappa), 200)

@@ -18,7 +18,6 @@ from .constants import (
     CODATA,
     GRW_A_LENGTH,
     GRW_LAMBDA_OVER_A2,
-    PhysicalConstants,
     RateDensity,
 )
 from .deuteron import BoundStateModel, mean_square_radius
@@ -259,13 +258,13 @@ def neutron_coupling_bound(
     return CouplingBound(value=value, rounded_up=round_up_one_significant(value))
 
 
-def electron_coupling_bound(ld: RateDensity, pc: PhysicalConstants = CODATA) -> ElectronBound:
+def electron_coupling_bound(ld: RateDensity) -> ElectronBound:
     """|g_e - m_e/m_p| < 12 (m_e/m_p) sqrt((lambda/a^2)_GRW / ld).
 
     The half-width comes from low-background Ge ionization data; at the GRW
     strength the implied window is 0 <= g_e < 13 m_e/m_p.
     """
-    ratio = pc.m_e_over_m_p
+    ratio = CODATA.m_e_over_m_p
     half_width = 12.0 * ratio * math.sqrt(GRW_LAMBDA_OVER_A2 / ld.lambda_over_a2)
     return ElectronBound(half_width=half_width, g_upper=ratio + half_width)
 
@@ -319,8 +318,6 @@ def scan_exclusion(
     model: BoundStateModel,
     n_sigma: float = 1.0,
     a_cm: float = GRW_A_LENGTH,
-    pc: PhysicalConstants = CODATA,
-    ceiling: float = RADIATION_CEILING,
 ) -> ExclusionCurve:
     """Coupling bounds on a lambda/a^2 grid with floor and ceiling attached.
 
@@ -329,10 +326,10 @@ def scan_exclusion(
     """
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
-    coefficient = count_coefficient(model, e.deuteron_density_per_cc, pc)
+    coefficient = count_coefficient(model, e.deuteron_density_per_cc)
     grw = RateDensity(GRW_LAMBDA_OVER_A2)
     gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
-    ge = electron_coupling_bound(grw, pc)
+    ge = electron_coupling_bound(grw)
     grid = scan.grid()
     # a scaling that overflows to inf is reported by ExclusionCurve
     scaling = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
@@ -341,7 +338,7 @@ def scan_exclusion(
         gn_bound=[gn.value * f for f in scaling],
         ge_bound=[ge.half_width * f for f in scaling],
         theoretical_floor=theoretical_floor(s, a_cm),
-        experimental_ceiling=ceiling,
+        experimental_ceiling=RADIATION_CEILING,
     )
 
 
@@ -352,24 +349,22 @@ def run_full_analysis(
     n_sigma: float = 1.0,
     scan: ScanSpec = ScanSpec(),
     a_cm: float = GRW_A_LENGTH,
-    pc: PhysicalConstants = CODATA,
-    ceiling: float = RADIATION_CEILING,
 ) -> AnalysisReport:
     """Compose the whole pipeline into a report at the GRW strength plus a scan."""
     n_expt, n_ssm, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
-    coefficient = count_coefficient(model, e.deuteron_density_per_cc, pc)
+    coefficient = count_coefficient(model, e.deuteron_density_per_cc)
     r2_cm2 = mean_square_radius(model)
 
     grw = RateDensity(GRW_LAMBDA_OVER_A2)
     gn = neutron_coupling_bound(
         n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3
     )
-    ge = electron_coupling_bound(grw, pc)
+    ge = electron_coupling_bound(grw)
 
     # fractional widths relative to the mass-proportional point
-    ge_fraction = ge.half_width / pc.m_e_over_m_p
-    gn_fraction = gn.value / pc.m_n_over_m_p
+    ge_fraction = ge.half_width / CODATA.m_e_over_m_p
+    gn_fraction = gn.value / CODATA.m_n_over_m_p
     strength_ratio = ge_fraction / gn_fraction if gn_fraction > 0 else math.inf
 
     warnings = []
@@ -381,7 +376,7 @@ def run_full_analysis(
             " coefficients assume the reference"
         )
 
-    curve = scan_exclusion(e, s, scan, model, n_sigma, a_cm, pc, ceiling)
+    curve = scan_exclusion(e, s, scan, model, n_sigma, a_cm)
     return AnalysisReport(
         n_expt=n_expt,
         n_ssm=n_ssm,

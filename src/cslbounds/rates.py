@@ -17,7 +17,6 @@ from .constants import (
     CODATA,
     GRW_LAMBDA_OVER_A2,
     CollapseParams,
-    PhysicalConstants,
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_density
@@ -69,20 +68,20 @@ def general_rate(p: CollapseParams, me: MatrixElementSq) -> ExcitationRate:
     return ExcitationRate(0.5 * p.lambda_rate / p.a_length**2 * me.value_cm2)
 
 
-def com_reduction_coefficients(pc: PhysicalConstants = CODATA) -> tuple[float, float]:
+def com_reduction_coefficients() -> tuple[float, float]:
     """(c_p, c_n) such that r_p = c_p r and r_n = c_n r for the deuteron.
 
     Follows from fixing the mass-weighted center of mass at the origin,
     which ties r_p = -(m_n/m_p) r_n, with r = r_p - r_n the relative
     coordinate.
     """
-    ratio = pc.m_n_over_m_p
+    ratio = CODATA.m_n_over_m_p
     return ratio / (1.0 + ratio), -1.0 / (1.0 + ratio)
 
 
-def relative_coupling_weight(g_n: float, pc: PhysicalConstants = CODATA) -> float:
+def relative_coupling_weight(g_n: float) -> float:
     """Squared relative-coordinate weight ((g_n - m_n/m_p)/(1 + m_n/m_p))^2."""
-    return ((g_n - pc.m_n_over_m_p) / (1.0 + pc.m_n_over_m_p)) ** 2
+    return ((g_n - CODATA.m_n_over_m_p) / (1.0 + CODATA.m_n_over_m_p)) ** 2
 
 
 def _require_gn(p: CollapseParams) -> float:
@@ -91,23 +90,14 @@ def _require_gn(p: CollapseParams) -> float:
     return p.g_n
 
 
-def deuteron_rate(
-    p: CollapseParams,
-    model: BoundStateModel,
-    pc: PhysicalConstants = CODATA,
-) -> ExcitationRate:
+def deuteron_rate(p: CollapseParams, model: BoundStateModel) -> ExcitationRate:
     """Total dissociation rate per deuteron, integrated over final momenta."""
     g_n = _require_gn(p)
     r2_cm2 = mean_square_radius(model)
-    return general_rate(p, MatrixElementSq(relative_coupling_weight(g_n, pc) * r2_cm2))
+    return general_rate(p, MatrixElementSq(relative_coupling_weight(g_n) * r2_cm2))
 
 
-def deuteron_spectrum(
-    p: CollapseParams,
-    model: BoundStateModel,
-    k_per_fm: float,
-    pc: PhysicalConstants = CODATA,
-) -> float:
+def deuteron_spectrum(p: CollapseParams, model: BoundStateModel, k_per_fm: float) -> float:
     """Differential dissociation rate dR/dk in s^-1 per fm^-1.
 
     Integrating over k reproduces deuteron_rate by the completeness sum rule.
@@ -115,19 +105,15 @@ def deuteron_spectrum(
     g_n = _require_gn(p)
     density = spectrum_density(model, k_per_fm).density_fm3
     prefactor = 0.5 * p.lambda_rate / p.a_length**2
-    return prefactor * relative_coupling_weight(g_n, pc) * density * CM2_PER_FM2
+    return prefactor * relative_coupling_weight(g_n) * density * CM2_PER_FM2
 
 
-def count_coefficient(
-    model: BoundStateModel,
-    deuteron_density_per_cc: float,
-    pc: PhysicalConstants = CODATA,
-) -> float:
+def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) -> float:
     """Counts per unit coupling deviation squared per (yr x 10^3 m^3) at GRW strength."""
     if deuteron_density_per_cc <= 0:
         raise ValueError("deuteron density must be positive")
     r2_cm2 = mean_square_radius(model)
-    unit_weight = com_reduction_coefficients(pc)[1] ** 2   # |c_n|^2 at unit coupling deviation
+    unit_weight = com_reduction_coefficients()[1] ** 2   # |c_n|^2 at unit coupling deviation
     deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3
     return (
         0.5
@@ -135,7 +121,7 @@ def count_coefficient(
         * unit_weight
         * r2_cm2
         * deuterons_per_unit_volume
-        * pc.seconds_per_year
+        * CODATA.seconds_per_year
     )
 
 
@@ -145,7 +131,6 @@ def expected_count(
     volume_kilotonne_m3: float,
     deuteron_density_per_cc: float,
     model: BoundStateModel,
-    pc: PhysicalConstants = CODATA,
 ) -> CountPrediction:
     """Expected number of collapse-induced dissociations over a live exposure.
 
@@ -155,8 +140,8 @@ def expected_count(
     if live_time_yr <= 0 or volume_kilotonne_m3 <= 0:
         raise ValueError("live time and volume must be positive")
     g_n = _require_gn(p)
-    coefficient = count_coefficient(model, deuteron_density_per_cc, pc)
+    coefficient = count_coefficient(model, deuteron_density_per_cc)
     strength_ratio = lambda_over_a2(p).lambda_over_a2 / GRW_LAMBDA_OVER_A2
-    deviation = g_n - pc.m_n_over_m_p
+    deviation = g_n - CODATA.m_n_over_m_p
     expected = coefficient * strength_ratio * deviation * deviation * live_time_yr * volume_kilotonne_m3
     return CountPrediction(expected_neutrons=expected, coefficient=coefficient)

@@ -29,15 +29,15 @@ class AsymmetricValue:
             if not (math.isfinite(e) and e >= 0):
                 raise ValueError(f"{name} must be finite and non-negative (got {e!r})")
 
-    def display(self, digits: int = 1) -> str:
-        parts = (display_number(x, digits) for x in (self.central, self.err_up, self.err_down))
+    def display(self) -> str:
+        parts = (display_number(x) for x in (self.central, self.err_up, self.err_down))
         return "{} +{}/-{}".format(*parts)
 
 
-def display_number(x: float, digits: int = 1) -> str:
-    """Fixed point with `digits` decimals below 1e15 in magnitude; above it, scientific
+def display_number(x: float) -> str:
+    """Fixed point with one decimal below 1e15 in magnitude; above it, scientific
     notation with 6 significant digits, where fixed point would print every integer digit."""
-    return f"{x:.{digits}f}" if abs(x) < 1e15 else f"{x:.5e}"
+    return f"{x:.1f}" if abs(x) < 1e15 else f"{x:.5e}"
 
 
 def _finite(op: str, central: float, err_up: float, err_down: float) -> AsymmetricValue:

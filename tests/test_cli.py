@@ -375,6 +375,18 @@ def test_scan_csv_matches_csv_writer(columns):
     writer.writerow(cli.CURVE_COLUMNS)
     writer.writerows(zip(*columns))
     assert cli._curve_csv(curve_of(columns), "# note\n") == "# note\n" + buf.getvalue()
+    # analyze rows: [name, central, err_up, err_down] or [name, value, "", ""]; spectrum rows: (k, value)
+    analyze_rows = [["n_csl", *row] for row in zip(*columns)] + [["model_r2_cm2", x, "", ""] for x in columns[1]]
+    spectrum_rows = list(zip(columns[0], columns[2]))
+    for header, rows in (
+        (["quantity", "central", "err_up", "err_down"], analyze_rows),
+        (["k_per_fm", "rate_density"], spectrum_rows),
+    ):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert cli._csv(header, rows) == buf.getvalue()
 
 
 def test_unwritable_output_is_config_error(capsys, tmp_path):
