@@ -61,7 +61,7 @@ from .limits import (
     visibility_floor_large_a,
     visibility_floor_small_a,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureError, QuadratureSpec, integrate_radial
+from .quadrature import QuadratureError, integrate_radial
 from .rates import (
     CountPrediction,
     ExcitationRate,

@@ -124,7 +124,7 @@ def build_hulthen(
 
 def mean_square_radius(model: BoundStateModel) -> float:
     """<r^2> = int_0^inf r^2 u(r)^2 dr by adaptive quadrature, converted to cm^2."""
-    value, _ = integrate_radial(lambda r: r * r * model.u(r) ** 2, 0.0)
+    value, _ = integrate_radial(lambda r: r * r * model.u(r) ** 2)
     return value * CM2_PER_FM2
 
 

@@ -75,12 +75,10 @@ class ExperimentConfig:
     ssm_rate_per_day: AsymmetricValue   # background prediction, neutrons/day
 
     def __post_init__(self) -> None:
-        if self.live_time_days <= 0:
-            raise ValueError(f"live_time_days must be positive (got {self.live_time_days!r})")
-        if self.fiducial_radius_m <= 0:
-            raise ValueError(f"fiducial_radius_m must be positive (got {self.fiducial_radius_m!r})")
-        if self.deuteron_density_per_cc <= 0:
-            raise ValueError(f"deuteron_density_per_cc must be positive (got {self.deuteron_density_per_cc!r})")
+        for name in ("live_time_days", "fiducial_radius_m", "deuteron_density_per_cc"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive (got {v!r})")
         if not (0 < self.efficiency <= 1):
             raise ValueError(f"efficiency must be in (0,1] (got {self.efficiency!r})")
 
@@ -162,8 +160,8 @@ class ScanSpec:
     log_spacing: bool = True
 
     def __post_init__(self) -> None:
-        if not (0 < self.lo < self.hi):
-            raise ValueError(f"scan range must satisfy 0 < lo < hi (got lo={self.lo!r}, hi={self.hi!r})")
+        if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
+            raise ValueError(f"scan range must satisfy 0 < lo < hi < inf (got lo={self.lo!r}, hi={self.hi!r})")
         if self.points < 2:
             raise ValueError(f"scan needs at least 2 points (got {self.points!r})")
 

@@ -1,22 +1,21 @@
-"""Adaptive quadrature for radial integrands on finite or half-line domains.
+"""Adaptive quadrature for radial integrands on the half-line [0, inf).
 
 The rule is QUADPACK's 15-point Gauss-Kronrod pair (qk15; Piessens et al.,
 QUADPACK, Springer 1983): each interval's value is the Kronrod sum, its
-error estimate the distance to the embedded 7-point Gauss sum. The interval
+error estimate the distance to the embedded 7-point Gauss sum. The half-line
+is mapped onto [0, 1) by x = t/(1-t), dx = dt/(1-t)^2; the nodes are
+symmetric, so these are the points QUADPACK's qk15i samples. The interval
 with the largest estimate is bisected until the estimates sum to within
-tolerance. A half-line [lower, inf) is first mapped onto [0, 1) by
-x = lower + t/(1-t), dx = dt/(1-t)^2; the nodes are symmetric, so these are
-the points QUADPACK's qk15i samples. There is no extrapolation, so the
-estimate suits smooth integrands: at an endpoint singularity, such as the
-one the map makes at t = 1 from an algebraic tail x^-p, it can fall short
-of the true error.
+relative tolerance 1e-9, over at most 200 intervals. There is no
+extrapolation, so the estimate suits smooth integrands: at an endpoint
+singularity, such as the one the map makes at t = 1 from an algebraic tail
+x^-p, it can fall short of the true error.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 # Kronrod abscissae in (0, 1), decreasing; the odd-indexed ones are the Gauss nodes
@@ -47,29 +46,12 @@ _WG = (
 )
 _WG_CENTRE = 0.417959183673469387755102040816327
 
+_REL_TOL = 1e-9
+_MAX_INTERVALS = 200
+
 
 class QuadratureError(RuntimeError):
     """An integral could not be evaluated to the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 0.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be positive (got {self.rel_tol!r})")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise ValueError(f"abs_tol must be non-negative (got {self.abs_tol!r})")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be at least 1 (got {self.max_subdivisions!r})")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 def _gauss_kronrod(g: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -87,50 +69,36 @@ def _gauss_kronrod(g: Callable[[float], float], a: float, b: float) -> tuple[flo
     return kronrod * half, abs(kronrod - gauss) * half
 
 
-def integrate_radial(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float = math.inf,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> tuple[float, float]:
-    """Integrate f over [lower, upper]; upper may be infinite.
+def integrate_radial(f: Callable[[float], float]) -> tuple[float, float]:
+    """Integrate f over [0, inf).
 
-    Returns (value, error_estimate) with the estimate bounded by
-    max(rel_tol * |value|, abs_tol). spec.max_subdivisions caps the number
-    of intervals.
+    Returns (value, error_estimate) with the estimate at most 1e-9 * |value|.
 
-    Raises QuadratureError if the integrand yields a non-finite sample or
-    the subdivision budget is exhausted before convergence.
+    Raises QuadratureError if the integrand yields a non-finite sample, if
+    bisection reaches t = 1 (where the map sends x to infinity, as it does
+    for an integrand that decays too slowly), or if 200 intervals do not
+    reach the tolerance.
     """
-    if not math.isfinite(lower):
-        raise ValueError("lower limit must be finite")
-    if not upper > lower:
-        raise ValueError("upper limit must exceed lower limit")
 
-    def checked(x: float) -> float:
-        y = f(x)
+    def g(t: float) -> float:
+        s = 1.0 - t
+        if s == 0.0:
+            raise QuadratureError("quadrature did not converge: bisection reached the end of the half-line")
+        y = f(t / s)
         if not math.isfinite(y):
-            raise QuadratureError(f"integrand returned non-finite value at x={x!r}")
-        return y
+            raise QuadratureError(f"integrand returned non-finite value at x={t / s!r}")
+        return y / s / s
 
-    if math.isinf(upper):
-        def g(t: float) -> float:
-            s = 1.0 - t
-            return checked(lower + t / s) / s / s
-        a, b = 0.0, 1.0
-    else:
-        g, a, b = checked, lower, upper
-
-    value, error = _gauss_kronrod(g, a, b)
+    value, error = _gauss_kronrod(g, 0.0, 1.0)
     # max-heap on the error estimate: (-error, a, b, value)
-    intervals = [(-error, a, b, value)]
+    intervals = [(-error, 0.0, 1.0, value)]
     while True:
         value = math.fsum(v for *_, v in intervals)
         error = math.fsum(-e for e, *_ in intervals)
-        tolerance = max(spec.rel_tol * abs(value), spec.abs_tol)
+        tolerance = _REL_TOL * abs(value)
         if error <= tolerance:
             return value, error
-        if len(intervals) >= spec.max_subdivisions:
+        if len(intervals) >= _MAX_INTERVALS:
             raise QuadratureError(
                 f"quadrature did not converge: error estimate {error:.3g} exceeds {tolerance:.3g} "
                 f"with {len(intervals)} subintervals"

@@ -289,6 +289,15 @@ def test_overflowing_scan_is_numeric_failure(capsys, tmp_path, argv, scan):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_too_wide_model_is_numeric_failure(capsys, tmp_path, command):
+    # so small a binding energy puts <r^2>'s bisection at the far end of the half-line
+    path = write_config(tmp_path, {"model": {"binding_energy_mev": 1e-40}})
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error[numeric]: ") and err.count("\n") == 1
+
+
 def test_huge_counts_keep_text_lines_short(capsys, tmp_path):
     path = write_config(tmp_path, {"experiment": {"observed": {"value": 1e307, "stat_up": 1e307}}})
     code, out, err = run_cli(capsys, "analyze", "--config", path)

@@ -10,14 +10,12 @@ from scipy.special import eval_legendre, spherical_jn
 
 from cslbounds import (
     CODATA,
-    QuadratureSpec,
     ScanSpec,
     binding_wavenumber,
     build_hulthen,
     build_zero_range,
     default_k_grid,
     dipole_radial_integral,
-    integrate_radial,
     mean_square_radius,
     spectrum_density,
 )
@@ -50,10 +48,15 @@ def _spectral_integral_cm2(model, rel=1e-6):
     return value * 1e-26
 
 
+def _half_line_integral(f):
+    # int_0^inf f(r) dr by scipy's QUADPACK, at the package rule's relative tolerance
+    value, _ = si.quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-9, limit=200)
+    return value
+
+
 def _bessel_radial_integral(model, ell, k):
     # int r^2 u(r) j_l(kr) dr by adaptive quadrature
-    value, _ = integrate_radial(lambda r: r * r * float(model.u(r)) * spherical_jn(ell, k * r), 0.0)
-    return value
+    return _half_line_integral(lambda r: r * r * model.u(r) * spherical_jn(ell, k * r))
 
 
 def _quadrature_dipole(model, k):
@@ -88,8 +91,7 @@ def _mpmath_dipole(model, k):
 def _legendre_dipole_weight(ell):
     # Legendre coefficient of cos(theta): (2l+1)/2 int_-1^1 mu P_l(mu) dmu; the
     # integrand is bounded by 1, so an absolute tolerance lets zeros converge
-    angular = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12)
-    value, _ = integrate_radial(lambda mu: mu * eval_legendre(ell, mu), -1.0, 1.0, angular)
+    value, _ = si.quad(lambda mu: mu * eval_legendre(ell, mu), -1.0, 1.0, epsabs=1e-12, epsrel=1e-12)
     return 0.5 * (2 * ell + 1) * value
 
 
@@ -114,14 +116,12 @@ def test_kappa_sqrt_scaling():
 
 def test_zero_range_normalization():
     m = build_zero_range(EB_DEFAULT)
-    value, _ = integrate_radial(lambda r: float(m.u(r)) ** 2, 0.0)
-    assert value == pytest.approx(1.0, rel=1e-9)
+    assert _half_line_integral(lambda r: m.u(r) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hulthen_normalization():
     m = build_hulthen(2.2246, 6.163)
-    value, _ = integrate_radial(lambda r: float(m.u(r)) ** 2, 0.0)
-    assert value == pytest.approx(1.0, rel=1e-9)
+    assert _half_line_integral(lambda r: m.u(r) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hulthen_vanishes_at_origin_and_positive():
@@ -245,13 +245,14 @@ def test_partial_wave_contributions_vanish_off_dipole():
     k_over_kappa=st.floats(min_value=1e-3, max_value=50.0),
 )
 def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over_kappa):
-    # the quadrature oracle itself misses by up to about 1.2e-7 relative
+    # the scipy oracle missed by at most 1.2e-10 relative over 300 random draws
+    # and the corners of this domain
     m = build_hulthen(eb, beta_over_kappa) if hulthen else build_zero_range(eb)
     k = k_over_kappa * m.kappa_per_fm
-    assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-6)
+    assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-8)
 
 
-# (E_B, beta/kappa, k) where adaptive quadrature missed I(k) by 0.8e-7 and
+# (E_B, beta/kappa, k) where the built-in quadrature missed I(k) by 0.8e-7 and
 # 1.2e-7 relative while estimating its error at about 1e-9
 @pytest.mark.parametrize("eb, beta_over_kappa, k", [
     (2.4018392372956066, 9.365697267342417, 0.16698494761867266),

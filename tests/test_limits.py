@@ -90,6 +90,10 @@ def test_experiment_config_validation():
         reference_experiment(live_time_days=0.0)
     with pytest.raises(ValueError):
         reference_experiment(fiducial_radius_m=-1.0)
+    for name in ("live_time_days", "fiducial_radius_m", "deuteron_density_per_cc"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                reference_experiment(**{name: bad})
 
 
 def test_fiducial_volume():
@@ -261,6 +265,9 @@ def test_scan_spec_validation():
         ScanSpec(lo=1.0, hi=0.5)
     with pytest.raises(ValueError):
         ScanSpec(points=1)
+    for lo, hi in ((1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="scan range"):
+            ScanSpec(lo=lo, hi=hi)
     linear = ScanSpec(lo=1.0, hi=2.0, points=5, log_spacing=False)
     assert np.allclose(linear.grid(), [1.0, 1.25, 1.5, 1.75, 2.0])
 
