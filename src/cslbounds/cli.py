@@ -13,7 +13,6 @@ import json
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
 from itertools import chain
 
 from .config import (
@@ -141,16 +140,18 @@ def _write(args, text: str) -> None:
 
 
 def _json(data: dict) -> str:
-    """`json.dumps(data, indent=2)`, dataclasses written by field. A curve's points are
-    written by `_points_json` into the place the encoder leaves for them, so the encoder
-    never walks one dict per point."""
+    """`json.dumps(data, indent=2)`, an AsymmetricValue written as an object of its three
+    fields. A curve's points are written by `_points_json` into the place the encoder
+    leaves for them, so the encoder never walks one dict per point."""
     curves = []
 
     def encode(obj):
         if isinstance(obj, ExclusionCurve):
             curves.append(obj)
             return _POINTS_MARK
-        return asdict(obj)
+        if isinstance(obj, AsymmetricValue):
+            return {"central": obj.central, "err_up": obj.err_up, "err_down": obj.err_down}
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
     text = json.dumps(data, indent=2, default=encode)
     for curve in curves:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .constants import CollapseParams, grw_defaults
@@ -22,6 +21,7 @@ from .limits import (
     ScanSpec,
     SphereVisibilityConfig,
 )
+from .records import Record
 from .uncertainty import AsymmetricValue
 
 
@@ -29,8 +29,7 @@ class ConfigError(ValueError):
     """Invalid configuration document."""
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Bound-state model selection."""
 
     kind: ModelKind = ModelKind.ZERO_RANGE
@@ -38,8 +37,7 @@ class ModelSpec:
     beta_over_kappa: float = HULTHEN_BETA_OVER_KAPPA
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     collapse: CollapseParams
     experiment: ExperimentConfig
     sphere: SphereVisibilityConfig
@@ -127,9 +125,8 @@ _NON_NEGATIVE = _number(lambda v: v >= 0, "non-negative")
 _FINITE = _number(lambda v: True, "a finite number")
 
 
-@dataclass(frozen=True)
-class Field:
-    """One JSON key: the dataclass attribute it sets and the reader that checks it."""
+class Field(Record):
+    """One JSON key: the record field it sets and the reader that checks it."""
 
     key: str
     attr: str
@@ -143,9 +140,8 @@ class Field:
         return self.write(value)
 
 
-@dataclass(frozen=True)
-class Section:
-    """A JSON object mapped onto a frozen dataclass; absent keys keep the default's values."""
+class Section(Record):
+    """A JSON object mapped onto a frozen record; absent keys keep the default's values."""
 
     key: str
     attr: str
@@ -164,7 +160,7 @@ class Section:
             if f.key in node
         }
         try:
-            return replace(default, **changes)
+            return default.replace(**changes)
         except ValueError as exc:
             # an invariant across fields (scan min < max); report it under the JSON keys
             message = str(exc)

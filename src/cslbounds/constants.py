@@ -8,7 +8,8 @@ handled in fm and converted at module boundaries via the factors below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import Record
 
 # Length conversions between the nuclear (fm) and collapse (cm) scales
 CM_PER_FM = 1e-13
@@ -25,8 +26,7 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive (got {value!r})")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Mass ratios and conversion constants for the deuteron analysis."""
 
     m_e_over_m_p: float = 1.0 / 1836.15267   # electron/proton mass ratio
@@ -56,8 +56,7 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class CollapseParams:
+class CollapseParams(Record):
     """Collapse-model parameter set. The proton coupling is fixed at 1 and
     never stored; g_e and g_n are relative to it and may be left unset."""
 
@@ -75,8 +74,7 @@ class CollapseParams:
                 raise ValueError(f"{name} must be finite and non-negative (got {g!r})")
 
 
-@dataclass(frozen=True)
-class RateDensity:
+class RateDensity(Record):
     """The composite collapse-strength parameter lambda/a^2 (s^-1 cm^-2)."""
 
     lambda_over_a2: float

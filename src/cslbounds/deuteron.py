@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .constants import CM2_PER_FM2, CODATA
 from .grids import logspace
 from .quadrature import integrate_radial
+from .records import Record
 
 # Hulthen short-range scale beta in units of kappa
 HULTHEN_BETA_OVER_KAPPA = 6.163
@@ -28,8 +28,7 @@ class ModelKind(str, enum.Enum):
     HULTHEN = "hulthen"
 
 
-@dataclass(frozen=True)
-class BoundStateModel:
+class BoundStateModel(Record):
     """Normalized reduced radial wavefunction of the deuteron ground state.
 
     kappa is the asymptotic decay constant sqrt(2 mu E_B)/(hbar c); the
@@ -43,11 +42,12 @@ class BoundStateModel:
     beta_per_fm: float | None = None   # fm^-1, Hulthen only
 
     def __post_init__(self) -> None:
-        if self.kappa_per_fm <= 0:
-            raise ValueError("kappa must be positive")
+        if not (math.isfinite(self.kappa_per_fm) and self.kappa_per_fm > 0):
+            raise ValueError(f"kappa must be finite and positive (got {self.kappa_per_fm!r})")
         if self.kind is ModelKind.HULTHEN:
-            if self.beta_per_fm is None or self.beta_per_fm <= self.kappa_per_fm:
-                raise ValueError("Hulthen model requires beta > kappa")
+            beta = self.beta_per_fm
+            if beta is None or not (math.isfinite(beta) and beta > self.kappa_per_fm):
+                raise ValueError(f"Hulthen model requires finite beta > kappa (got beta={beta!r})")
         elif self.beta_per_fm is not None:
             raise ValueError("beta is only meaningful for the Hulthen model")
 
@@ -67,18 +67,17 @@ def _exponential_terms(model: BoundStateModel) -> tuple[tuple[float, float], ...
     return ((1.0, model.kappa_per_fm), (-1.0, model.beta_per_fm))
 
 
-@dataclass(frozen=True)
-class SpectrumDensity:
+class SpectrumDensity(Record):
     """k-resolved integrand of <r^2> over the final-state momentum."""
 
     k_per_fm: float
     density_fm3: float
 
     def __post_init__(self) -> None:
-        if self.k_per_fm < 0:
-            raise ValueError("k must be non-negative")
-        if self.density_fm3 < 0:
-            raise ValueError("density must be non-negative")
+        for name in ("k_per_fm", "density_fm3"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and non-negative (got {v!r})")
 
 
 def binding_wavenumber(binding_energy_mev: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from .constants import (
@@ -23,6 +22,7 @@ from .constants import (
 from .deuteron import BoundStateModel, mean_square_radius
 from .grids import linspace, logspace
 from .rates import count_coefficient
+from .records import Record
 from .uncertainty import (
     AsymmetricValue,
     combine_quadrature,
@@ -44,8 +44,7 @@ R2_SPREAD_TOLERANCE = 0.10
 DAYS_PER_YEAR = CODATA.seconds_per_year / CODATA.seconds_per_day
 
 
-@dataclass(frozen=True)
-class ObservedCounts:
+class ObservedCounts(Record):
     """Detected neutron events with separate statistical and systematic errors."""
 
     value: float
@@ -63,8 +62,7 @@ class ObservedCounts:
                 raise ValueError(f"{name} must be finite and non-negative (got {e!r})")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Live time, fiducial geometry, and counting inputs of the experiment."""
 
     live_time_days: float
@@ -92,8 +90,7 @@ class ExperimentConfig:
         return (4.0 * math.pi / 3.0) * self.fiducial_radius_m**3 / 1e3
 
 
-@dataclass(frozen=True)
-class SphereVisibilityConfig:
+class SphereVisibilityConfig(Record):
     """A just-visible sphere whose superposition must collapse quickly.
 
     The collapse-time budget is collapse_margin * perception_time_s; the
@@ -120,8 +117,7 @@ class SphereVisibilityConfig:
         return math.pi / 6.0 * self.diameter_cm**3
 
 
-@dataclass(frozen=True, eq=False)
-class ExclusionCurve:
+class ExclusionCurve(Record):
     """Coupling bounds on a lambda/a^2 grid; the three columns run in parallel.
 
     Each column may be given as any iterable of reals, arrays included, and is
@@ -133,6 +129,10 @@ class ExclusionCurve:
     ge_bound: tuple[float, ...]          # max |g_e - m_e/m_p|
     theoretical_floor: float             # s^-1 cm^-2
     experimental_ceiling: float          # s^-1 cm^-2
+
+    # compared by identity, like any object: two scans are not checked point by point
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         for name in ("lambda_over_a2", "gn_bound", "ge_bound"):
@@ -150,8 +150,7 @@ class ExclusionCurve:
             raise ValueError("theoretical floor exceeds experimental ceiling")
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(Record):
     """Grid over lambda/a^2 for exclusion scans."""
 
     lo: float = 1e-10
@@ -162,6 +161,10 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
             raise ValueError(f"scan range must satisfy 0 < lo < hi < inf (got lo={self.lo!r}, hi={self.hi!r})")
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"scan points must be an integer (got {self.points!r})") from None
         if self.points < 2:
             raise ValueError(f"scan needs at least 2 points (got {self.points!r})")
 
@@ -171,24 +174,21 @@ class ScanSpec:
         return linspace(self.lo, self.hi, self.points)
 
 
-@dataclass(frozen=True)
-class CouplingBound:
+class CouplingBound(Record):
     """A coupling bound together with its one-significant-digit round-up."""
 
     value: float
     rounded_up: float
 
 
-@dataclass(frozen=True)
-class ElectronBound:
+class ElectronBound(Record):
     """Half-width of the electron-coupling window and the implied g_e ceiling."""
 
     half_width: float
     g_upper: float
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything the full pipeline produces for one configuration."""
 
     n_expt: AsymmetricValue
@@ -204,7 +204,7 @@ class AnalysisReport:
     curve: ExclusionCurve
     model_r2_cm2: float
     floor_regime: str
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
 
 def net_csl_counts(

@@ -10,7 +10,6 @@ mass-proportional coupling. The electron contribution is neglected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import (
     CM2_PER_FM2,
@@ -20,13 +19,13 @@ from .constants import (
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_density
+from .records import Record
 
 # 10^3 m^3 expressed in cm^3
 CC_PER_KILOTONNE_M3 = 1e9
 
 
-@dataclass(frozen=True)
-class MatrixElementSq:
+class MatrixElementSq(Record):
     """Squared magnitude of the weighted dipole matrix element (cm^2)."""
 
     value_cm2: float
@@ -36,8 +35,7 @@ class MatrixElementSq:
             raise ValueError(f"matrix element squared must be finite and non-negative (got {self.value_cm2!r})")
 
 
-@dataclass(frozen=True)
-class ExcitationRate:
+class ExcitationRate(Record):
     """Excitation probability per second for one bound state."""
 
     per_second: float
@@ -47,8 +45,7 @@ class ExcitationRate:
             raise ValueError(f"rate must be finite and non-negative (got {self.per_second!r})")
 
 
-@dataclass(frozen=True)
-class CountPrediction:
+class CountPrediction(Record):
     """Expected dissociation count and the normalized count coefficient.
 
     coefficient is the count at unit coupling deviation per (yr x 10^3 m^3)
@@ -110,8 +107,8 @@ def deuteron_spectrum(p: CollapseParams, model: BoundStateModel, k_per_fm: float
 
 def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) -> float:
     """Counts per unit coupling deviation squared per (yr x 10^3 m^3) at GRW strength."""
-    if deuteron_density_per_cc <= 0:
-        raise ValueError("deuteron density must be positive")
+    if not (math.isfinite(deuteron_density_per_cc) and deuteron_density_per_cc > 0):
+        raise ValueError(f"deuteron density must be finite and positive (got {deuteron_density_per_cc!r})")
     r2_cm2 = mean_square_radius(model)
     unit_weight = com_reduction_coefficients()[1] ** 2   # |c_n|^2 at unit coupling deviation
     deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3

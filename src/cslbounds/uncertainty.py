@@ -10,11 +10,11 @@ non-finite result is an overflow and raises OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import Record
 
 
-@dataclass(frozen=True)
-class AsymmetricValue:
+class AsymmetricValue(Record):
     """central +err_up/-err_down; both errors are magnitudes."""
 
     central: float

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -368,12 +367,16 @@ def test_scan_json_matches_encoder(columns):
     assert cli._json(block) == json.dumps({**block, "points": point_dicts(columns)}, indent=2) + "\n"
 
 
+def record_fields(record):
+    return {name: getattr(record, name) for name in record._fields}
+
+
 @given(curve_columns)
 @with_curve_examples
 def test_analyze_json_matches_encoder(columns):
-    data = cli._analyze_report(dataclasses.replace(default_report(), curve=curve_of(columns)), None)
+    data = cli._analyze_report(default_report().replace(curve=curve_of(columns)), None)
     expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns)}}
-    assert cli._json(data) == json.dumps(expected, indent=2, default=dataclasses.asdict) + "\n"
+    assert cli._json(data) == json.dumps(expected, indent=2, default=record_fields) + "\n"
 
 
 @given(curve_columns)
@@ -411,21 +414,12 @@ def test_nsigma_override_checked_like_config_key(capsys):
     assert err == "error[config]: n_sigma: must be non-negative (got -1.0)\n"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency: a cold CLI start must not import it
+@pytest.mark.parametrize("module", ["numpy", "scipy", "dataclasses", "inspect"])
+def test_cli_import_does_not_load(module):
+    # no runtime dependencies, and records that compile no code: a cold CLI start imports none of these
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import cslbounds.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-
-
-def test_cli_import_loads_no_numpy():
-    # the package has no runtime dependencies: a cold CLI start must not import numpy
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import cslbounds.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    probe = f"import cslbounds.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

@@ -10,7 +10,10 @@ from scipy.special import eval_legendre, spherical_jn
 
 from cslbounds import (
     CODATA,
+    BoundStateModel,
+    ModelKind,
     ScanSpec,
+    SpectrumDensity,
     binding_wavenumber,
     build_hulthen,
     build_zero_range,
@@ -138,6 +141,30 @@ def test_hulthen_rejects_beta_at_or_below_kappa():
         build_hulthen(EB_DEFAULT, beta_over_kappa=1.0)
     with pytest.raises(ValueError):
         build_hulthen(EB_DEFAULT, beta_over_kappa=0.5)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
+def test_model_rejects_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite and positive"):
+        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=kappa, norm=1.0, binding_energy_mev=EB_DEFAULT)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_hulthen_model_rejects_non_finite_beta(beta):
+    kappa = binding_wavenumber(EB_DEFAULT)
+    with pytest.raises(ValueError, match="requires finite beta > kappa"):
+        BoundStateModel(
+            kind=ModelKind.HULTHEN, kappa_per_fm=kappa, norm=1.0, binding_energy_mev=EB_DEFAULT, beta_per_fm=beta
+        )
+
+
+def test_spectrum_density_rejects_nan():
+    with pytest.raises(ValueError, match="k_per_fm must be finite"):
+        SpectrumDensity(math.nan, math.nan)
+    with pytest.raises(ValueError, match="density_fm3 must be finite"):
+        SpectrumDensity(1.0, math.nan)
+    with pytest.raises(ValueError, match="k_per_fm must be finite"):
+        spectrum_density(build_zero_range(EB_DEFAULT), math.nan)
 
 
 def test_non_positive_binding_energy_rejected():

@@ -272,6 +272,13 @@ def test_scan_spec_validation():
     assert np.allclose(linear.grid(), [1.0, 1.25, 1.5, 1.75, 2.0])
 
 
+def test_scan_spec_rejects_fractional_points():
+    for points in (2.5, 201.0, math.nan):
+        with pytest.raises(ValueError, match="scan points must be an integer"):
+            ScanSpec(points=points)
+    assert ScanSpec(points=np.int64(5)).grid() == ScanSpec(points=5).grid()
+
+
 def test_exclusion_curve_validation():
     lds, gns, ges = np.array([1e-8, 1e-7]), np.array([0.1, 0.05]), np.array([0.2, 0.1])
     ExclusionCurve(lds, gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)

@@ -170,3 +170,9 @@ def test_expected_count_validates_inputs():
         expected_count(_grw(0.0), 1.0, -1.0, PAPER_DENSITY, model)
     with pytest.raises(ValueError):
         expected_count(grw_defaults(), 1.0, 1.0, PAPER_DENSITY, model)
+
+
+@pytest.mark.parametrize("density", [math.nan, math.inf, 0.0])
+def test_count_coefficient_rejects_non_finite_density(density):
+    with pytest.raises(ValueError, match="deuteron density must be finite and positive"):
+        count_coefficient(build_zero_range(EB_DEFAULT), density)

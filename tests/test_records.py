@@ -1,0 +1,157 @@
+"""The record base every value type of the package is declared on: construction,
+equality, hashing, immutability, repr and replace, checked on each exported record."""
+
+import pytest
+
+import cslbounds
+from cslbounds import (
+    CODATA,
+    AsymmetricValue,
+    CollapseParams,
+    CountPrediction,
+    CouplingBound,
+    ElectronBound,
+    ExcitationRate,
+    ExclusionCurve,
+    MatrixElementSq,
+    ModelSpec,
+    RateDensity,
+    ScanSpec,
+    SpectrumDensity,
+    build_hulthen,
+    build_model,
+    default_config,
+    grw_defaults,
+    run_full_analysis,
+)
+from cslbounds.records import Record
+
+CFG = default_config()
+REPORT = run_full_analysis(CFG.experiment, CFG.sphere, build_model(CFG.model), scan=ScanSpec(points=3))
+
+# one instance of every record but ExclusionCurve, which compares by identity
+EXAMPLES = [
+    CODATA,
+    CollapseParams(1e-16, 1e-5, 0.5, 1.0),
+    RateDensity(1e-6),
+    build_hulthen(2.224575),
+    SpectrumDensity(0.5, 1.5),
+    MatrixElementSq(1e-26),
+    ExcitationRate(1e-30),
+    CountPrediction(10.0, 0.5),
+    AsymmetricValue(1.0, 2.0, 3.0),
+    CFG.experiment.observed,
+    CFG.experiment,
+    CFG.sphere,
+    CFG.scan,
+    CFG.model,
+    CFG,
+    CouplingBound(0.0075, 0.008),
+    ElectronBound(0.0065, 0.0071),
+    REPORT,
+]
+examples = pytest.mark.parametrize("record", EXAMPLES, ids=lambda r: type(r).__name__)
+every_record = pytest.mark.parametrize("record", EXAMPLES + [REPORT.curve], ids=lambda r: type(r).__name__)
+
+
+def values(record):
+    return [getattr(record, name) for name in record._fields]
+
+
+def test_every_exported_record_has_an_example():
+    exported = {obj for obj in vars(cslbounds).values() if isinstance(obj, type) and issubclass(obj, Record)}
+    assert exported == {type(r) for r in EXAMPLES} | {ExclusionCurve}
+
+
+@examples
+def test_equal_fields_give_equal_records_and_hashes(record):
+    cls, args = type(record), values(record)
+    for copy in (cls(*args), cls(**dict(zip(record._fields, args))), record.replace()):
+        assert copy is not record
+        assert copy == record and not copy != record
+        assert hash(copy) == hash(record)
+
+
+@examples
+def test_other_types_and_tuples_are_unequal(record):
+    assert record != tuple(values(record))
+    assert record != values(record)
+
+
+def test_same_values_in_another_record_type_are_unequal():
+    for group in (
+        (ExcitationRate(2.0), MatrixElementSq(2.0), RateDensity(2.0)),
+        (CouplingBound(1.0, 2.0), ElectronBound(1.0, 2.0), CountPrediction(1.0, 2.0), SpectrumDensity(1.0, 2.0)),
+    ):
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                assert a != b and b != a
+    assert AsymmetricValue(1.0) != AsymmetricValue(2.0)
+    assert AsymmetricValue(1.0) == AsymmetricValue(1.0, 0.0, 0.0)
+
+
+@every_record
+def test_records_are_frozen(record):
+    first = record._fields[0]
+    before = getattr(record, first)
+    with pytest.raises(AttributeError, match=first):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError, match=first):
+        delattr(record, first)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1.0
+    assert getattr(record, first) is before and not hasattr(record, "not_a_field")
+
+
+def test_repr_is_the_dataclass_format():
+    assert repr(AsymmetricValue(1.0)) == "AsymmetricValue(central=1.0, err_up=0.0, err_down=0.0)"
+    assert repr(ScanSpec()) == "ScanSpec(lo=1e-10, hi=2.5, points=201, log_spacing=True)"
+    assert repr(ModelSpec()) == (
+        "ModelSpec(kind=<ModelKind.ZERO_RANGE: 'zero-range'>, binding_energy_mev=2.224575, beta_over_kappa=6.163)"
+    )
+    assert repr(grw_defaults()) == "CollapseParams(lambda_rate=1e-16, a_length=1e-05, g_e=None, g_n=None)"
+
+
+def test_replace_runs_the_checks_again():
+    spec = ScanSpec()
+    with pytest.raises(ValueError, match="scan range"):
+        spec.replace(lo=3.0)
+    assert spec.replace(points=11) == ScanSpec(points=11)
+    assert spec == ScanSpec()
+
+
+@every_record
+def test_bad_arguments_are_type_errors(record):
+    # a wrong call is a program bug, never a ValueError that cli.main would report as error[config]
+    cls, args, first = type(record), values(record), record._fields[0]
+    with pytest.raises(TypeError, match="positional"):
+        cls(*args, args[0])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*args, bogus=1.0)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*args, **{first: args[0]})
+    with pytest.raises(TypeError, match="bogus"):
+        record.replace(bogus=1.0)
+
+
+def test_missing_arguments_are_type_errors():
+    with pytest.raises(TypeError, match="missing required argument.*'central'"):
+        AsymmetricValue()
+    with pytest.raises(TypeError, match="'a_length'"):
+        CollapseParams(1e-16)
+    with pytest.raises(TypeError, match="'expected_neutrons', 'coefficient'"):
+        CountPrediction()
+
+
+def test_absent_arguments_take_the_class_defaults():
+    assert CollapseParams(1e-16, 1e-5) == grw_defaults()
+    without_warnings = {name: getattr(REPORT, name) for name in REPORT._fields if name != "warnings"}
+    assert type(REPORT)(**without_warnings).warnings == ()
+
+
+def test_exclusion_curve_equality_is_identity():
+    curve = REPORT.curve
+    twin = curve.replace()
+    assert curve == curve and hash(curve) == hash(curve)
+    assert twin != curve and values(twin) == values(curve)
+    assert len({curve, twin}) == 2
