@@ -38,6 +38,7 @@ from .deuteron import (
     default_k_grid,
     dipole_radial_integral,
     mean_square_radius,
+    spectrum_densities,
     spectrum_density,
 )
 from .limits import (
@@ -69,6 +70,7 @@ from .rates import (
     com_reduction_coefficients,
     count_coefficient,
     deuteron_rate,
+    deuteron_spectra,
     deuteron_spectrum,
     expected_count,
     general_rate,

@@ -9,6 +9,7 @@ constants. Exit codes: 0 success, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -23,10 +24,10 @@ from .config import (
     update_config,
 )
 from .constants import CODATA, GRW_LAMBDA_OVER_A2, grw_defaults, lambda_over_a2
-from .deuteron import ModelKind, default_k_grid, spectrum_density
+from .deuteron import ModelKind, default_k_grid, spectrum_densities
 from .limits import AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
-from .rates import deuteron_spectrum, expected_count
+from .rates import deuteron_spectra, expected_count
 from .uncertainty import AsymmetricValue, display_number
 
 EXIT_OK = 0
@@ -66,6 +67,7 @@ def _add_common_options(sub: argparse.ArgumentParser, text_is_csv: bool = False)
     sub.add_argument("--nsigma", type=float, metavar="X", help="override the limit significance")
 
 
+@functools.cache   # parsing does not change the parser, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cslbounds", description="Collapse-model excitation rates and coupling exclusion bounds.")
     subparsers = parser.add_subparsers(dest="command")
@@ -158,19 +160,27 @@ def _json(data: dict) -> str:
         head, _, tail = text.partition(json.dumps(_POINTS_MARK))
         line = head[head.rfind("\n") + 1 :]
         text = head + _points_json(curve, line[: len(line) - len(line.lstrip(" "))]) + tail
+    # the indenting encoder's nested functions form a reference cycle that holds encode;
+    # emptied now, the list keeps no curve alive until the next garbage collection
+    curves.clear()
     return text + "\n"
 
 
 def _points_json(curve: ExclusionCurve, pad: str) -> str:
     """The points in the layout `json.dumps(indent=2)` gives a list of {column: value}
-    dicts on a line indented by pad. One `%r` template per point gives the same bytes:
-    the encoder also writes a finite float as its repr, and ExclusionCurve holds only
-    finite values."""
+    dicts on a line indented by pad. One f-string per point gives the same bytes: the
+    encoder also writes a finite float as its repr, and ExclusionCurve holds only finite
+    values."""
     if not len(curve.lambda_over_a2):
         return "[]"
     item, key = pad + "  ", pad + "    "
-    row = f"\n{item}{{" + ",".join(f"\n{key}{json.dumps(c)}: %r" for c in CURVE_COLUMNS) + f"\n{item}}}"
-    return "[" + ",".join(row % values for values in _curve_rows(curve)) + f"\n{pad}]"
+    x_key, gn_key, ge_key = (f"\n{key}{json.dumps(c)}: " for c in CURVE_COLUMNS)
+    head, end = f"\n{item}{{{x_key}", f"\n{item}}}"
+    return (
+        "["
+        + ",".join([f"{head}{x!r},{gn_key}{gn!r},{ge_key}{ge!r}{end}" for x, gn, ge in _curve_rows(curve)])
+        + f"\n{pad}]"
+    )
 
 
 def _csv(header: Iterable[str], rows: Iterable[Iterable[str | float]]) -> str:
@@ -185,8 +195,8 @@ def _curve_rows(curve: ExclusionCurve) -> Iterator[tuple[float, float, float]]:
 
 def _curve_csv(curve: ExclusionCurve, preamble: str) -> str:
     """The points as csv.writer writes them: a finite float is its repr, never quoted."""
-    row = ",".join(["%r"] * len(CURVE_COLUMNS)) + "\n"
-    return preamble + ",".join(CURVE_COLUMNS) + "\n" + "".join(row % values for values in _curve_rows(curve))
+    header = preamble + ",".join(CURVE_COLUMNS) + "\n"
+    return header + "".join([f"{x!r},{gn!r},{ge!r}\n" for x, gn, ge in _curve_rows(curve)])
 
 
 def _curve_block(curve: ExclusionCurve) -> dict:
@@ -318,14 +328,12 @@ def _cmd_spectrum(args) -> int:
         raise ConfigError(
             "collapse.g_n must be set for the rate spectrum (set it in the config or use --quantity density)"
         )
-    column = "rate_density" if args.quantity == "rate" else "density_fm3"
-    rows: list[tuple[float, float]] = []
-    for k in default_k_grid(model):
-        if args.quantity == "rate":
-            value = deuteron_spectrum(cfg.collapse, model, k)
-        else:
-            value = spectrum_density(model, k).density_fm3
-        rows.append((k, value))
+    ks = default_k_grid(model)
+    if args.quantity == "rate":
+        column, values = "rate_density", deuteron_spectra(cfg.collapse, model, ks)
+    else:
+        column, values = "density_fm3", spectrum_densities(model, ks)
+    rows = list(zip(ks, values))
     header = ["k_per_fm", column]
     if args.format == "structured":
         _write(args, _json({"columns": header, "rows": rows}))

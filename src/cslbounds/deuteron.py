@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 
 from .constants import CM2_PER_FM2, CODATA
 from .grids import logspace
@@ -44,6 +45,8 @@ class BoundStateModel(Record):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.kappa_per_fm) and self.kappa_per_fm > 0):
             raise ValueError(f"kappa must be finite and positive (got {self.kappa_per_fm!r})")
+        if not (math.isfinite(self.norm) and self.norm > 0):
+            raise ValueError(f"norm must be finite and positive (got {self.norm!r})")
         if self.kind is ModelKind.HULTHEN:
             beta = self.beta_per_fm
             if beta is None or not (math.isfinite(beta) and beta > self.kappa_per_fm):
@@ -133,22 +136,24 @@ def dipole_radial_integral(model: BoundStateModel, k_per_fm: float) -> float:
     Exact for a sum of exponentials: int r^2 exp(-a r) j_1(k r) dr
     = 2k / (k^2 + a^2)^2 for each term.
     """
-    if k_per_fm < 0:
-        raise ValueError("k must be non-negative")
+    if not (math.isfinite(k_per_fm) and k_per_fm >= 0):
+        raise ValueError(f"k_per_fm must be finite and non-negative (got {k_per_fm!r})")
     terms = _exponential_terms(model)
     return model.norm * sum(c * 2.0 * k_per_fm / (k_per_fm**2 + a**2) ** 2 for c, a in terms)
 
 
-def spectrum_density(model: BoundStateModel, k_per_fm: float) -> SpectrumDensity:
-    """Momentum spectrum of the squared dipole matrix element.
+def spectrum_densities(model: BoundStateModel, ks_per_fm: Iterable[float]) -> list[float]:
+    """Momentum spectrum of the squared dipole matrix element at each k, in fm^3.
 
     density(k) = (2/pi) k^2 I(k)^2 with I the dipole radial integral, so the
     completeness sum rule int_0^inf density dk = <r^2> holds in fm^2.
     """
-    if k_per_fm < 0:
-        raise ValueError("k must be non-negative")
-    radial = dipole_radial_integral(model, k_per_fm)
-    density = (2.0 / math.pi) * k_per_fm**2 * radial**2
+    return [(2.0 / math.pi) * k**2 * dipole_radial_integral(model, k) ** 2 for k in ks_per_fm]
+
+
+def spectrum_density(model: BoundStateModel, k_per_fm: float) -> SpectrumDensity:
+    """The spectrum density at one k, as a checked record."""
+    (density,) = spectrum_densities(model, (k_per_fm,))
     return SpectrumDensity(k_per_fm=k_per_fm, density_fm3=density)
 
 

@@ -18,8 +18,12 @@ def linspace(lo: float, hi: float, points: int) -> list[float]:
 
 
 def logspace(lo_exponent: float, hi_exponent: float, points: int) -> list[float]:
-    """10**y for y on linspace(lo_exponent, hi_exponent, points)."""
+    """10**y for y on linspace(lo_exponent, hi_exponent, points), each exponent computed
+    as linspace computes it."""
+    step = (hi_exponent - lo_exponent) / (points - 1)
     try:
-        return [10.0**y for y in linspace(lo_exponent, hi_exponent, points)]
+        grid = [10.0 ** (i * step + lo_exponent) for i in range(points - 1)]
+        grid.append(10.0**hi_exponent)
     except OverflowError:
         raise OverflowError(f"log grid overflowed: 10**{hi_exponent!r} is beyond the float range") from None
+    return grid

@@ -331,10 +331,11 @@ def scan_exclusion(
     grid = scan.grid()
     # a scaling that overflows to inf is reported by ExclusionCurve
     scaling = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
+    gn_grw, ge_grw = gn.value, ge.half_width   # read once, not once per point
     return ExclusionCurve(
         lambda_over_a2=grid,
-        gn_bound=[gn.value * f for f in scaling],
-        ge_bound=[ge.half_width * f for f in scaling],
+        gn_bound=[gn_grw * f for f in scaling],
+        ge_bound=[ge_grw * f for f in scaling],
         theoretical_floor=theoretical_floor(s, a_cm),
         experimental_ceiling=RADIATION_CEILING,
     )

@@ -10,6 +10,7 @@ mass-proportional coupling. The electron contribution is neglected.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from .constants import (
     CM2_PER_FM2,
@@ -18,7 +19,7 @@ from .constants import (
     CollapseParams,
     lambda_over_a2,
 )
-from .deuteron import BoundStateModel, mean_square_radius, spectrum_density
+from .deuteron import BoundStateModel, mean_square_radius, spectrum_densities
 from .records import Record
 
 # 10^3 m^3 expressed in cm^3
@@ -94,15 +95,20 @@ def deuteron_rate(p: CollapseParams, model: BoundStateModel) -> ExcitationRate:
     return general_rate(p, MatrixElementSq(relative_coupling_weight(g_n) * r2_cm2))
 
 
-def deuteron_spectrum(p: CollapseParams, model: BoundStateModel, k_per_fm: float) -> float:
-    """Differential dissociation rate dR/dk in s^-1 per fm^-1.
+def deuteron_spectra(p: CollapseParams, model: BoundStateModel, ks_per_fm: Iterable[float]) -> list[float]:
+    """Differential dissociation rate dR/dk in s^-1 per fm^-1 at each k.
 
     Integrating over k reproduces deuteron_rate by the completeness sum rule.
     """
     g_n = _require_gn(p)
-    density = spectrum_density(model, k_per_fm).density_fm3
-    prefactor = 0.5 * p.lambda_rate / p.a_length**2
-    return prefactor * relative_coupling_weight(g_n) * density * CM2_PER_FM2
+    scaling = 0.5 * p.lambda_rate / p.a_length**2 * relative_coupling_weight(g_n)
+    return [scaling * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)]
+
+
+def deuteron_spectrum(p: CollapseParams, model: BoundStateModel, k_per_fm: float) -> float:
+    """dR/dk at one k (s^-1 per fm^-1)."""
+    (rate,) = deuteron_spectra(p, model, (k_per_fm,))
+    return rate
 
 
 def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) -> float:

@@ -1,11 +1,13 @@
 import csv
 import functools
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,14 @@ from cslbounds import (
     build_model,
     build_zero_range,
     default_config,
+    default_k_grid,
     deuteron_rate,
+    deuteron_spectrum,
     expected_count,
     run_full_analysis,
+    spectrum_density,
 )
+from cslbounds.config import config_to_dict, update_config
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +201,23 @@ def test_spectrum_structured(capsys, tmp_path):
     data = json.loads(out)
     assert data["columns"] == ["k_per_fm", "rate_density"]
     assert len(data["rows"]) == 200
+
+
+@pytest.mark.parametrize("kind", ["zero-range", "hulthen"])
+@pytest.mark.parametrize("quantity", ["density", "rate"])
+def test_spectrum_rows_are_the_per_point_values(capsys, tmp_path, kind, quantity):
+    # the CLI computes a whole grid at once; each row holds the bits of the per-point functions
+    cfg = update_config(default_config(), {"collapse": {"g_n": 0.5}, "model": {"kind": kind}})
+    path = write_config(tmp_path, config_to_dict(cfg))
+    code, out, err = run_cli(capsys, "spectrum", "--config", path, "--quantity", quantity)
+    assert code == 0 and err == ""
+    model = build_model(cfg.model)
+    if quantity == "rate":
+        expected = [(k, deuteron_spectrum(cfg.collapse, model, k)) for k in default_k_grid(model)]
+    else:
+        expected = [(k, spectrum_density(model, k).density_fm3) for k in default_k_grid(model)]
+    _, _, rows = parse_csv(out)
+    assert [(float(k), float(value)) for k, value in rows] == expected
 
 
 def test_constants_output(capsys):
@@ -367,6 +390,19 @@ def test_scan_json_matches_encoder(columns):
     assert cli._json(block) == json.dumps({**block, "points": point_dicts(columns)}, indent=2) + "\n"
 
 
+def test_json_keeps_no_curve_alive():
+    # a 1.5e4-point curve is about 1.5 MB; it must not wait in a reference cycle for the collector
+    curve = curve_of(CURVE_EXAMPLES[1])
+    ref = weakref.ref(curve)
+    gc.disable()
+    try:
+        cli._json(cli._curve_block(curve))
+        del curve
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def record_fields(record):
     return {name: getattr(record, name) for name in record._fields}
 
@@ -412,6 +448,30 @@ def test_nsigma_override_checked_like_config_key(capsys):
     code, _, err = run_cli(capsys, "analyze", "--nsigma", "-1")
     assert code == 1
     assert err == "error[config]: n_sigma: must be non-negative (got -1.0)\n"
+
+
+def test_repeated_main_calls_match_fresh_calls(capsys):
+    # one parser serves every main() call in a process; a usage error must leave no state behind
+    golden = Path(__file__).parent / "golden"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    expected = []
+    for argv in [(), ("analyze", "--format", "xml")]:   # no subcommand also prints the usage line
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cslbounds.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert fresh.returncode == 1 and "error[usage]" in fresh.stderr
+        expected.append((argv, (fresh.returncode, fresh.stdout, fresh.stderr)))
+    predict = ("--config", str(golden / "config_gn05.json"), "--model", "hulthen", "--predict")
+    for argv, name in [
+        (("analyze", *predict, "--format", "structured"), "analyze_hulthen_predict.json"),
+        (("analyze",), "analyze_default.txt"),
+        (("scan",), "scan_default.csv"),
+    ]:
+        expected.append((argv, (0, (golden / name).read_text(encoding="utf-8"), "")))
+    for _ in range(2):
+        for argv, output in expected:
+            assert run_cli(capsys, *argv) == output
 
 
 @pytest.mark.parametrize("module", ["numpy", "scipy", "dataclasses", "inspect"])

@@ -149,6 +149,12 @@ def test_model_rejects_non_finite_kappa(kappa):
         BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=kappa, norm=1.0, binding_energy_mev=EB_DEFAULT)
 
 
+@pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_model_rejects_non_finite_or_non_positive_norm(norm):
+    with pytest.raises(ValueError, match="norm must be finite and positive"):
+        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=1.0, norm=norm, binding_energy_mev=EB_DEFAULT)
+
+
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_hulthen_model_rejects_non_finite_beta(beta):
     kappa = binding_wavenumber(EB_DEFAULT)
@@ -296,6 +302,13 @@ def test_dipole_integral_rejects_negative_k():
         dipole_radial_integral(build_zero_range(EB_DEFAULT), -1.0)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_dipole_integral_rejects_non_finite_k(k):
+    # the spectrum functions that take a whole k grid build no checked record per point
+    with pytest.raises(ValueError, match="k_per_fm must be finite and non-negative"):
+        dipole_radial_integral(build_zero_range(EB_DEFAULT), k)
+
+
 def test_default_k_grid_span():
     m = build_zero_range(EB_DEFAULT)
     grid = default_k_grid(m)
@@ -318,6 +331,27 @@ def test_linspace_matches_numpy_bit_for_bit(ends, points):
     # repeats points, which ExclusionCurve rejects whichever rule built it
     assume((hi - lo) / (points - 1) != 0)
     assert linspace(lo, hi, points) == np.linspace(lo, hi, points).tolist()
+
+
+def _log_grid_or_overflow(build):
+    try:
+        return list(map(float.hex, build()))
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1e300, 400.0, 10.0]).flatmap(lambda scale: st.floats(min_value=-scale, max_value=scale)),
+    st.sampled_from([1e300, 400.0, 10.0]).flatmap(lambda scale: st.floats(min_value=-scale, max_value=scale)),
+    st.integers(min_value=2, max_value=400),
+)
+def test_logspace_is_ten_to_each_linspace_point(lo, hi, points):
+    # bit for bit, a NaN from an infinite step included; an overflow keeps its message
+    expected = _log_grid_or_overflow(lambda: [10.0**y for y in linspace(lo, hi, points)])
+    if isinstance(expected, str):
+        expected = f"OverflowError: log grid overflowed: 10**{hi!r} is beyond the float range"
+    assert _log_grid_or_overflow(lambda: logspace(lo, hi, points)) == expected
 
 
 def test_default_grids_no_farther_from_exact_powers_than_numpy():
