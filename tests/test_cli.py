@@ -28,16 +28,22 @@ from cslbounds import (
     deuteron_rate,
     deuteron_spectrum,
     expected_count,
+    load_config,
     run_full_analysis,
     spectrum_density,
 )
-from cslbounds.config import config_to_dict, update_config
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env():
+    """The environment with this package's src directory first on PYTHONPATH, for child processes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def write_config(tmp_path, payload):
@@ -207,10 +213,10 @@ def test_spectrum_structured(capsys, tmp_path):
 @pytest.mark.parametrize("quantity", ["density", "rate"])
 def test_spectrum_rows_are_the_per_point_values(capsys, tmp_path, kind, quantity):
     # the CLI computes a whole grid at once; each row holds the bits of the per-point functions
-    cfg = update_config(default_config(), {"collapse": {"g_n": 0.5}, "model": {"kind": kind}})
-    path = write_config(tmp_path, config_to_dict(cfg))
+    path = write_config(tmp_path, {"collapse": {"g_n": 0.5}, "model": {"kind": kind}})
     code, out, err = run_cli(capsys, "spectrum", "--config", path, "--quantity", quantity)
     assert code == 0 and err == ""
+    cfg = load_config(path)
     model = build_model(cfg.model)
     if quantity == "rate":
         expected = [(k, deuteron_spectrum(cfg.collapse, model, k)) for k in default_k_grid(model)]
@@ -453,12 +459,14 @@ def test_nsigma_override_checked_like_config_key(capsys):
 def test_repeated_main_calls_match_fresh_calls(capsys):
     # one parser serves every main() call in a process; a usage error must leave no state behind
     golden = Path(__file__).parent / "golden"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     expected = []
     for argv in [(), ("analyze", "--format", "xml")]:   # no subcommand also prints the usage line
         fresh = subprocess.run(
-            [sys.executable, "-m", "cslbounds.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "cslbounds.cli", *argv],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
         assert fresh.returncode == 1 and "error[usage]" in fresh.stderr
         expected.append((argv, (fresh.returncode, fresh.stdout, fresh.stderr)))
@@ -477,9 +485,9 @@ def test_repeated_main_calls_match_fresh_calls(capsys):
 @pytest.mark.parametrize("module", ["numpy", "scipy", "dataclasses", "inspect"])
 def test_cli_import_does_not_load(module):
     # no runtime dependencies, and records that compile no code: a cold CLI start imports none of these
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     probe = f"import cslbounds.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, timeout=60
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
