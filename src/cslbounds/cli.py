@@ -13,7 +13,7 @@ import functools
 import json
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import chain
 
 from .config import (
@@ -35,7 +35,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 FORMATS = ("text", "csv", "structured")
-# ExclusionCurve column fields, in output column order
+# a curve point's columns, in output column order
 CURVE_COLUMNS = ("lambda_over_a2", "gn_bound", "ge_bound")
 # written by the JSON encoder where a curve's points go, then replaced by them
 _POINTS_MARK = "\0points"
@@ -169,16 +169,15 @@ def _json(data: dict) -> str:
 def _points_json(curve: ExclusionCurve, pad: str) -> str:
     """The points in the layout `json.dumps(indent=2)` gives a list of {column: value}
     dicts on a line indented by pad. One f-string per point gives the same bytes: the
-    encoder also writes a finite float as its repr, and ExclusionCurve holds only finite
-    values."""
-    if not len(curve.lambda_over_a2):
-        return "[]"
+    encoder also writes a finite float as its repr, and ExclusionCurve admits only
+    finite points, one at least."""
     item, key = pad + "  ", pad + "    "
     x_key, gn_key, ge_key = (f"\n{key}{json.dumps(c)}: " for c in CURVE_COLUMNS)
     head, end = f"\n{item}{{{x_key}", f"\n{item}}}"
+    gn, ge = curve.gn_bound_at_grw, curve.ge_bound_at_grw
     return (
         "["
-        + ",".join([f"{head}{x!r},{gn_key}{gn!r},{ge_key}{ge!r}{end}" for x, gn, ge in _curve_rows(curve)])
+        + ",".join([f"{head}{x!r},{gn_key}{gn * f!r},{ge_key}{ge * f!r}{end}" for x, f in curve.scalings()])
         + f"\n{pad}]"
     )
 
@@ -189,14 +188,11 @@ def _csv(header: Iterable[str], rows: Iterable[Iterable[str | float]]) -> str:
     return "".join(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in chain([header], rows))
 
 
-def _curve_rows(curve: ExclusionCurve) -> Iterator[tuple[float, float, float]]:
-    return zip(*(getattr(curve, column) for column in CURVE_COLUMNS))
-
-
 def _curve_csv(curve: ExclusionCurve, preamble: str) -> str:
     """The points as csv.writer writes them: a finite float is its repr, never quoted."""
     header = preamble + ",".join(CURVE_COLUMNS) + "\n"
-    return header + "".join([f"{x!r},{gn!r},{ge!r}\n" for x, gn, ge in _curve_rows(curve)])
+    gn, ge = curve.gn_bound_at_grw, curve.ge_bound_at_grw
+    return header + "".join([f"{x!r},{gn * f!r},{ge * f!r}\n" for x, f in curve.scalings()])
 
 
 def _curve_block(curve: ExclusionCurve) -> dict:

@@ -8,6 +8,7 @@ handled in fm and converted at module boundaries via the factors below.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .records import Record
 
@@ -24,6 +25,19 @@ GRW_LAMBDA_OVER_A2 = 1e-6    # lambda/a^2 (s^-1 cm^-2)
 def _require_positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive (got {value!r})")
+
+
+def in_float_range(what: str, compute: Callable[[], float]) -> float:
+    """compute(), a quantity positive in exact arithmetic, or an OverflowError naming what
+    when floats cannot hold it: a power or product that overflows to inf or underflows
+    to 0, or a denominator that underflows to 0."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise OverflowError(f"{what} is outside the float range")
+    return value
 
 
 class PhysicalConstants(Record):

@@ -15,7 +15,7 @@ import enum
 import math
 from collections.abc import Iterable
 
-from .constants import CM2_PER_FM2, CODATA
+from .constants import CM2_PER_FM2, CODATA, in_float_range
 from .grids import logspace
 from .quadrature import integrate_radial
 from .records import Record
@@ -114,7 +114,10 @@ def build_hulthen(
         raise ValueError(f"beta_over_kappa must exceed 1 (got {beta_over_kappa!r})")
     kappa = binding_wavenumber(binding_energy_mev)
     beta = beta_over_kappa * kappa
-    norm_sq = 2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2
+    norm_sq = in_float_range(
+        f"Hulthen normalization at binding energy {binding_energy_mev!r} MeV, beta/kappa {beta_over_kappa!r}",
+        lambda: 2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2,
+    )
     return BoundStateModel(
         kind=ModelKind.HULTHEN,
         kappa_per_fm=kappa,

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, islice
+from collections.abc import Iterator
+from itertools import islice
 
 from .constants import (
     CODATA,
     GRW_A_LENGTH,
     GRW_LAMBDA_OVER_A2,
     RateDensity,
+    in_float_range,
 )
 from .deuteron import BoundStateModel, mean_square_radius
 from .grids import linspace, logspace
@@ -87,7 +89,8 @@ class ExperimentConfig(Record):
     @property
     def fiducial_volume_kilotonne_m3(self) -> float:
         """Fiducial sphere volume in 10^3 m^3."""
-        return (4.0 * math.pi / 3.0) * self.fiducial_radius_m**3 / 1e3
+        r = self.fiducial_radius_m
+        return in_float_range(f"fiducial volume of radius {r!r} m", lambda: (4.0 * math.pi / 3.0) * r**3 / 1e3)
 
 
 class SphereVisibilityConfig(Record):
@@ -118,36 +121,43 @@ class SphereVisibilityConfig(Record):
 
 
 class ExclusionCurve(Record):
-    """Coupling bounds on a lambda/a^2 grid; the three columns run in parallel.
+    """Coupling bounds on a lambda/a^2 grid, held as the grid and both bounds at GRW strength.
 
-    Each column may be given as any iterable of reals, arrays included, and is
-    stored as a tuple of Python floats.
+    The grid, any iterable of reals, is stored as a tuple of Python floats. Bounds at the
+    grid points are computed when read, through `scalings`, `gn_bound` or `ge_bound`.
     """
 
     lambda_over_a2: tuple[float, ...]    # s^-1 cm^-2
-    gn_bound: tuple[float, ...]          # max |g_n - m_n/m_p|
-    ge_bound: tuple[float, ...]          # max |g_e - m_e/m_p|
+    gn_bound_at_grw: float               # max |g_n - m_n/m_p| at GRW strength
+    ge_bound_at_grw: float               # max |g_e - m_e/m_p| at GRW strength
     theoretical_floor: float             # s^-1 cm^-2
     experimental_ceiling: float          # s^-1 cm^-2
 
     # compared by identity, like any object: two scans are not checked point by point
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    gn_bound = property(lambda self: tuple(self.gn_bound_at_grw * f for _, f in self.scalings()))
+    ge_bound = property(lambda self: tuple(self.ge_bound_at_grw * f for _, f in self.scalings()))
 
     def __post_init__(self) -> None:
-        for name in ("lambda_over_a2", "gn_bound", "ge_bound"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        grid, gn, ge = self.lambda_over_a2, self.gn_bound, self.ge_bound
-        if not len(grid) == len(gn) == len(ge):
-            raise ValueError("the three columns must have the same length")
-        # compared, not subtracted: a difference can overflow; NaN fails no comparison
-        if any(map(operator.ge, grid, islice(grid, 1, None))):
+        grid, gn, ge = tuple(map(float, self.lambda_over_a2)), float(self.gn_bound_at_grw), float(self.ge_bound_at_grw)
+        self.__dict__.update(lambda_over_a2=grid, gn_bound_at_grw=gn, ge_bound_at_grw=ge)
+        if not (grid and grid[0] > 0):
+            raise ValueError(f"lambda_over_a2 must start at a positive point (got {grid[:1]!r})")
+        # compared, not subtracted: a difference can overflow; NaN fails every comparison
+        if not all(map(operator.lt, grid, islice(grid, 1, None))):
             raise ValueError("points must be sorted ascending in lambda_over_a2")
-        if not all(map(math.isfinite, chain(grid, gn, ge))):
-            at = next(x for x, g, e in zip(grid, gn, ge) if not all(map(math.isfinite, (x, g, e))))
-            raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {at!r} s^-1 cm^-2")
+        # the scaling falls along the grid: the first point has the largest bounds, the last the largest x
+        _, f = next(self.scalings())
+        for at, value in ((grid[0], gn * f), (grid[0], ge * f), (grid[-1], grid[-1])):
+            if not math.isfinite(value):
+                raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {at!r} s^-1 cm^-2")
         if self.theoretical_floor > self.experimental_ceiling:
             raise ValueError("theoretical floor exceeds experimental ceiling")
+
+    def scalings(self) -> Iterator[tuple[float, float]]:
+        """(x, sqrt((lambda/a^2)_GRW / x)) at each grid point x, the factor from GRW strength to x."""
+        return zip(self.lambda_over_a2, map(math.sqrt, map(GRW_LAMBDA_OVER_A2.__truediv__, self.lambda_over_a2)))
 
 
 class ScanSpec(Record):
@@ -273,12 +283,20 @@ def visibility_floor_large_a(s: SphereVisibilityConfig) -> RateDensity:
     Requiring [lambda N^2 d^2 / (4 a^2)]^-1 below the time budget gives
     lambda/a^2 > 4 / (N^2 d^2 budget).
     """
-    return RateDensity(4.0 / (s.nucleon_count**2 * s.diameter_cm**2 * s.time_budget_s))
+    return RateDensity(
+        in_float_range(
+            "large-a visibility floor of the sphere",
+            lambda: 4.0 / (s.nucleon_count**2 * s.diameter_cm**2 * s.time_budget_s),
+        )
+    )
 
 
 def small_a_floor_coefficient(s: SphereVisibilityConfig) -> float:
     """Coefficient c such that the small-a floor is c / a^5 (s^-1 cm^3)."""
-    return s.volume_cm3 / (s.nucleon_count**2 * (4.0 * math.pi) ** 1.5 * s.time_budget_s)
+    return in_float_range(
+        "small-a visibility floor coefficient of the sphere",
+        lambda: s.volume_cm3 / (s.nucleon_count**2 * (4.0 * math.pi) ** 1.5 * s.time_budget_s),
+    )
 
 
 def visibility_floor_small_a(s: SphereVisibilityConfig, a_cm: float) -> RateDensity:
@@ -289,7 +307,8 @@ def visibility_floor_small_a(s: SphereVisibilityConfig, a_cm: float) -> RateDens
     """
     if a_cm <= 0:
         raise ValueError(f"a must be positive (got {a_cm!r})")
-    return RateDensity(small_a_floor_coefficient(s) / a_cm**5)
+    c = small_a_floor_coefficient(s)
+    return RateDensity(in_float_range(f"small-a visibility floor at a = {a_cm!r} cm", lambda: c / a_cm**5))
 
 
 def theoretical_floor(s: SphereVisibilityConfig, a_cm: float = GRW_A_LENGTH) -> float:
@@ -320,7 +339,7 @@ def scan_exclusion(
     """Coupling bounds on a lambda/a^2 grid with floor and ceiling attached.
 
     Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so they are
-    evaluated once at the GRW strength and scaled over the whole grid.
+    evaluated once, at the GRW strength; the curve scales them to a point when read.
     """
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
@@ -328,14 +347,10 @@ def scan_exclusion(
     grw = RateDensity(GRW_LAMBDA_OVER_A2)
     gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     ge = electron_coupling_bound(grw)
-    grid = scan.grid()
-    # a scaling that overflows to inf is reported by ExclusionCurve
-    scaling = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
-    gn_grw, ge_grw = gn.value, ge.half_width   # read once, not once per point
     return ExclusionCurve(
-        lambda_over_a2=grid,
-        gn_bound=[gn_grw * f for f in scaling],
-        ge_bound=[ge_grw * f for f in scaling],
+        lambda_over_a2=scan.grid(),
+        gn_bound_at_grw=gn.value,
+        ge_bound_at_grw=ge.half_width,
         theoretical_floor=theoretical_floor(s, a_cm),
         experimental_ceiling=RADIATION_CEILING,
     )

@@ -3,6 +3,7 @@ import functools
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import cslbounds.cli as cli
 from cslbounds import (
     CODATA,
+    GRW_LAMBDA_OVER_A2,
     CollapseParams,
     ExclusionCurve,
     QuadratureError,
@@ -326,6 +328,37 @@ def test_too_wide_model_is_numeric_failure(capsys, tmp_path, command):
     assert err.startswith("error[numeric]: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        # a^5 underflows to 0
+        ({"collapse": {"a_cm": 1e-70}}, "small-a visibility floor at a = 1e-70 cm"),
+        # d^2 overflows
+        ({"sphere": {"diameter_cm": 1e200}}, "large-a visibility floor of the sphere"),
+        # r^3 overflows
+        ({"experiment": {"fiducial_radius_m": 1e200}}, "fiducial volume of radius 1e+200 m"),
+        # (beta - kappa)^2 underflows to 0
+        (
+            {"model": {"kind": "hulthen", "binding_energy_mev": 5e-324, "beta_over_kappa": 2.00001}},
+            "Hulthen normalization at binding energy 5e-324 MeV, beta/kappa 2.00001",
+        ),
+    ],
+    ids=["a_cm", "diameter_cm", "fiducial_radius_m", "hulthen"],
+)
+def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, command, config, named):
+    path = write_config(tmp_path, config)
+    assert run_cli(capsys, command, "--config", path) == (2, "", f"error[numeric]: {named} is outside the float range\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_repeated_grid_points_are_config_error(capsys, tmp_path, command):
+    # the linear step is below half an ulp of min, so the grid repeats its points
+    path = write_config(tmp_path, {"scan": {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": False}})
+    expected = (1, "", "error[config]: points must be sorted ascending in lambda_over_a2\n")
+    assert run_cli(capsys, command, "--config", path) == expected
+
+
 def test_huge_counts_keep_text_lines_short(capsys, tmp_path):
     path = write_config(tmp_path, {"experiment": {"observed": {"value": 1e307, "stat_up": 1e307}}})
     code, out, err = run_cli(capsys, "analyze", "--config", path)
@@ -353,30 +386,40 @@ def test_table_commands_print_csv_as_text(capsys, argv):
 
 
 # Curve points are written from templates; the oracle is what the json and csv
-# modules write for the same values.
-EDGE_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, 1e16)
-finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
-curve_columns = st.integers(min_value=0, max_value=12).flatmap(
-    lambda n: st.tuples(
-        st.sets(finite_floats, min_size=n, max_size=n).map(sorted),   # ascending lambda/a^2
-        st.lists(finite_floats, min_size=n, max_size=n),
-        st.lists(finite_floats, min_size=n, max_size=n),
-    )
+# modules write for the same values. A curve is its grid and its two bounds at GRW
+# strength; the grid starts at 1e-300 so that bounds up to 1e150 stay finite.
+EDGE_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16)
+bound_floats = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(EDGE_VALUES)
+grid_floats = st.floats(min_value=1e-300, allow_infinity=False) | st.sampled_from([1e-300, 1e-6, 1.7976931348623157e308])
+curve_args = st.tuples(
+    st.integers(min_value=1, max_value=12).flatmap(lambda n: st.sets(grid_floats, min_size=n, max_size=n).map(sorted)),
+    bound_floats,
+    bound_floats,
 )
 CURVE_EXAMPLES = (
-    ([1.0], [-0.0], [5e-324]),
-    ([-1.7976931348623157e308, 1.7976931348623157e308], [1.0, 2.2250738585072014e-308], [-0.0, 1e16]),
+    ([1.0], -0.0, 5e-324),
+    ([1e-314, 1e-300], 0.0, 1e-160),   # near the smallest grid point whose scaling stays finite
+    ([2.2250738585072014e-308, 1.7976931348623157e308], 2.6e157, -0.0),
+    ([1e-6, 1.7976931348623157e308], 1.7976931348623157e308, -1.7976931348623157e308),
 )
 
 
 def with_curve_examples(test):
-    for columns in CURVE_EXAMPLES:
-        test = example(columns)(test)
+    for args in CURVE_EXAMPLES:
+        test = example(args)(test)
     return test
 
 
-def curve_of(columns) -> ExclusionCurve:
-    return ExclusionCurve(*(np.array(c, dtype=float) for c in columns), theoretical_floor=1e-10, experimental_ceiling=2.5)
+def curve_of(args) -> ExclusionCurve:
+    grid, gn, ge = args
+    return ExclusionCurve(np.array(grid, dtype=float), gn, ge, theoretical_floor=1e-10, experimental_ceiling=2.5)
+
+
+def columns_of(args) -> tuple[list[float], list[float], list[float]]:
+    """The grid and the bounds at each of its points, each bound scaled from GRW strength."""
+    grid, gn, ge = args
+    scalings = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
+    return grid, [gn * f for f in scalings], [ge * f for f in scalings]
 
 
 def point_dicts(columns) -> list[dict]:
@@ -389,16 +432,16 @@ def default_report():
     return run_full_analysis(cfg.experiment, cfg.sphere, build_model(cfg.model), scan=cfg.scan)
 
 
-@given(curve_columns)
+@given(curve_args)
 @with_curve_examples
-def test_scan_json_matches_encoder(columns):
-    block = cli._curve_block(curve_of(columns))
-    assert cli._json(block) == json.dumps({**block, "points": point_dicts(columns)}, indent=2) + "\n"
+def test_scan_json_matches_encoder(args):
+    block = cli._curve_block(curve_of(args))
+    assert cli._json(block) == json.dumps({**block, "points": point_dicts(columns_of(args))}, indent=2) + "\n"
 
 
 def test_json_keeps_no_curve_alive():
-    # a 1.5e4-point curve is about 1.5 MB; it must not wait in a reference cycle for the collector
-    curve = curve_of(CURVE_EXAMPLES[1])
+    # a 1.5e4-point curve holds about 0.5 MB; it must not wait in a reference cycle for the collector
+    curve = curve_of(CURVE_EXAMPLES[2])
     ref = weakref.ref(curve)
     gc.disable()
     try:
@@ -413,22 +456,23 @@ def record_fields(record):
     return {name: getattr(record, name) for name in record._fields}
 
 
-@given(curve_columns)
+@given(curve_args)
 @with_curve_examples
-def test_analyze_json_matches_encoder(columns):
-    data = cli._analyze_report(default_report().replace(curve=curve_of(columns)), None)
-    expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns)}}
+def test_analyze_json_matches_encoder(args):
+    data = cli._analyze_report(default_report().replace(curve=curve_of(args)), None)
+    expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns_of(args))}}
     assert cli._json(data) == json.dumps(expected, indent=2, default=record_fields) + "\n"
 
 
-@given(curve_columns)
+@given(curve_args)
 @with_curve_examples
-def test_scan_csv_matches_csv_writer(columns):
+def test_scan_csv_matches_csv_writer(args):
+    columns = columns_of(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.CURVE_COLUMNS)
     writer.writerows(zip(*columns))
-    assert cli._curve_csv(curve_of(columns), "# note\n") == "# note\n" + buf.getvalue()
+    assert cli._curve_csv(curve_of(args), "# note\n") == "# note\n" + buf.getvalue()
     # analyze rows: [name, central, err_up, err_down] or [name, value, "", ""]; spectrum rows: (k, value)
     analyze_rows = [["n_csl", *row] for row in zip(*columns)] + [["model_r2_cm2", x, "", ""] for x in columns[1]]
     spectrum_rows = list(zip(columns[0], columns[2]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from cslbounds import (
     mean_square_radius,
     spectrum_density,
 )
+from cslbounds.deuteron import HULTHEN_BETA_OVER_KAPPA
 from cslbounds.grids import linspace, logspace
 
 EB_DEFAULT = 2.224575
@@ -141,6 +143,19 @@ def test_hulthen_rejects_beta_at_or_below_kappa():
         build_hulthen(EB_DEFAULT, beta_over_kappa=1.0)
     with pytest.raises(ValueError):
         build_hulthen(EB_DEFAULT, beta_over_kappa=0.5)
+
+
+@pytest.mark.parametrize(
+    "eb, beta_over_kappa",
+    [
+        (5e-324, 2.00001),   # (beta - kappa)^2 underflows to 0
+        (1e-250, HULTHEN_BETA_OVER_KAPPA),   # kappa beta (kappa + beta) underflows to 0
+    ],
+)
+def test_hulthen_norm_outside_float_range_is_overflow(eb, beta_over_kappa):
+    message = f"Hulthen normalization at binding energy {eb!r} MeV, beta/kappa {beta_over_kappa!r} is outside the float range"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        build_hulthen(eb, beta_over_kappa)
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])

@@ -1,7 +1,12 @@
+import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cslbounds import (
     CODATA,
@@ -217,6 +222,19 @@ def test_visibility_floor_small_a():
         visibility_floor_small_a(s, 0.0)
 
 
+def test_floors_and_volume_outside_float_range_are_overflow():
+    with pytest.raises(OverflowError, match="small-a visibility floor at a = 1e-70 cm is outside the float range"):
+        visibility_floor_small_a(reference_sphere(), 1e-70)   # a^5 underflows to 0
+    for huge in (SphereVisibilityConfig(diameter_cm=1e200), SphereVisibilityConfig(nucleon_count=1e200)):
+        with pytest.raises(OverflowError, match="large-a visibility floor of the sphere is outside the float range"):
+            visibility_floor_large_a(huge)
+        with pytest.raises(OverflowError, match="small-a visibility floor coefficient of the sphere is outside"):
+            small_a_floor_coefficient(huge)
+    for radius in (1e200, 1e-200):   # r^3 overflows, underflows
+        with pytest.raises(OverflowError, match=re.escape(f"fiducial volume of radius {radius!r} m is outside")):
+            reference_experiment(fiducial_radius_m=radius).fiducial_volume_kilotonne_m3
+
+
 def test_theoretical_floor_is_max_of_regimes():
     s = reference_sphere()
     assert theoretical_floor(s, 1e-5) == visibility_floor_small_a(s, 1e-5).lambda_over_a2
@@ -279,36 +297,71 @@ def test_scan_spec_rejects_fractional_points():
     assert ScanSpec(points=np.int64(5)).grid() == ScanSpec(points=5).grid()
 
 
+def curve_of(grid, gn=0.1, ge=0.2, floor=1e-10, ceiling=2.5):
+    return ExclusionCurve(grid, gn, ge, theoretical_floor=floor, experimental_ceiling=ceiling)
+
+
 def test_exclusion_curve_validation():
-    lds, gns, ges = np.array([1e-8, 1e-7]), np.array([0.1, 0.05]), np.array([0.2, 0.1])
-    ExclusionCurve(lds, gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
-    with pytest.raises(ValueError):
-        ExclusionCurve(lds[::-1], gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
-    with pytest.raises(ValueError):
-        ExclusionCurve(np.array([1e-8, 1e-8]), gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
-    with pytest.raises(ValueError):
-        ExclusionCurve(lds, gns, ges, theoretical_floor=3.0, experimental_ceiling=2.5)
-    with pytest.raises(OverflowError, match="1e-07"):
-        ExclusionCurve(lds, np.array([0.1, np.inf]), ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
-    with pytest.raises(OverflowError, match="1e-08"):
-        ExclusionCurve(lds, gns, np.array([np.nan, 0.1]), theoretical_floor=1e-10, experimental_ceiling=2.5)
-    with pytest.raises(OverflowError, match="inf"):
-        ExclusionCurve(np.array([1e-8, np.inf]), gns, ges, theoretical_floor=1e-10, experimental_ceiling=2.5)
+    curve_of([1e-8, 1e-7])
+    with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
+        curve_of([1e-7, 1e-8])
+    with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
+        curve_of(np.array([1e-8, 1e-8]))
+    with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
+        curve_of([1e-8, math.nan, 1e-7])
+    with pytest.raises(ValueError, match="theoretical floor exceeds experimental ceiling"):
+        curve_of([1e-8, 1e-7], floor=3.0)
+    for bad in ([], [0.0], [-0.0, 1e-8], [-1e-8], [math.nan]):
+        with pytest.raises(ValueError, match="lambda_over_a2 must start at a positive point"):
+            curve_of(bad)
+    # the bounds are largest at the first point, which the overflow names
+    with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-320 s"):
+        curve_of([1e-320, 1e-7])
+    for gn, ge in ((math.inf, 0.1), (0.1, math.nan), (1e308, 0.1), (0.0, 1e308)):
+        with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-08 s"):
+            curve_of([1e-8, 1e-7], gn, ge)
+    with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = inf s"):
+        curve_of([1e-8, math.inf])
+    with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = inf s"):
+        curve_of([math.inf])
+
+
+# grids of 1 to 12 ascending positive points, the bounds at GRW strength any finite floats
+positive_floats = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
+    [5e-324, 2.2250738585072014e-308, 1e-6, 1.7976931348623157e308]
+)
+grids = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.sets(positive_floats, min_size=n, max_size=n).map(sorted)
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(grids, finite_floats, finite_floats)
+@example([5e-324], 0.0, 0.0)                                     # f = inf, 0 * inf = nan
+@example([2.2250738585072014e-308, 1.7976931348623157e308], 2.6e157, -0.0)
+@example([2.2250738585072014e-308, 1.7976931348623157e308], 2.7e157, 1.0)
+@example([1e-6], 1.7976931348623157e308, 5e-324)                  # f = 1 at GRW strength
+@example([1e-7, 1e-6], 1.7976931348623157e308, 5e-324)
+def test_exclusion_curve_overflows_exactly_when_a_bound_does(grid, gn, ge):
+    points = [(x, gn * math.sqrt(GRW_LAMBDA_OVER_A2 / x), ge * math.sqrt(GRW_LAMBDA_OVER_A2 / x)) for x in grid]
+    if all(map(math.isfinite, (v for point in points for v in point))):
+        c = curve_of(grid, gn, ge)
+        assert list(zip(c.lambda_over_a2, c.gn_bound, c.ge_bound)) == points
+    else:
+        with pytest.raises(OverflowError, match=re.escape(f"at lambda/a^2 = {grid[0]!r} s")):
+            curve_of(grid, gn, ge)
 
 
 @pytest.mark.parametrize("container", [np.array, list, tuple, lambda c: (x for x in c)])
 def test_exclusion_curve_stores_python_floats(container):
-    columns = ([1e-8, 1e-7], [np.float64(0.1), 0.05], [0.2, np.float32(0.125)])
-    curve = ExclusionCurve(*(container(c) for c in columns), theoretical_floor=1e-10, experimental_ceiling=2.5)
-    for name, expected in zip(("lambda_over_a2", "gn_bound", "ge_bound"), columns):
-        stored = getattr(curve, name)
-        assert type(stored) is tuple and {type(x) for x in stored} == {float}
-        assert stored == tuple(float(x) for x in expected)
-
-
-def test_exclusion_curve_rejects_columns_of_unequal_length():
-    with pytest.raises(ValueError, match="same length"):
-        ExclusionCurve([1e-8, 1e-7], [0.1], [0.2, 0.1], theoretical_floor=1e-10, experimental_ceiling=2.5)
+    grid = [1e-8, np.float32(1e-7), np.float64(1e-6)]
+    c = ExclusionCurve(container(grid), np.float64(0.1), np.float32(0.125), theoretical_floor=1e-10, experimental_ceiling=2.5)
+    assert type(c.lambda_over_a2) is tuple and {type(x) for x in c.lambda_over_a2} == {float}
+    assert c.lambda_over_a2 == tuple(float(x) for x in grid)
+    assert (c.gn_bound_at_grw, c.ge_bound_at_grw) == (0.1, 0.125)
+    assert type(c.gn_bound_at_grw) is type(c.ge_bound_at_grw) is float
+    for column in (c.gn_bound, c.ge_bound):
+        assert type(column) is tuple and {type(x) for x in column} == {float}
 
 
 def test_scan_exclusion_matches_pointwise_bounds():
@@ -321,12 +374,35 @@ def test_scan_exclusion_matches_pointwise_bounds():
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, 2.0)
     coeff = count_coefficient(model, e.deuteron_density_per_cc)
-    for ld, gn, ge in zip(list(scan.grid()), list(curve.gn_bound), list(curve.ge_bound)):
+    grw = RateDensity(GRW_LAMBDA_OVER_A2)
+    assert curve.lambda_over_a2 == tuple(scan.grid())
+    assert curve.gn_bound_at_grw == neutron_coupling_bound(
+        n_limit, grw, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
+    ).value
+    assert curve.ge_bound_at_grw == electron_coupling_bound(grw).half_width
+    for ld, gn, ge in zip(scan.grid(), curve.gn_bound, curve.ge_bound):
         density = RateDensity(ld)
         assert gn == neutron_coupling_bound(
             n_limit, density, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
         ).value
         assert ge == electron_coupling_bound(density).half_width
+
+
+def test_scan_curve_holds_no_bound_columns():
+    # a 1.5e4-point curve holds its grid, a tuple of floats of about 0.46 MiB, and two
+    # scalars; each column of bounds would add as much again
+    args = (reference_experiment(), reference_sphere(), ScanSpec(points=15_000), build_zero_range(EB_DEFAULT))
+    scan_exclusion(*args)   # first calls fill caches, which are not the curve's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = scan_exclusion(*args)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(curve.lambda_over_a2) == 15_000
+    assert retained < 0.6 * 2**20
 
 
 def test_run_full_analysis_reference():
