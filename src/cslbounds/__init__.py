@@ -76,6 +76,7 @@ from .rates import (
     general_rate,
     relative_coupling_weight,
 )
+from .records import ConstraintError
 from .uncertainty import (
     AsymmetricValue,
     add,

@@ -27,6 +27,7 @@ from .constants import CODATA, GRW_LAMBDA_OVER_A2, grw_defaults, lambda_over_a2
 from .deuteron import ModelKind, default_k_grid, spectrum_densities
 from .limits import AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
+from .records import ConstraintError
 from .rates import deuteron_spectra, expected_count
 from .uncertainty import AsymmetricValue, display_number
 
@@ -110,10 +111,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.handler(args)
-    except (QuadratureError, OverflowError) as exc:
+    # inputs were checked as config, so a record's ConstraintError is on a computed value
+    except (QuadratureError, OverflowError, ConstraintError) as exc:
         sys.stderr.write(f"error[numeric]: {exc}\n")
         return EXIT_NUMERIC
-    except ValueError as exc:   # ConfigError, and the input checks of the library's constructors
+    except ValueError as exc:   # ConfigError, and the argument checks of the library's functions
         sys.stderr.write(f"error[config]: {exc}\n")
         return EXIT_CONFIG
 

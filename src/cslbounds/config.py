@@ -3,13 +3,14 @@ heavy-water exposure (254.2 live days inside a 5.5 m fiducial radius).
 
 Every key is optional; unknown keys are rejected with their full path so
 typos cannot silently fall back to defaults. One table, SCHEMA, declares
-each key once: parsing, overriding and serializing all walk it.
+each key once: parsing, overriding and serializing all walk it. A key's
+domain is the one its record field declares, so a value outside it is
+reported with the key's path and the record's phrase.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Any, Callable
 
@@ -21,7 +22,7 @@ from .limits import (
     ScanSpec,
     SphereVisibilityConfig,
 )
-from .records import Record
+from .records import Constraint, Record, greater_than_one, non_negative, positive
 from .uncertainty import AsymmetricValue
 
 
@@ -33,8 +34,8 @@ class ModelSpec(Record):
     """Bound-state model selection."""
 
     kind: ModelKind = ModelKind.ZERO_RANGE
-    binding_energy_mev: float = 2.224575
-    beta_over_kappa: float = HULTHEN_BETA_OVER_KAPPA
+    binding_energy_mev: float = positive(2.224575)
+    beta_over_kappa: float = greater_than_one(HULTHEN_BETA_OVER_KAPPA)
 
 
 class RunConfig(Record):
@@ -43,7 +44,7 @@ class RunConfig(Record):
     sphere: SphereVisibilityConfig
     scan: ScanSpec
     model: ModelSpec
-    n_sigma: float = 1.0
+    n_sigma: float = non_negative(1.0)
 
 
 def build_model(spec: ModelSpec) -> BoundStateModel:
@@ -79,31 +80,18 @@ def _join(path: str, key: str) -> str:
 Reader = Callable[[Any, str], Any]
 
 
-def _number(check: Callable[[float], bool], constraint: str) -> Reader:
-    def read(raw: Any, where: str) -> float:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"{where}: expected a number (got {raw!r})")
-        value = float(raw)
-        if not (math.isfinite(value) and check(value)):
-            raise ConfigError(f"{where}: must be {constraint} (got {raw!r})")
-        return value
-
-    return read
-
-
-def _optional(read: Reader) -> Reader:
-    return lambda raw, where: None if raw is None else read(raw, where)
-
-
-def _integer(at_least: int) -> Reader:
-    def read(raw: Any, where: str) -> int:
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"{where}: expected an integer (got {raw!r})")
-        if raw < at_least:
-            raise ConfigError(f"{where}: must be at least {at_least} (got {raw!r})")
-        return raw
-
-    return read
+def _read_declared(check: Constraint, raw: Any, where: str) -> Any:
+    """A JSON number checked against the domain its record field declares; null where
+    the field's default is None."""
+    if raw is None and check.default is None:
+        return None
+    if isinstance(raw, bool) or not isinstance(raw, (int, check.number)):
+        raise ConfigError(f"{where}: expected {check.kind} (got {raw!r})")
+    value = check.number(raw)
+    violated = check.violated_by(value)
+    if violated:
+        raise ConfigError(f"{where}: must be {violated} (got {raw!r})")
+    return value
 
 
 def _flag(raw: Any, where: str) -> bool:
@@ -120,20 +108,19 @@ def _model_kind(raw: Any, where: str) -> ModelKind:
         raise ConfigError(f"{where}: must be one of {choices} (got {raw!r})") from None
 
 
-_POSITIVE = _number(lambda v: v > 0, "positive")
-_NON_NEGATIVE = _number(lambda v: v >= 0, "non-negative")
-_FINITE = _number(lambda v: True, "a finite number")
-
-
 class Field(Record):
-    """One JSON key: the record field it sets and the reader that checks it."""
+    """One JSON key: the record field it sets and the reader that checks it, by default
+    the domain the record declares for the field."""
 
     key: str
     attr: str
-    read: Reader
+    read: Reader | None = None
     write: Callable[[Any], Any] = lambda value: value
 
-    def parse(self, raw: Any, where: str, default: Any) -> Any:
+    def parse(self, raw: Any, where: str, parent: Record) -> Any:
+        """The value raw gives the field in parent, the record holding it."""
+        if self.read is None:
+            return _read_declared(type(parent)._checks[self.attr], raw, where)
         return self.read(raw, where)
 
     def dump(self, value: Any) -> Any:
@@ -147,7 +134,11 @@ class Section(Record):
     attr: str
     fields: tuple[Field | Section, ...]
 
-    def parse(self, node: Any, where: str, default: Any) -> Any:
+    def parse(self, node: Any, where: str, parent: Record) -> Any:
+        return self.update(getattr(parent, self.attr), node, where)
+
+    def update(self, default: Record, node: Any, where: str) -> Record:
+        """default with the keys node sets changed, each checked."""
         if not isinstance(node, dict):
             raise ConfigError(f"{where or 'document root'}: expected an object (got {type(node).__name__})")
         by_key = {f.key: f for f in self.fields}
@@ -155,7 +146,7 @@ class Section(Record):
             if key not in by_key:
                 raise ConfigError(f"{_join(where, key)}: unknown key")
         changes = {
-            f.attr: f.parse(node[f.key], _join(where, f.key), getattr(default, f.attr))
+            f.attr: f.parse(node[f.key], _join(where, f.key), default)
             for f in self.fields
             if f.key in node
         }
@@ -172,49 +163,50 @@ class Section(Record):
         return {f.key: f.dump(getattr(value, f.attr)) for f in self.fields}
 
 
+# the root section's record is the RunConfig itself, so it is parsed through `update`
 SCHEMA = Section("", "", (
     Section("collapse", "collapse", (
-        Field("lambda_per_sec", "lambda_rate", _POSITIVE),
-        Field("a_cm", "a_length", _POSITIVE),
-        Field("g_n", "g_n", _optional(_NON_NEGATIVE)),
-        Field("g_e", "g_e", _optional(_NON_NEGATIVE)),
+        Field("lambda_per_sec", "lambda_rate"),
+        Field("a_cm", "a_length"),
+        Field("g_n", "g_n"),
+        Field("g_e", "g_e"),
     )),
     Section("experiment", "experiment", (
-        Field("live_time_days", "live_time_days", _POSITIVE),
-        Field("fiducial_radius_m", "fiducial_radius_m", _POSITIVE),
-        Field("deuteron_density_per_cc", "deuteron_density_per_cc", _POSITIVE),
-        Field("efficiency", "efficiency", _number(lambda v: 0 < v <= 1, "in (0,1]")),
+        Field("live_time_days", "live_time_days"),
+        Field("fiducial_radius_m", "fiducial_radius_m"),
+        Field("deuteron_density_per_cc", "deuteron_density_per_cc"),
+        Field("efficiency", "efficiency"),
         Section("observed", "observed", (
-            Field("value", "value", _FINITE),
-            Field("stat_up", "stat_up", _NON_NEGATIVE),
-            Field("stat_down", "stat_down", _NON_NEGATIVE),
-            Field("syst_up", "syst_up", _NON_NEGATIVE),
-            Field("syst_down", "syst_down", _NON_NEGATIVE),
+            Field("value", "value"),
+            Field("stat_up", "stat_up"),
+            Field("stat_down", "stat_down"),
+            Field("syst_up", "syst_up"),
+            Field("syst_down", "syst_down"),
         )),
         Section("ssm_rate_per_day", "ssm_rate_per_day", (
-            Field("value", "central", _FINITE),
-            Field("up", "err_up", _NON_NEGATIVE),
-            Field("down", "err_down", _NON_NEGATIVE),
+            Field("value", "central"),
+            Field("up", "err_up"),
+            Field("down", "err_down"),
         )),
     )),
     Section("sphere", "sphere", (
-        Field("diameter_cm", "diameter_cm", _POSITIVE),
-        Field("nucleon_count", "nucleon_count", _POSITIVE),
-        Field("perception_time_s", "perception_time_s", _POSITIVE),
-        Field("margin", "collapse_margin", _POSITIVE),
+        Field("diameter_cm", "diameter_cm"),
+        Field("nucleon_count", "nucleon_count"),
+        Field("perception_time_s", "perception_time_s"),
+        Field("margin", "collapse_margin"),
     )),
     Section("scan", "scan", (
-        Field("min", "lo", _POSITIVE),
-        Field("max", "hi", _POSITIVE),
-        Field("points", "points", _integer(at_least=2)),
+        Field("min", "lo"),
+        Field("max", "hi"),
+        Field("points", "points"),
         Field("log_spacing", "log_spacing", _flag),
     )),
     Section("model", "model", (
         Field("kind", "kind", _model_kind, write=lambda kind: kind.value),
-        Field("binding_energy_mev", "binding_energy_mev", _POSITIVE),
-        Field("beta_over_kappa", "beta_over_kappa", _number(lambda v: v > 1, "greater than 1")),
+        Field("binding_energy_mev", "binding_energy_mev"),
+        Field("beta_over_kappa", "beta_over_kappa"),
     )),
-    Field("n_sigma", "n_sigma", _NON_NEGATIVE),
+    Field("n_sigma", "n_sigma"),
 ))
 
 
@@ -226,12 +218,12 @@ def parse_config(document: str | bytes) -> RunConfig:
         root = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return SCHEMA.parse(root, "", default_config())
+    return SCHEMA.update(default_config(), root, "")
 
 
 def update_config(rc: RunConfig, changes: dict) -> RunConfig:
     """Apply schema-shaped changes to rc, checked as a config document's keys are."""
-    return SCHEMA.parse(changes, "", rc)
+    return SCHEMA.update(rc, changes, "")
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from .constants import CM2_PER_FM2, CODATA, in_float_range
 from .grids import logspace
 from .quadrature import integrate_radial
-from .records import Record
+from .records import Record, non_negative, positive
 
 # Hulthen short-range scale beta in units of kappa
 HULTHEN_BETA_OVER_KAPPA = 6.163
@@ -37,16 +37,12 @@ class BoundStateModel(Record):
     """
 
     kind: ModelKind
-    kappa_per_fm: float                # fm^-1
-    norm: float                        # fm^-1/2, analytic normalization
+    kappa_per_fm: float = positive()   # fm^-1
+    norm: float = positive()           # fm^-1/2, analytic normalization
     binding_energy_mev: float
     beta_per_fm: float | None = None   # fm^-1, Hulthen only
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa_per_fm) and self.kappa_per_fm > 0):
-            raise ValueError(f"kappa must be finite and positive (got {self.kappa_per_fm!r})")
-        if not (math.isfinite(self.norm) and self.norm > 0):
-            raise ValueError(f"norm must be finite and positive (got {self.norm!r})")
         if self.kind is ModelKind.HULTHEN:
             beta = self.beta_per_fm
             if beta is None or not (math.isfinite(beta) and beta > self.kappa_per_fm):
@@ -73,14 +69,8 @@ def _exponential_terms(model: BoundStateModel) -> tuple[tuple[float, float], ...
 class SpectrumDensity(Record):
     """k-resolved integrand of <r^2> over the final-state momentum."""
 
-    k_per_fm: float
-    density_fm3: float
-
-    def __post_init__(self) -> None:
-        for name in ("k_per_fm", "density_fm3"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative (got {v!r})")
+    k_per_fm: float = non_negative()
+    density_fm3: float = non_negative()
 
 
 def binding_wavenumber(binding_energy_mev: float) -> float:
@@ -151,7 +141,14 @@ def spectrum_densities(model: BoundStateModel, ks_per_fm: Iterable[float]) -> li
     density(k) = (2/pi) k^2 I(k)^2 with I the dipole radial integral, so the
     completeness sum rule int_0^inf density dk = <r^2> holds in fm^2.
     """
-    return [(2.0 / math.pi) * k**2 * dipole_radial_integral(model, k) ** 2 for k in ks_per_fm]
+    outside = f"spectrum density at binding energy {model.binding_energy_mev!r} MeV is outside the float range"
+    try:
+        densities = [(2.0 / math.pi) * k**2 * dipole_radial_integral(model, k) ** 2 for k in ks_per_fm]
+    except (OverflowError, ZeroDivisionError):   # a power overflows, or underflows to 0 in a denominator
+        raise OverflowError(outside) from None
+    if not all(map(math.isfinite, densities)):   # a product overflows to inf
+        raise OverflowError(outside)
+    return densities
 
 
 def spectrum_density(model: BoundStateModel, k_per_fm: float) -> SpectrumDensity:

@@ -24,7 +24,7 @@ from .constants import (
 from .deuteron import BoundStateModel, mean_square_radius
 from .grids import linspace, logspace
 from .rates import count_coefficient
-from .records import Record
+from .records import Record, at_least_two, finite, in_unit_interval, non_negative, positive
 from .uncertainty import (
     AsymmetricValue,
     combine_quadrature,
@@ -49,42 +49,27 @@ DAYS_PER_YEAR = CODATA.seconds_per_year / CODATA.seconds_per_day
 class ObservedCounts(Record):
     """Detected neutron events with separate statistical and systematic errors."""
 
-    value: float
-    stat_up: float
-    stat_down: float
-    syst_up: float
-    syst_down: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError("observed value must be finite")
-        for name in ("stat_up", "stat_down", "syst_up", "syst_down"):
-            e = getattr(self, name)
-            if not (math.isfinite(e) and e >= 0):
-                raise ValueError(f"{name} must be finite and non-negative (got {e!r})")
+    value: float = finite()
+    stat_up: float = non_negative()
+    stat_down: float = non_negative()
+    syst_up: float = non_negative()
+    syst_down: float = non_negative()
 
 
 class ExperimentConfig(Record):
     """Live time, fiducial geometry, and counting inputs of the experiment."""
 
-    live_time_days: float
-    fiducial_radius_m: float
-    deuteron_density_per_cc: float
-    efficiency: float
+    live_time_days: float = positive()
+    fiducial_radius_m: float = positive()
+    deuteron_density_per_cc: float = positive()
+    efficiency: float = in_unit_interval()
     observed: ObservedCounts
     ssm_rate_per_day: AsymmetricValue   # background prediction, neutrons/day
 
-    def __post_init__(self) -> None:
-        for name in ("live_time_days", "fiducial_radius_m", "deuteron_density_per_cc"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive (got {v!r})")
-        if not (0 < self.efficiency <= 1):
-            raise ValueError(f"efficiency must be in (0,1] (got {self.efficiency!r})")
-
     @property
     def live_time_yr(self) -> float:
-        return self.live_time_days / DAYS_PER_YEAR
+        days = self.live_time_days
+        return in_float_range(f"live time of {days!r} days in years", lambda: days / DAYS_PER_YEAR)
 
     @property
     def fiducial_volume_kilotonne_m3(self) -> float:
@@ -100,16 +85,10 @@ class SphereVisibilityConfig(Record):
     defaults put the conventional 0.1 s threshold in the margin.
     """
 
-    diameter_cm: float = 4e-5
-    nucleon_count: float = 2e10
-    perception_time_s: float = 1.0
-    collapse_margin: float = 0.1
-
-    def __post_init__(self) -> None:
-        for name in ("diameter_cm", "nucleon_count", "perception_time_s", "collapse_margin"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive (got {v!r})")
+    diameter_cm: float = positive(4e-5)
+    nucleon_count: float = positive(2e10)
+    perception_time_s: float = positive(1.0)
+    collapse_margin: float = positive(0.1)
 
     @property
     def time_budget_s(self) -> float:
@@ -163,20 +142,14 @@ class ExclusionCurve(Record):
 class ScanSpec(Record):
     """Grid over lambda/a^2 for exclusion scans."""
 
-    lo: float = 1e-10
-    hi: float = RADIATION_CEILING
-    points: int = 201
+    lo: float = positive(1e-10)
+    hi: float = positive(RADIATION_CEILING)
+    points: int = at_least_two(201)
     log_spacing: bool = True
 
     def __post_init__(self) -> None:
-        if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
+        if not self.lo < self.hi:
             raise ValueError(f"scan range must satisfy 0 < lo < hi < inf (got lo={self.lo!r}, hi={self.hi!r})")
-        try:
-            operator.index(self.points)
-        except TypeError:
-            raise ValueError(f"scan points must be an integer (got {self.points!r})") from None
-        if self.points < 2:
-            raise ValueError(f"scan needs at least 2 points (got {self.points!r})")
 
     def grid(self) -> list[float]:
         if self.log_spacing:
@@ -260,9 +233,13 @@ def neutron_coupling_bound(
         raise ValueError(f"coefficient must be positive (got {coefficient!r})")
     if live_time_yr <= 0 or volume_kilotonne_m3 <= 0:
         raise ValueError("live time and volume must be positive")
-    value = math.sqrt(n_limit / (coefficient * live_time_yr * volume_kilotonne_m3)) * math.sqrt(
-        GRW_LAMBDA_OVER_A2 / ld.lambda_over_a2
+    exposure = in_float_range(
+        f"exposure of {live_time_yr!r} yr x {volume_kilotonne_m3!r} x 10^3 m^3 at coefficient {coefficient!r}",
+        lambda: coefficient * live_time_yr * volume_kilotonne_m3,
     )
+    value = math.sqrt(n_limit / exposure) * math.sqrt(GRW_LAMBDA_OVER_A2 / ld.lambda_over_a2)
+    if not math.isfinite(value):
+        raise OverflowError(f"neutron coupling bound at count limit {n_limit!r}, exposure {exposure!r} overflowed")
     return CouplingBound(value=value, rounded_up=round_up_one_significant(value))
 
 

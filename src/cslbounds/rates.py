@@ -20,7 +20,7 @@ from .constants import (
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_densities
-from .records import Record
+from .records import Record, non_negative, positive
 
 # 10^3 m^3 expressed in cm^3
 CC_PER_KILOTONNE_M3 = 1e9
@@ -29,21 +29,13 @@ CC_PER_KILOTONNE_M3 = 1e9
 class MatrixElementSq(Record):
     """Squared magnitude of the weighted dipole matrix element (cm^2)."""
 
-    value_cm2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value_cm2) and self.value_cm2 >= 0):
-            raise ValueError(f"matrix element squared must be finite and non-negative (got {self.value_cm2!r})")
+    value_cm2: float = non_negative()
 
 
 class ExcitationRate(Record):
     """Excitation probability per second for one bound state."""
 
-    per_second: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.per_second) and self.per_second >= 0):
-            raise ValueError(f"rate must be finite and non-negative (got {self.per_second!r})")
+    per_second: float = non_negative()
 
 
 class CountPrediction(Record):
@@ -53,8 +45,8 @@ class CountPrediction(Record):
     of live exposure at the GRW collapse strength.
     """
 
-    expected_neutrons: float
-    coefficient: float
+    expected_neutrons: float = non_negative()
+    coefficient: float = positive()
 
 
 def general_rate(p: CollapseParams, me: MatrixElementSq) -> ExcitationRate:
@@ -63,7 +55,7 @@ def general_rate(p: CollapseParams, me: MatrixElementSq) -> ExcitationRate:
     The next order in (bound-state size / a) is dropped; it is far below
     any observable level for nuclear bound states.
     """
-    return ExcitationRate(0.5 * p.lambda_rate / p.a_length**2 * me.value_cm2)
+    return ExcitationRate(0.5 * lambda_over_a2(p).lambda_over_a2 * me.value_cm2)
 
 
 def com_reduction_coefficients() -> tuple[float, float]:
@@ -98,11 +90,19 @@ def deuteron_rate(p: CollapseParams, model: BoundStateModel) -> ExcitationRate:
 def deuteron_spectra(p: CollapseParams, model: BoundStateModel, ks_per_fm: Iterable[float]) -> list[float]:
     """Differential dissociation rate dR/dk in s^-1 per fm^-1 at each k.
 
-    Integrating over k reproduces deuteron_rate by the completeness sum rule.
+    Integrating over k reproduces deuteron_rate by the completeness sum rule. Every rate
+    is zero for mass-proportional g_n.
     """
     g_n = _require_gn(p)
-    scaling = 0.5 * p.lambda_rate / p.a_length**2 * relative_coupling_weight(g_n)
-    return [scaling * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)]
+    strength = lambda_over_a2(p).lambda_over_a2
+    try:
+        scaling = 0.5 * strength * relative_coupling_weight(g_n)
+    except OverflowError:   # the weight's square
+        scaling = math.inf
+    rates = [scaling * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)]
+    if not all(map(math.isfinite, rates)):
+        raise OverflowError(f"dissociation rate at g_n = {g_n!r}, lambda/a^2 = {strength!r} s^-1 cm^-2 overflowed")
+    return rates
 
 
 def deuteron_spectrum(p: CollapseParams, model: BoundStateModel, k_per_fm: float) -> float:

@@ -11,23 +11,15 @@ from __future__ import annotations
 
 import math
 
-from .records import Record
+from .records import Record, finite, non_negative
 
 
 class AsymmetricValue(Record):
     """central +err_up/-err_down; both errors are magnitudes."""
 
-    central: float
-    err_up: float = 0.0
-    err_down: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.central):
-            raise ValueError(f"central value must be finite (got {self.central!r})")
-        for name in ("err_up", "err_down"):
-            e = getattr(self, name)
-            if not (math.isfinite(e) and e >= 0):
-                raise ValueError(f"{name} must be finite and non-negative (got {e!r})")
+    central: float = finite()
+    err_up: float = non_negative(0.0)
+    err_down: float = non_negative(0.0)
 
     def display(self) -> str:
         parts = (display_number(x) for x in (self.central, self.err_up, self.err_down))

@@ -351,6 +351,77 @@ def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, comman
     assert run_cli(capsys, command, "--config", path) == (2, "", f"error[numeric]: {named} is outside the float range\n")
 
 
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        # lambda/a^2 overflows
+        (
+            ("analyze", "--predict"),
+            {"collapse": {"g_n": 1e150, "lambda_per_sec": 1e300}},
+            "lambda/a^2 for lambda = 1e+300 s^-1, a = 1e-05 cm is outside the float range",
+        ),
+        (
+            ("spectrum", "--quantity", "rate"),
+            {"collapse": {"g_n": 1e150, "lambda_per_sec": 1e300}},
+            "lambda/a^2 for lambda = 1e+300 s^-1, a = 1e-05 cm is outside the float range",
+        ),
+        # a^2 underflows to 0, or overflows
+        (
+            ("spectrum", "--quantity", "rate"),
+            {"collapse": {"a_cm": 1e-200, "g_n": 0.5}},
+            "lambda/a^2 for lambda = 1e-16 s^-1, a = 1e-200 cm is outside the float range",
+        ),
+        (
+            ("spectrum", "--quantity", "rate"),
+            {"collapse": {"a_cm": 1e200, "g_n": 0.5}},
+            "lambda/a^2 for lambda = 1e-16 s^-1, a = 1e+200 cm is outside the float range",
+        ),
+        # the coupling weight's square overflows
+        (("spectrum", "--quantity", "rate"), {"collapse": {"g_n": 1e200}}, "dissociation rate at g_n = 1e+200,"),
+        # (k^2 + a^2)^2 underflows to 0, or overflows
+        (
+            ("spectrum", "--quantity", "density"),
+            {"model": {"binding_energy_mev": 1e-300}},
+            "spectrum density at binding energy 1e-300 MeV is outside the float range",
+        ),
+        (
+            ("spectrum", "--quantity", "density"),
+            {"model": {"binding_energy_mev": 1e300}},
+            "spectrum density at binding energy 1e+300 MeV is outside the float range",
+        ),
+        # coefficient x live time x volume underflows to 0
+        (("analyze",), {"experiment": {"live_time_days": 1e-200, "fiducial_radius_m": 1e-100}}, "exposure of "),
+        # the live time in years underflows to 0
+        (
+            ("analyze",),
+            {"experiment": {"live_time_days": 1e-322}},
+            "live time of 1e-322 days in years is outside the float range",
+        ),
+        # the bound at GRW strength overflows
+        (("analyze",), {"experiment": {"deuteron_density_per_cc": 1e-300}}, "neutron coupling bound at count limit"),
+        # the predicted count overflows: a record's declared domain fails on a computed value
+        (("analyze", "--predict"), {"collapse": {"g_n": 1e200}}, "expected_neutrons must be non-negative (got inf)"),
+    ],
+    ids=[
+        "predict-lambda",
+        "rate-lambda",
+        "rate-small-a",
+        "rate-large-a",
+        "rate-weight",
+        "density-small-eb",
+        "density-large-eb",
+        "exposure",
+        "live-time",
+        "gn-bound",
+        "predicted-count",
+    ],
+)
+def test_computed_value_outside_its_domain_is_named_numeric_failure(capsys, tmp_path, argv, config, named):
+    code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, config))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error[numeric]: {named}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["analyze", "scan"])
 def test_repeated_grid_points_are_config_error(capsys, tmp_path, command):
     # the linear step is below half an ulp of min, so the grid repeats its points

@@ -1,21 +1,32 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cslbounds
 from cslbounds import (
+    CODATA,
     AsymmetricValue,
     CollapseParams,
     ConfigError,
+    ConstraintError,
+    CountPrediction,
+    ExcitationRate,
     ExperimentConfig,
+    MatrixElementSq,
     ModelKind,
     ModelSpec,
     ObservedCounts,
+    RateDensity,
     RunConfig,
     ScanSpec,
+    SpectrumDensity,
     SphereVisibilityConfig,
+    build_hulthen,
     build_model,
     config_to_dict,
     default_config,
@@ -24,6 +35,8 @@ from cslbounds import (
     parse_config,
     serialize_config,
 )
+from cslbounds.config import SCHEMA, Field
+from cslbounds.records import Record
 
 
 def test_empty_document_gives_defaults():
@@ -92,6 +105,72 @@ def test_value_constraints():
         parse_config('{"model":{"beta_over_kappa": 0.9}}')
     with pytest.raises(ConfigError, match="collapse.lambda_per_sec"):
         parse_config('{"collapse":{"lambda_per_sec": -1e-16}}')
+
+
+# values outside each declared domain, by its phrase; a domain missing here fails the test below
+VIOLATING = {
+    "positive": [0.0, -1.0, math.nan, math.inf],
+    "non-negative": [-1e-300, -math.inf, math.nan],
+    "a finite number": [math.nan, math.inf, -math.inf],
+    "in (0,1]": [0.0, 1.5, math.nan],
+    "greater than 1": [1.0, 0.5, math.inf],
+    "at least 2": [1, 0, -5],
+}
+
+
+# one record of each type outside the config that declares a domain
+LIBRARY_RECORDS = [
+    CODATA,
+    RateDensity(1e-6),
+    build_hulthen(2.224575),
+    SpectrumDensity(0.5, 1.5),
+    MatrixElementSq(1e-26),
+    ExcitationRate(1e-30),
+    CountPrediction(10.0, 0.5),
+]
+
+
+def schema_fields(section=SCHEMA, record=None, path=""):
+    """(JSON path, the record holding the field, its attr, its reader) for every key in the schema."""
+    record = default_config() if record is None else getattr(record, section.attr)
+    for f in section.fields:
+        where = f"{path}.{f.key}" if path else f.key
+        if isinstance(f, Field):
+            yield where, record, f.attr, f.read
+        else:
+            yield from schema_fields(f, record, where)
+
+
+# every schema key, then every declared field of the library records, which no JSON path sets
+DECLARED = list(schema_fields()) + [(None, r, attr, None) for r in LIBRARY_RECORDS for attr in r._checks]
+
+
+def nested(where, value):
+    for key in reversed(where.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize(
+    "where, record, attr, read", DECLARED, ids=[w or f"{type(r).__name__}.{a}" for w, r, a, _ in DECLARED]
+)
+def test_declared_domain_is_checked_by_record_and_config(where, record, attr, read):
+    # a key is read by its own reader or by the domain its record declares, never by neither
+    check = type(record)._checks.get(attr)
+    assert read is not None or check is not None, f"{where} has neither a reader nor a declared domain"
+    if check is None:
+        return
+    for bad in VIOLATING[check.phrase]:
+        with pytest.raises(ConstraintError, match=re.escape(f"{attr} must be {check.phrase} (got {bad!r})")):
+            record.replace(**{attr: bad})
+        if where is not None:
+            with pytest.raises(ConfigError, match=re.escape(f"{where}: must be {check.phrase} (got {bad!r})")):
+                parse_config(json.dumps(nested(where, bad)))
+
+
+def test_every_record_that_declares_a_domain_is_walked():
+    exported = {obj for obj in vars(cslbounds).values() if isinstance(obj, type) and issubclass(obj, Record)}
+    assert {cls for cls in exported if cls._checks} == {type(record) for _, record, _, _ in DECLARED}
 
 
 def test_overrides_apply():

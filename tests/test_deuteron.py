@@ -12,6 +12,7 @@ from scipy.special import eval_legendre, spherical_jn
 from cslbounds import (
     CODATA,
     BoundStateModel,
+    ConstraintError,
     ModelKind,
     ScanSpec,
     SpectrumDensity,
@@ -21,6 +22,7 @@ from cslbounds import (
     default_k_grid,
     dipole_radial_integral,
     mean_square_radius,
+    spectrum_densities,
     spectrum_density,
 )
 from cslbounds.deuteron import HULTHEN_BETA_OVER_KAPPA
@@ -160,13 +162,13 @@ def test_hulthen_norm_outside_float_range_is_overflow(eb, beta_over_kappa):
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
 def test_model_rejects_non_finite_kappa(kappa):
-    with pytest.raises(ValueError, match="kappa must be finite and positive"):
+    with pytest.raises(ConstraintError, match=re.escape(f"kappa_per_fm must be positive (got {kappa!r})")):
         BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=kappa, norm=1.0, binding_energy_mev=EB_DEFAULT)
 
 
 @pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_model_rejects_non_finite_or_non_positive_norm(norm):
-    with pytest.raises(ValueError, match="norm must be finite and positive"):
+    with pytest.raises(ConstraintError, match=re.escape(f"norm must be positive (got {norm!r})")):
         BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=1.0, norm=norm, binding_energy_mev=EB_DEFAULT)
 
 
@@ -180,9 +182,9 @@ def test_hulthen_model_rejects_non_finite_beta(beta):
 
 
 def test_spectrum_density_rejects_nan():
-    with pytest.raises(ValueError, match="k_per_fm must be finite"):
+    with pytest.raises(ConstraintError, match=r"k_per_fm must be non-negative \(got nan\)"):
         SpectrumDensity(math.nan, math.nan)
-    with pytest.raises(ValueError, match="density_fm3 must be finite"):
+    with pytest.raises(ConstraintError, match=r"density_fm3 must be non-negative \(got nan\)"):
         SpectrumDensity(1.0, math.nan)
     with pytest.raises(ValueError, match="k_per_fm must be finite"):
         spectrum_density(build_zero_range(EB_DEFAULT), math.nan)
@@ -315,6 +317,22 @@ def test_dipole_integral_matches_mpmath_where_quadrature_missed(eb, beta_over_ka
 def test_dipole_integral_rejects_negative_k():
     with pytest.raises(ValueError):
         dipole_radial_integral(build_zero_range(EB_DEFAULT), -1.0)
+
+
+@pytest.mark.parametrize(
+    "model, ks",
+    [
+        (build_zero_range(1e-300), None),   # (k^2 + kappa^2)^2 underflows to 0
+        (build_zero_range(1e300), None),    # (k^2 + kappa^2)^2 overflows
+        # every power is finite, the product (2/pi) k^2 I^2 overflows to inf
+        (BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=10.0, norm=1e157, binding_energy_mev=EB_DEFAULT), [10.0]),
+    ],
+    ids=["underflow", "overflow", "product"],
+)
+def test_spectrum_outside_float_range_is_overflow(model, ks):
+    message = f"spectrum density at binding energy {model.binding_energy_mev!r} MeV is outside the float range"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        spectrum_densities(model, default_k_grid(model) if ks is None else ks)
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf])

@@ -13,6 +13,7 @@ from cslbounds import (
     GRW_LAMBDA_OVER_A2,
     RADIATION_CEILING,
     AsymmetricValue,
+    ConstraintError,
     ExclusionCurve,
     ExperimentConfig,
     ObservedCounts,
@@ -279,12 +280,17 @@ def test_scan_exclusion_defaults():
 
 
 def test_scan_spec_validation():
-    with pytest.raises(ValueError):
-        ScanSpec(lo=1.0, hi=0.5)
+    for hi in (0.5, 1.0):
+        with pytest.raises(ValueError, match="scan range must satisfy"):
+            ScanSpec(lo=1.0, hi=hi)
     with pytest.raises(ValueError):
         ScanSpec(points=1)
-    for lo, hi in ((1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="scan range"):
+    for lo, hi, message in (
+        (1.0, math.inf, "hi must be positive (got inf)"),
+        (math.nan, 1.0, "lo must be positive (got nan)"),
+        (1.0, math.nan, "hi must be positive (got nan)"),
+    ):
+        with pytest.raises(ConstraintError, match=re.escape(message)):
             ScanSpec(lo=lo, hi=hi)
     linear = ScanSpec(lo=1.0, hi=2.0, points=5, log_spacing=False)
     assert np.allclose(linear.grid(), [1.0, 1.25, 1.5, 1.75, 2.0])
@@ -292,7 +298,7 @@ def test_scan_spec_validation():
 
 def test_scan_spec_rejects_fractional_points():
     for points in (2.5, 201.0, math.nan):
-        with pytest.raises(ValueError, match="scan points must be an integer"):
+        with pytest.raises(ConstraintError, match=re.escape(f"points must be an integer (got {points!r})")):
             ScanSpec(points=points)
     assert ScanSpec(points=np.int64(5)).grid() == ScanSpec(points=5).grid()
 

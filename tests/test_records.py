@@ -1,6 +1,8 @@
 """The record base every value type of the package is declared on: construction,
 equality, hashing, immutability, repr and replace, checked on each exported record."""
 
+import re
+
 import pytest
 
 import cslbounds
@@ -24,7 +26,7 @@ from cslbounds import (
     grw_defaults,
     run_full_analysis,
 )
-from cslbounds.records import Record
+from cslbounds.records import ConstraintError, Record, at_least_two, non_negative, positive
 
 CFG = default_config()
 REPORT = run_full_analysis(CFG.experiment, CFG.sphere, build_model(CFG.model), scan=ScanSpec(points=3))
@@ -147,6 +149,30 @@ def test_absent_arguments_take_the_class_defaults():
     assert CollapseParams(1e-16, 1e-5) == grw_defaults()
     without_warnings = {name: getattr(REPORT, name) for name in REPORT._fields if name != "warnings"}
     assert type(REPORT)(**without_warnings).warnings == ()
+
+
+def test_declared_domains_are_checked_before_post_init():
+    class Probe(Record):
+        count: int = at_least_two(2)
+        weight: float | None = non_negative(None)
+        scale: float = positive()
+
+        def __post_init__(self):
+            raise AssertionError("runs only once every declared domain holds")
+
+    assert Probe._fields == ("count", "weight", "scale")
+    assert Probe._defaults == {"count": 2, "weight": None}
+    for kwargs, message in [
+        ({"scale": "x"}, "scale must be a number (got 'x')"),
+        ({"scale": None}, "scale must be a number (got None)"),
+        ({"scale": 1.0, "count": 2.0}, "count must be an integer (got 2.0)"),
+        ({"scale": 1.0, "count": 1}, "count must be at least 2 (got 1)"),
+        ({"scale": 1.0, "weight": -1.0}, "weight must be non-negative (got -1.0)"),
+    ]:
+        with pytest.raises(ConstraintError, match=re.escape(message)):
+            Probe(**kwargs)
+    with pytest.raises(AssertionError, match="runs only once"):
+        Probe(scale=1.0)   # weight is None, admitted because its default is None
 
 
 def test_exclusion_curve_equality_is_identity():
