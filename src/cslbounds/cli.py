@@ -13,8 +13,9 @@ import functools
 import json
 import re
 import sys
-from collections.abc import Iterable
-from itertools import chain
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
+from itertools import chain, islice
 
 from .config import (
     ConfigError,
@@ -40,6 +41,7 @@ FORMATS = ("text", "csv", "structured")
 CURVE_COLUMNS = ("lambda_over_a2", "gn_bound", "ge_bound")
 # written by the JSON encoder where a curve's points go, then replaced by them
 _POINTS_MARK = "\0points"
+_BATCH = 512   # pieces joined per write call; 512 curve points are about 70 kB
 
 
 def _fmt(x: float) -> str:
@@ -131,22 +133,28 @@ def _load(args) -> RunConfig:
     return update_config(load_config(args.config), changes)
 
 
-def _write(args, text: str) -> None:
+def _write(args, pieces: Iterable[str]) -> None:
+    """The one output path: pieces go to stdout or the --output file, _BATCH per write, so
+    memory does not grow with the output. The first batch is drawn before the file is
+    opened, so a writer that fails before its first piece creates no file."""
+    pieces = iter(pieces)
+    batch = list(islice(pieces, _BATCH))
     path = args.output
-    if not path:
-        sys.stdout.write(text)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            while batch:
+                out.write("".join(batch))
+                batch = list(islice(pieces, _BATCH))
     except OSError as exc:
+        if not path:
+            raise
         raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from None
 
 
-def _json(data: dict) -> str:
-    """`json.dumps(data, indent=2)`, an AsymmetricValue written as an object of its three
-    fields. A curve's points are written by `_points_json` into the place the encoder
-    leaves for them, so the encoder never walks one dict per point."""
+def _json(data: dict) -> Iterator[str]:
+    """`json.dumps(data, indent=2)` in pieces, an AsymmetricValue written as an object of its
+    three fields. All but a curve's points are encoded before the first piece; `_points_json`
+    writes them into the place the encoder leaves, so it never walks one dict per point."""
     curves = []
 
     def encode(obj):
@@ -158,43 +166,45 @@ def _json(data: dict) -> str:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
     text = json.dumps(data, indent=2, default=encode)
-    for curve in curves:
-        head, _, tail = text.partition(json.dumps(_POINTS_MARK))
-        line = head[head.rfind("\n") + 1 :]
-        text = head + _points_json(curve, line[: len(line) - len(line.lstrip(" "))]) + tail
     # the indenting encoder's nested functions form a reference cycle that holds encode;
     # emptied now, the list keeps no curve alive until the next garbage collection
+    pending = curves.copy()
     curves.clear()
-    return text + "\n"
+    for curve in pending:
+        head, _, text = text.partition(json.dumps(_POINTS_MARK))
+        line = head[head.rfind("\n") + 1 :]
+        yield head
+        yield from _points_json(curve, line[: len(line) - len(line.lstrip(" "))])
+    yield text + "\n"
 
 
-def _points_json(curve: ExclusionCurve, pad: str) -> str:
+def _points_json(curve: ExclusionCurve, pad: str) -> Iterator[str]:
     """The points in the layout `json.dumps(indent=2)` gives a list of {column: value}
-    dicts on a line indented by pad. One f-string per point gives the same bytes: the
-    encoder also writes a finite float as its repr, and ExclusionCurve admits only
-    finite points, one at least."""
+    dicts on a line indented by pad, one piece per point. One f-string per point gives
+    the same bytes: the encoder also writes a finite float as its repr, and
+    ExclusionCurve admits only finite points, one at least."""
     item, key = pad + "  ", pad + "    "
     x_key, gn_key, ge_key = (f"\n{key}{json.dumps(c)}: " for c in CURVE_COLUMNS)
     head, end = f"\n{item}{{{x_key}", f"\n{item}}}"
     gn, ge = curve.gn_bound_at_grw, curve.ge_bound_at_grw
-    return (
-        "["
-        + ",".join([f"{head}{x!r},{gn_key}{gn * f!r},{ge_key}{ge * f!r}{end}" for x, f in curve.scalings()])
-        + f"\n{pad}]"
-    )
+    sep = "["
+    for x, f in curve.scalings():
+        yield f"{sep}{head}{x!r},{gn_key}{gn * f!r},{ge_key}{ge * f!r}{end}"
+        sep = ","
+    yield f"\n{pad}]"
 
 
-def _csv(header: Iterable[str], rows: Iterable[Iterable[str | float]]) -> str:
-    """The rows as csv.writer writes them: a float is its repr, a name or "" is written as
-    it is. No name here holds a comma, a quote or a line break, so none is quoted."""
-    return "".join(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in chain([header], rows))
+def _csv(header: Iterable[str], rows: Iterable[Iterable[str | float]]) -> Iterator[str]:
+    """The rows as csv.writer writes them, a piece per row: a float is its repr, a name or ""
+    is written as it is. No name here holds a comma, a quote or a line break, so none is quoted."""
+    return (",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in chain([header], rows))
 
 
-def _curve_csv(curve: ExclusionCurve, preamble: str) -> str:
-    """The points as csv.writer writes them: a finite float is its repr, never quoted."""
-    header = preamble + ",".join(CURVE_COLUMNS) + "\n"
+def _curve_csv(curve: ExclusionCurve, preamble: str) -> Iterator[str]:
+    """The points as csv.writer writes them, a piece per point: a finite float is its repr, never quoted."""
     gn, ge = curve.gn_bound_at_grw, curve.ge_bound_at_grw
-    return header + "".join([f"{x!r},{gn * f!r},{ge * f!r}\n" for x, f in curve.scalings()])
+    yield preamble + ",".join(CURVE_COLUMNS) + "\n"
+    yield from (f"{x!r},{gn * f!r},{ge * f!r}\n" for x, f in curve.scalings())
 
 
 def _curve_block(curve: ExclusionCurve) -> dict:
@@ -239,8 +249,8 @@ def _report_csv_rows(data: dict):
                 yield [name, value, "", ""]
 
 
-def _report_text(data: dict) -> str:
-    """The analyze report as text, a view of the `_analyze_report` dict."""
+def _report_text(data: dict) -> Iterator[str]:
+    """The analyze report as text, one piece per line, a view of the `_analyze_report` dict."""
     counts, bounds, curve = data["counts"], data["bounds"], data["curve"]
     lines = ["collapse-coupling constraint analysis", "counts (efficiency-corrected)"]
     lines.extend(
@@ -264,7 +274,7 @@ def _report_text(data: dict) -> str:
         lines.append(f"predicted excess count for configured g_n = {data['predicted_csl_counts']:.6g}")
     lines.append("warnings")
     lines.extend(f"  {w}" for w in data["warnings"] or ["none"])
-    return "\n".join(lines) + "\n"
+    return (line + "\n" for line in lines)
 
 
 def _cmd_analyze(args) -> int:
@@ -356,7 +366,7 @@ def _cmd_constants(args) -> int:
         f"  seconds_per_day  = {_fmt(pc.seconds_per_day)} s",
         f"  seconds_per_year = {_fmt(pc.seconds_per_year)} s",
     ]
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, (line + "\n" for line in lines))
     return EXIT_OK
 
 

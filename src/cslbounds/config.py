@@ -87,7 +87,10 @@ def _read_declared(check: Constraint, raw: Any, where: str) -> Any:
         return None
     if isinstance(raw, bool) or not isinstance(raw, (int, check.number)):
         raise ConfigError(f"{where}: expected {check.kind} (got {raw!r})")
-    value = check.number(raw)
+    try:
+        value = check.number(raw)
+    except OverflowError:   # a JSON integer beyond the largest float
+        raise ConfigError(f"{where}: expected {check.kind} within the float range (got {raw!r})") from None
     violated = check.violated_by(value)
     if violated:
         raise ConfigError(f"{where}: must be {violated} (got {raw!r})")

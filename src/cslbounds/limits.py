@@ -198,7 +198,8 @@ def net_csl_counts(
     obs = e.observed
     stat = AsymmetricValue(obs.value, obs.stat_up, obs.stat_down)
     syst = AsymmetricValue(obs.value, obs.syst_up, obs.syst_down)
-    n_expt = scale(combine_quadrature(stat, syst), 1.0 / e.efficiency)
+    correction = in_float_range(f"efficiency correction 1/{e.efficiency!r}", lambda: 1.0 / e.efficiency)
+    n_expt = scale(combine_quadrature(stat, syst), correction)
     n_ssm = from_rate_per_day(e.ssm_rate_per_day, e.live_time_days)
     n_csl = subtract(n_expt, n_ssm)
     return n_expt, n_ssm, n_csl

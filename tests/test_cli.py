@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import gc
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -32,6 +34,7 @@ from cslbounds import (
     expected_count,
     load_config,
     run_full_analysis,
+    scan_exclusion,
     spectrum_density,
 )
 
@@ -293,6 +296,14 @@ def test_overflowing_counts_are_numeric_failure(capsys, tmp_path):
     assert err.startswith("error[numeric]: scale overflowed")
 
 
+def test_integer_beyond_float_range_is_config_error(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"n_sigma": 1' + "0" * 400 + "}")
+    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error[config]: n_sigma: expected a number within the float range (got 1000")
+
+
 def test_infinite_config_value_stays_config_error(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"experiment": {"observed": {"value": Infinity}}}')
@@ -317,6 +328,10 @@ def test_overflowing_scan_is_numeric_failure(capsys, tmp_path, argv, scan):
     assert code == 2 and out == ""
     assert err.startswith("error[numeric]: ") and err.count("\n") == 1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # the failure comes before the first byte, so no output file is created either
+    target = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--config", path, "--output", str(target)) == (2, "", err)
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
@@ -397,6 +412,12 @@ def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, comman
             {"experiment": {"live_time_days": 1e-322}},
             "live time of 1e-322 days in years is outside the float range",
         ),
+        # the efficiency correction 1/efficiency overflows
+        (
+            ("analyze",),
+            {"experiment": {"efficiency": 5e-324}},
+            "efficiency correction 1/5e-324 is outside the float range",
+        ),
         # the bound at GRW strength overflows
         (("analyze",), {"experiment": {"deuteron_density_per_cc": 1e-300}}, "neutron coupling bound at count limit"),
         # the predicted count overflows: a record's declared domain fails on a computed value
@@ -412,6 +433,7 @@ def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, comman
         "density-large-eb",
         "exposure",
         "live-time",
+        "efficiency",
         "gn-bound",
         "predicted-count",
     ],
@@ -507,7 +529,7 @@ def default_report():
 @with_curve_examples
 def test_scan_json_matches_encoder(args):
     block = cli._curve_block(curve_of(args))
-    assert cli._json(block) == json.dumps({**block, "points": point_dicts(columns_of(args))}, indent=2) + "\n"
+    assert "".join(cli._json(block)) == json.dumps({**block, "points": point_dicts(columns_of(args))}, indent=2) + "\n"
 
 
 def test_json_keeps_no_curve_alive():
@@ -516,11 +538,31 @@ def test_json_keeps_no_curve_alive():
     ref = weakref.ref(curve)
     gc.disable()
     try:
-        cli._json(cli._curve_block(curve))
+        "".join(cli._json(cli._curve_block(curve)))
         del curve
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_write_memory_does_not_grow_with_output(fmt):
+    # a 1.5e4-point curve is about 1 MB as csv and 2.1 MB as JSON; one batch of pieces is about 70 kB
+    cfg = default_config()
+    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan.replace(points=15000), build_model(cfg.model))
+    if fmt == "csv":
+        pieces = functools.partial(cli._curve_csv, curve, "# note\n")
+    else:
+        pieces = functools.partial(cli._json, cli._curve_block(curve))
+    size = len("".join(pieces()).encode())
+    args = argparse.Namespace(output=os.devnull)
+    tracemalloc.start()
+    try:
+        cli._write(args, pieces())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * size
 
 
 def record_fields(record):
@@ -532,7 +574,7 @@ def record_fields(record):
 def test_analyze_json_matches_encoder(args):
     data = cli._analyze_report(default_report().replace(curve=curve_of(args)), None)
     expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns_of(args))}}
-    assert cli._json(data) == json.dumps(expected, indent=2, default=record_fields) + "\n"
+    assert "".join(cli._json(data)) == json.dumps(expected, indent=2, default=record_fields) + "\n"
 
 
 @given(curve_args)
@@ -543,7 +585,7 @@ def test_scan_csv_matches_csv_writer(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.CURVE_COLUMNS)
     writer.writerows(zip(*columns))
-    assert cli._curve_csv(curve_of(args), "# note\n") == "# note\n" + buf.getvalue()
+    assert "".join(cli._curve_csv(curve_of(args), "# note\n")) == "# note\n" + buf.getvalue()
     # analyze rows: [name, central, err_up, err_down] or [name, value, "", ""]; spectrum rows: (k, value)
     analyze_rows = [["n_csl", *row] for row in zip(*columns)] + [["model_r2_cm2", x, "", ""] for x in columns[1]]
     spectrum_rows = list(zip(columns[0], columns[2]))
@@ -555,7 +597,7 @@ def test_scan_csv_matches_csv_writer(args):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        assert cli._csv(header, rows) == buf.getvalue()
+        assert "".join(cli._csv(header, rows)) == buf.getvalue()
 
 
 def test_unwritable_output_is_config_error(capsys, tmp_path):

@@ -168,6 +168,15 @@ def test_declared_domain_is_checked_by_record_and_config(where, record, attr, re
                 parse_config(json.dumps(nested(where, bad)))
 
 
+@pytest.mark.parametrize("where", [w for w, r, a, _ in schema_fields() if getattr(r._checks.get(a), "number", None) is float])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_beyond_float_range_is_config_error(where, sign):
+    # json reads such an integer exactly; it is user input that no float field can hold
+    raw = sign * 10**400
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: expected a number within the float range (got {raw!r})")):
+        parse_config(json.dumps(nested(where, raw)))
+
+
 def test_every_record_that_declares_a_domain_is_walked():
     exported = {obj for obj in vars(cslbounds).values() if isinstance(obj, type) and issubclass(obj, Record)}
     assert {cls for cls in exported if cls._checks} == {type(record) for _, record, _, _ in DECLARED}

@@ -31,8 +31,13 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden_bytes(capsys, name):
+def test_output_matches_golden_bytes(capsys, tmp_path, name):
     code = cli.main(list(CASES[name]))
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")
+    # --output writes through a file, not stdout; the bytes must be the same
+    target = tmp_path / name
+    assert cli.main([*CASES[name], "--output", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
