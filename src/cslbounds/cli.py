@@ -2,8 +2,8 @@
 
 Subcommands: analyze (full constraint report), scan (exclusion curve over
 lambda/a^2), spectrum (dissociation spectrum over relative momentum), and
-constants. Exit codes: 0 success, 1 usage or configuration error,
-2 numerical failure.
+constants. Exit codes: 0 success, 1 usage or configuration error or a
+stdout closed by its reader, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -123,7 +124,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CONFIG
+    raise SystemExit(code)
 
 
 def _load(args) -> RunConfig:

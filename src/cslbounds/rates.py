@@ -17,6 +17,7 @@ from .constants import (
     CODATA,
     GRW_LAMBDA_OVER_A2,
     CollapseParams,
+    in_float_range,
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_densities
@@ -118,13 +119,14 @@ def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) ->
     r2_cm2 = mean_square_radius(model)
     unit_weight = com_reduction_coefficients()[1] ** 2   # |c_n|^2 at unit coupling deviation
     deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3
-    return (
-        0.5
+    return in_float_range(
+        f"count coefficient for <r^2> = {r2_cm2!r} cm^2",
+        lambda: 0.5
         * GRW_LAMBDA_OVER_A2
         * unit_weight
         * r2_cm2
         * deuterons_per_unit_volume
-        * CODATA.seconds_per_year
+        * CODATA.seconds_per_year,
     )
 
 

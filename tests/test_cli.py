@@ -358,8 +358,11 @@ def test_too_wide_model_is_numeric_failure(capsys, tmp_path, command):
             {"model": {"kind": "hulthen", "binding_energy_mev": 5e-324, "beta_over_kappa": 2.00001}},
             "Hulthen normalization at binding energy 5e-324 MeV, beta/kappa 2.00001",
         ),
+        # <r^2> underflows to 0
+        ({"model": {"binding_energy_mev": 1e300}}, "count coefficient for <r^2> = 0.0 cm^2"),
+        ({"model": {"kind": "hulthen", "binding_energy_mev": 1e-40}}, "count coefficient for <r^2> = 0.0 cm^2"),
     ],
-    ids=["a_cm", "diameter_cm", "fiducial_radius_m", "hulthen"],
+    ids=["a_cm", "diameter_cm", "fiducial_radius_m", "hulthen", "r2_zero_range", "r2_hulthen"],
 )
 def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, command, config, named):
     path = write_config(tmp_path, config)
@@ -605,6 +608,21 @@ def test_unwritable_output_is_config_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "scan", "--output", str(target))
     assert code == 1 and out == ""
     assert err == f"error[config]: cannot write output file {str(target)!r}: No such file or directory\n"
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # a reader that stops early, as `cslbounds scan | head -c 10` does; the curve outgrows the pipe's buffer
+    path = write_config(tmp_path, {"scan": {"points": 15000}})
+    with subprocess.Popen(
+        [sys.executable, "-m", "cslbounds.cli", "scan", "--config", path],
+        env=package_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == b""
 
 
 def test_nsigma_override_checked_like_config_key(capsys):

@@ -35,7 +35,7 @@ from cslbounds import (
     parse_config,
     serialize_config,
 )
-from cslbounds.config import SCHEMA, Field
+from cslbounds.config import RENAMED
 from cslbounds.records import Record
 
 
@@ -130,18 +130,21 @@ LIBRARY_RECORDS = [
 ]
 
 
-def schema_fields(section=SCHEMA, record=None, path=""):
-    """(JSON path, the record holding the field, its attr, its reader) for every key in the schema."""
-    record = default_config() if record is None else getattr(record, section.attr)
-    for f in section.fields:
-        where = f"{path}.{f.key}" if path else f.key
-        if isinstance(f, Field):
-            yield where, record, f.attr, f.read
+def schema_fields(record=None, path=""):
+    """(JSON path, the record holding the field, its attr, the value it holds) for every key
+    of the config, found by walking the config records as the parser does."""
+    record = default_config() if record is None else record
+    for attr in record._fields:
+        key = RENAMED.get(attr, attr)
+        where = f"{path}.{key}" if path else key
+        value = getattr(record, attr)
+        if isinstance(value, Record):
+            yield from schema_fields(value, where)
         else:
-            yield from schema_fields(f, record, where)
+            yield where, record, attr, value
 
 
-# every schema key, then every declared field of the library records, which no JSON path sets
+# every config key, then every declared field of the library records, which no JSON path sets
 DECLARED = list(schema_fields()) + [(None, r, attr, None) for r in LIBRARY_RECORDS for attr in r._checks]
 
 
@@ -152,12 +155,12 @@ def nested(where, value):
 
 
 @pytest.mark.parametrize(
-    "where, record, attr, read", DECLARED, ids=[w or f"{type(r).__name__}.{a}" for w, r, a, _ in DECLARED]
+    "where, record, attr, held", DECLARED, ids=[w or f"{type(r).__name__}.{a}" for w, r, a, _ in DECLARED]
 )
-def test_declared_domain_is_checked_by_record_and_config(where, record, attr, read):
-    # a key is read by its own reader or by the domain its record declares, never by neither
+def test_declared_domain_is_checked_by_record_and_config(where, record, attr, held):
+    # a key is read by the domain its record declares, or else as a flag or a model kind
     check = type(record)._checks.get(attr)
-    assert read is not None or check is not None, f"{where} has neither a reader nor a declared domain"
+    assert check is not None or isinstance(held, (bool, ModelKind)), f"{where} has no declared domain and no reader"
     if check is None:
         return
     for bad in VIOLATING[check.phrase]:
