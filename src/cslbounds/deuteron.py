@@ -1,12 +1,14 @@
 """Deuteron relative-motion bound states and their dissociation spectrum.
 
 Wavefunctions are reduced radial functions u(r) = r R(r) with r in fm,
-normalized so that int_0^inf u(r)^2 dr = 1. The dissociated final states
-are free plane waves of the relative momentum k; no final-state
-interaction is applied. Mean-square radii are returned in cm^2.
+normalized so that int_0^inf u(r)^2 dr = 1, with the norm derived from the
+model's kappa and beta. The dissociated final states are free plane waves
+of the relative momentum k; no final-state interaction is applied.
+Mean-square radii are returned in cm^2.
 
 Both models are sums of exponentials, so the dipole radial integral and
-the spectrum are evaluated in closed form; <r^2> uses adaptive quadrature.
+the spectrum are evaluated in closed form, Hulthen's factored so that
+nothing cancels as beta/kappa -> 1; <r^2> uses adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -34,36 +36,35 @@ class BoundStateModel(Record):
 
     kappa is the asymptotic decay constant sqrt(2 mu E_B)/(hbar c); the
     Hulthen form adds a short-range scale beta > kappa that makes u(0) = 0.
+    norm, in fm^-1/2, is derived from them: sqrt(2 kappa) for zero-range,
+    sqrt(2 kappa beta (kappa + beta)) / (beta - kappa) for Hulthen.
     """
 
     kind: ModelKind
     kappa_per_fm: float = positive()   # fm^-1
-    norm: float = positive()           # fm^-1/2, analytic normalization
     binding_energy_mev: float
     beta_per_fm: float | None = None   # fm^-1, Hulthen only
 
     def __post_init__(self) -> None:
+        kappa, beta = self.kappa_per_fm, self.beta_per_fm
+        norm_sq = 2.0 * kappa
         if self.kind is ModelKind.HULTHEN:
-            beta = self.beta_per_fm
-            if beta is None or not (math.isfinite(beta) and beta > self.kappa_per_fm):
+            if beta is None or not (math.isfinite(beta) and beta > kappa):
                 raise ValueError(f"Hulthen model requires finite beta > kappa (got beta={beta!r})")
-        elif self.beta_per_fm is not None:
+            norm_sq = in_float_range(
+                f"Hulthen normalization at binding energy {self.binding_energy_mev!r} MeV, beta/kappa {beta / kappa!r}",
+                lambda: 2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2,
+            )
+        elif beta is not None:
             raise ValueError("beta is only meaningful for the Hulthen model")
+        self.__dict__["norm"] = math.sqrt(norm_sq)   # derived, so never compared, hashed or printed
 
     def u(self, r_fm: float) -> float:
         """Reduced radial wavefunction at one radius r (fm)."""
-        return self.norm * sum(c * math.exp(-a * r_fm) for c, a in _exponential_terms(self))
-
-
-def _exponential_terms(model: BoundStateModel) -> tuple[tuple[float, float], ...]:
-    """(coefficient, decay in fm^-1) pairs with u(r) = norm * sum c exp(-decay r).
-
-    The coefficients are +-1 and the norm is applied once outside the sum,
-    so multiplying by a coefficient never rounds.
-    """
-    if model.kind is ModelKind.ZERO_RANGE:
-        return ((1.0, model.kappa_per_fm),)
-    return ((1.0, model.kappa_per_fm), (-1.0, model.beta_per_fm))
+        decay = math.exp(-self.kappa_per_fm * r_fm)
+        if self.beta_per_fm is not None:
+            decay -= math.exp(-self.beta_per_fm * r_fm)
+        return self.norm * decay
 
 
 class SpectrumDensity(Record):
@@ -82,11 +83,9 @@ def binding_wavenumber(binding_energy_mev: float) -> float:
 
 def build_zero_range(binding_energy_mev: float) -> BoundStateModel:
     """Zero-range model u(r) = sqrt(2 kappa) exp(-kappa r)."""
-    kappa = binding_wavenumber(binding_energy_mev)
     return BoundStateModel(
         kind=ModelKind.ZERO_RANGE,
-        kappa_per_fm=kappa,
-        norm=math.sqrt(2.0 * kappa),
+        kappa_per_fm=binding_wavenumber(binding_energy_mev),
         binding_energy_mev=binding_energy_mev,
     )
 
@@ -103,17 +102,11 @@ def build_hulthen(
     if not (math.isfinite(beta_over_kappa) and beta_over_kappa > 1.0):
         raise ValueError(f"beta_over_kappa must exceed 1 (got {beta_over_kappa!r})")
     kappa = binding_wavenumber(binding_energy_mev)
-    beta = beta_over_kappa * kappa
-    norm_sq = in_float_range(
-        f"Hulthen normalization at binding energy {binding_energy_mev!r} MeV, beta/kappa {beta_over_kappa!r}",
-        lambda: 2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2,
-    )
     return BoundStateModel(
         kind=ModelKind.HULTHEN,
         kappa_per_fm=kappa,
-        norm=math.sqrt(norm_sq),
         binding_energy_mev=binding_energy_mev,
-        beta_per_fm=beta,
+        beta_per_fm=beta_over_kappa * kappa,
     )
 
 
@@ -127,12 +120,18 @@ def dipole_radial_integral(model: BoundStateModel, k_per_fm: float) -> float:
     """Radial part of the dipole matrix element, int r^2 u(r) j_1(k r) dr.
 
     Exact for a sum of exponentials: int r^2 exp(-a r) j_1(k r) dr
-    = 2k / (k^2 + a^2)^2 for each term.
+    = 2k / (k^2 + a^2)^2 for each term. Hulthen's difference of two terms is
+    factored with N (beta - kappa) = sqrt(2 kappa beta (kappa + beta)), so
+    nothing cancels as beta/kappa -> 1; one quotient at a time, since the
+    single denominator (k^2+kappa^2)^2 (k^2+beta^2)^2 underflows first.
     """
     if not (math.isfinite(k_per_fm) and k_per_fm >= 0):
         raise ValueError(f"k_per_fm must be finite and non-negative (got {k_per_fm!r})")
-    terms = _exponential_terms(model)
-    return model.norm * sum(c * 2.0 * k_per_fm / (k_per_fm**2 + a**2) ** 2 for c, a in terms)
+    k, kappa, beta = k_per_fm, model.kappa_per_fm, model.beta_per_fm
+    if beta is None:
+        return model.norm * (2.0 * k / (k**2 + kappa**2) ** 2)
+    a, b = k**2 + kappa**2, k**2 + beta**2
+    return math.sqrt(2.0 * kappa * beta * (kappa + beta)) * (beta + kappa) * (2.0 * k / a / b) * (1.0 / a + 1.0 / b)
 
 
 def spectrum_densities(model: BoundStateModel, ks_per_fm: Iterable[float]) -> list[float]:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, spherical_jn
 
+import cslbounds.cli as cli
 from cslbounds import (
     CODATA,
     BoundStateModel,
@@ -95,6 +96,16 @@ def _mpmath_dipole(model, k):
         return float(mpmath.quad(integrand, [0, 1 / kap, 10 / kap, mpmath.inf]))
 
 
+def _mpmath_hulthen(model, k):
+    # (I(k), density(k)) from the subtractive closed form at 50 digits and the model's float
+    # parameters; beta/kappa - 1 >= 1e-15 costs the difference at most 15 of them
+    with mpmath.workdps(50):
+        kap, beta, k = map(mpmath.mpf, (model.kappa_per_fm, model.beta_per_fm, k))
+        norm = mpmath.sqrt(2 * kap * beta * (kap + beta)) / (beta - kap)
+        dipole = norm * (2 * k / (k**2 + kap**2) ** 2 - 2 * k / (k**2 + beta**2) ** 2)
+        return float(dipole), float(2 / mpmath.pi * k**2 * dipole**2)
+
+
 def _legendre_dipole_weight(ell):
     # Legendre coefficient of cos(theta): (2l+1)/2 int_-1^1 mu P_l(mu) dmu; the
     # integrand is bounded by 1, so an absolute tolerance lets zeros converge
@@ -163,13 +174,20 @@ def test_hulthen_norm_outside_float_range_is_overflow(eb, beta_over_kappa):
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
 def test_model_rejects_non_finite_kappa(kappa):
     with pytest.raises(ConstraintError, match=re.escape(f"kappa_per_fm must be positive (got {kappa!r})")):
-        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=kappa, norm=1.0, binding_energy_mev=EB_DEFAULT)
+        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=kappa, binding_energy_mev=EB_DEFAULT)
 
 
-@pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_model_rejects_non_finite_or_non_positive_norm(norm):
-    with pytest.raises(ConstraintError, match=re.escape(f"norm must be positive (got {norm!r})")):
-        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=1.0, norm=norm, binding_energy_mev=EB_DEFAULT)
+def test_model_norm_is_derived_not_a_field():
+    # a model is its kind, kappa and beta; a norm that disagrees with them cannot be given
+    assert BoundStateModel._fields == ("kind", "kappa_per_fm", "binding_energy_mev", "beta_per_fm")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'norm'"):
+        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=1.0, norm=1.0, binding_energy_mev=EB_DEFAULT)
+    z, h = build_zero_range(EB_DEFAULT), build_hulthen(EB_DEFAULT)
+    kap, beta = h.kappa_per_fm, h.beta_per_fm
+    assert z.norm == math.sqrt(2.0 * z.kappa_per_fm)
+    assert h.norm == math.sqrt(2.0 * kap * beta * (kap + beta) / (beta - kap) ** 2)
+    assert h.replace(beta_per_fm=2.0 * kap).norm == math.sqrt(2.0 * kap * (2.0 * kap) * (3.0 * kap) / kap**2)
+    assert "norm" not in repr(h)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
@@ -177,7 +195,7 @@ def test_hulthen_model_rejects_non_finite_beta(beta):
     kappa = binding_wavenumber(EB_DEFAULT)
     with pytest.raises(ValueError, match="requires finite beta > kappa"):
         BoundStateModel(
-            kind=ModelKind.HULTHEN, kappa_per_fm=kappa, norm=1.0, binding_energy_mev=EB_DEFAULT, beta_per_fm=beta
+            kind=ModelKind.HULTHEN, kappa_per_fm=kappa, binding_energy_mev=EB_DEFAULT, beta_per_fm=beta
         )
 
 
@@ -269,6 +287,15 @@ def test_spectrum_sum_rule(build, eb):
     assert _spectral_integral_cm2(model) == pytest.approx(mean_square_radius(model), rel=1e-3)
 
 
+@pytest.mark.parametrize("eb", [0.5, 1.0, EB_DEFAULT, 5.0, 10.0])
+def test_spectrum_sum_rule_as_beta_approaches_kappa(eb):
+    # at beta/kappa = 1 + 1e-6 the tail beyond 60 kappa is below 3e-12 relative and <r^2>'s
+    # quadrature is good to about 2e-11; the subtractive spectrum missed by up to 8e-11.
+    # abs=0: approx's default absolute tolerance of 1e-12 would pass any value in cm^2
+    model = build_hulthen(eb, 1.0 + 1e-6)
+    assert _spectral_integral_cm2(model, rel=1e-12) == pytest.approx(mean_square_radius(model), rel=4e-11, abs=0)
+
+
 def test_dipole_selection_rule():
     # direct angular projections of cos(theta): zero except l = 1
     assert abs(_legendre_dipole_weight(0)) < 1e-9
@@ -314,25 +341,62 @@ def test_dipole_integral_matches_mpmath_where_quadrature_missed(eb, beta_over_ka
     assert dipole_radial_integral(m, k) == pytest.approx(_mpmath_dipole(m, k), rel=1e-12)
 
 
+def test_hulthen_dipole_integral_matches_mpmath_as_beta_approaches_kappa():
+    # beta/kappa - 1 log-uniform in [1e-12, 1e3] and E_B in [1e-6, 1e6] MeV; the difference of
+    # the two terms lost up to 5.1e-3 relative over these models, the factored form 9e-16
+    rng = np.random.default_rng(16)
+    for log_excess, log_eb in zip(rng.uniform(-12.0, 3.0, 100), rng.uniform(-6.0, 6.0, 100)):
+        m = build_hulthen(10.0**log_eb, 1.0 + 10.0**log_excess)
+        for k in default_k_grid(m)[::10]:
+            exact, _ = _mpmath_hulthen(m, k)
+            assert abs(dipole_radial_integral(m, k) - exact) <= 1e-14 * exact, (m, k)
+
+
+def test_cli_hulthen_density_as_beta_approaches_kappa(capsys, tmp_path):
+    # the subtractive form printed 4.7% too much at the first k and 0.0 at the last
+    config = tmp_path / "config.json"
+    config.write_text('{"model": {"beta_over_kappa": 1.000000000000001}}')
+    assert cli.main(["spectrum", "--quantity", "density", "--model", "hulthen", "--config", str(config)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [tuple(map(float, line.split(","))) for line in lines]
+    assert header == "k_per_fm,density_fm3" and len(rows) == 200
+    assert all(density > 0 for _, density in rows)
+    model = build_hulthen(EB_DEFAULT, 1.000000000000001)
+    for k, density in rows[::10] + rows[-1:]:
+        _, exact = _mpmath_hulthen(model, k)
+        assert abs(density - exact) <= 1e-12 * exact, k
+
+
 def test_dipole_integral_rejects_negative_k():
     with pytest.raises(ValueError):
         dipole_radial_integral(build_zero_range(EB_DEFAULT), -1.0)
 
 
 @pytest.mark.parametrize(
-    "model, ks",
+    "model",
     [
-        (build_zero_range(1e-300), None),   # (k^2 + kappa^2)^2 underflows to 0
-        (build_zero_range(1e300), None),    # (k^2 + kappa^2)^2 overflows
-        # every power is finite, the product (2/pi) k^2 I^2 overflows to inf
-        (BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=10.0, norm=1e157, binding_energy_mev=EB_DEFAULT), [10.0]),
+        build_zero_range(1e-300),   # (k^2 + kappa^2)^2 underflows to 0
+        build_zero_range(1e300),    # (k^2 + kappa^2)^2 overflows
+        # no power raises: Hulthen's quotients overflow to inf, and so does (2/pi) k^2 I^2
+        build_hulthen(1e-210),
+        # the subtractive Hulthen form underflowed here and printed every density as 0.0
+        build_hulthen(1e-160, 1.000000000001),
     ],
-    ids=["underflow", "overflow", "product"],
+    ids=["underflow", "overflow", "product", "hulthen-near-kappa"],
 )
-def test_spectrum_outside_float_range_is_overflow(model, ks):
+def test_spectrum_outside_float_range_is_overflow(model):
     message = f"spectrum density at binding energy {model.binding_energy_mev!r} MeV is outside the float range"
     with pytest.raises(OverflowError, match=re.escape(message)):
-        spectrum_densities(model, default_k_grid(model) if ks is None else ks)
+        spectrum_densities(model, default_k_grid(model))
+
+
+@pytest.mark.parametrize("beta_over_kappa", [1.001, HULTHEN_BETA_OVER_KAPPA, 1e3])
+def test_hulthen_spectrum_computes_across_binding_energies(beta_over_kappa):
+    # the quotients are taken one at a time: the single denominator
+    # (k^2+kappa^2)^2 (k^2+beta^2)^2 underflows to 0 at the small binding energies
+    for exponent in range(-120, 146, 5):
+        model = build_hulthen(float(f"1e{exponent}"), beta_over_kappa)
+        assert len(spectrum_densities(model, default_k_grid(model))) == 200
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf])

@@ -26,6 +26,7 @@ CASES = {
     "scan_default.json": ("scan", "--format", "structured"),
     "constants.txt": ("constants",),
     "spectrum_density.csv": ("spectrum", "--quantity", "density"),
+    "spectrum_density_hulthen.csv": ("spectrum", "--quantity", "density", "--model", "hulthen"),
     "spectrum_rate.json": ("spectrum", "--quantity", "rate", "--config", GN_CONFIG, "--format", "structured"),
 }
 
