@@ -189,8 +189,8 @@ def _json(data: dict) -> Iterator[str]:
 def _points_json(curve: ExclusionCurve, pad: str) -> Iterator[str]:
     """The points in the layout `json.dumps(indent=2)` gives a list of {column: value}
     dicts on a line indented by pad, one piece per point. One f-string per point gives
-    the same bytes: the encoder also writes a finite float as its repr, and
-    ExclusionCurve admits only finite points, one at least."""
+    the same bytes: the encoder also writes a finite float as its repr, a curve's grid
+    has two finite points at least, and its bounds are finite."""
     item, key = pad + "  ", pad + "    "
     x_key, gn_key, ge_key = (f"\n{key}{json.dumps(c)}: " for c in CURVE_COLUMNS)
     head, end = f"\n{item}{{{x_key}", f"\n{item}}}"

@@ -99,48 +99,9 @@ class SphereVisibilityConfig(Record):
         return math.pi / 6.0 * self.diameter_cm**3
 
 
-class ExclusionCurve(Record):
-    """Coupling bounds on a lambda/a^2 grid, held as the grid and both bounds at GRW strength.
-
-    The grid, any iterable of reals, is stored as a tuple of Python floats. Bounds at the
-    grid points are computed when read, through `scalings`, `gn_bound` or `ge_bound`.
-    """
-
-    lambda_over_a2: tuple[float, ...]    # s^-1 cm^-2
-    gn_bound_at_grw: float               # max |g_n - m_n/m_p| at GRW strength
-    ge_bound_at_grw: float               # max |g_e - m_e/m_p| at GRW strength
-    theoretical_floor: float             # s^-1 cm^-2
-    experimental_ceiling: float          # s^-1 cm^-2
-
-    # compared by identity, like any object: two scans are not checked point by point
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-    gn_bound = property(lambda self: tuple(self.gn_bound_at_grw * f for _, f in self.scalings()))
-    ge_bound = property(lambda self: tuple(self.ge_bound_at_grw * f for _, f in self.scalings()))
-
-    def __post_init__(self) -> None:
-        grid, gn, ge = tuple(map(float, self.lambda_over_a2)), float(self.gn_bound_at_grw), float(self.ge_bound_at_grw)
-        self.__dict__.update(lambda_over_a2=grid, gn_bound_at_grw=gn, ge_bound_at_grw=ge)
-        if not (grid and grid[0] > 0):
-            raise ValueError(f"lambda_over_a2 must start at a positive point (got {grid[:1]!r})")
-        # compared, not subtracted: a difference can overflow; NaN fails every comparison
-        if not all(map(operator.lt, grid, islice(grid, 1, None))):
-            raise ValueError("points must be sorted ascending in lambda_over_a2")
-        # the scaling falls along the grid: the first point has the largest bounds, the last the largest x
-        _, f = next(self.scalings())
-        for at, value in ((grid[0], gn * f), (grid[0], ge * f), (grid[-1], grid[-1])):
-            if not math.isfinite(value):
-                raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {at!r} s^-1 cm^-2")
-        if self.theoretical_floor > self.experimental_ceiling:
-            raise ValueError("theoretical floor exceeds experimental ceiling")
-
-    def scalings(self) -> Iterator[tuple[float, float]]:
-        """(x, sqrt((lambda/a^2)_GRW / x)) at each grid point x, the factor from GRW strength to x."""
-        return zip(self.lambda_over_a2, map(math.sqrt, map(GRW_LAMBDA_OVER_A2.__truediv__, self.lambda_over_a2)))
-
-
 class ScanSpec(Record):
-    """Grid over lambda/a^2 for exclusion scans."""
+    """Grid over lambda/a^2 for exclusion scans. `grid` returns it strictly ascending, positive
+    and finite, or raises a ValueError where floats cannot keep its points apart."""
 
     lo: float = positive(1e-10)
     hi: float = positive(RADIATION_CEILING)
@@ -153,8 +114,39 @@ class ScanSpec(Record):
 
     def grid(self) -> list[float]:
         if self.log_spacing:
-            return logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-        return linspace(self.lo, self.hi, self.points)
+            grid = logspace(math.log10(self.lo), math.log10(self.hi), self.points)
+        else:
+            grid = linspace(self.lo, self.hi, self.points)
+        if not all(map(operator.lt, grid, islice(grid, 1, None))):
+            raise ValueError("points must be sorted ascending in lambda_over_a2")
+        return grid
+
+
+class ExclusionCurve(Record):
+    """Coupling bounds on a lambda/a^2 grid, held as the ScanSpec scanned and both bounds at GRW strength.
+
+    The grid is derived from the spec once, as the tuple `lambda_over_a2`, never compared, hashed
+    or printed. Bounds at the grid points are computed when read, through `scalings`.
+    """
+
+    scan: ScanSpec
+    gn_bound_at_grw: float               # max |g_n - m_n/m_p| at GRW strength
+    ge_bound_at_grw: float               # max |g_e - m_e/m_p| at GRW strength
+    theoretical_floor: float             # s^-1 cm^-2
+    experimental_ceiling: float          # s^-1 cm^-2
+
+    def __post_init__(self) -> None:
+        grid = self.__dict__["lambda_over_a2"] = tuple(self.scan.grid())   # s^-1 cm^-2
+        # the scaling falls along the grid, so the first point has the largest bounds
+        _, f = next(self.scalings())
+        if not (math.isfinite(self.gn_bound_at_grw * f) and math.isfinite(self.ge_bound_at_grw * f)):
+            raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {grid[0]!r} s^-1 cm^-2")
+        if self.theoretical_floor > self.experimental_ceiling:
+            raise ValueError("theoretical floor exceeds experimental ceiling")
+
+    def scalings(self) -> Iterator[tuple[float, float]]:
+        """(x, sqrt((lambda/a^2)_GRW / x)) at each grid point x, the factor from GRW strength to x."""
+        return zip(self.lambda_over_a2, map(math.sqrt, map(GRW_LAMBDA_OVER_A2.__truediv__, self.lambda_over_a2)))
 
 
 class CouplingBound(Record):
@@ -212,9 +204,10 @@ def round_up_one_significant(x: float) -> float:
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"expected a non-negative finite value (got {x!r})")
     exponent = math.floor(math.log10(x))
-    mantissa = x / 10.0**exponent
-    # tolerate representation noise so exact one-digit values stay put
-    return math.ceil(mantissa - 1e-9) * 10.0**exponent
+    # the quotient is within a few ulps of the mantissa, so a one-digit value keeps its digit
+    digit = math.ceil(x / 10.0**exponent * (1.0 - 4.0 * math.ulp(1.0)))
+    rounded = float(f"{digit}e{exponent}")
+    return rounded if rounded >= x else float(f"{digit + 1}e{exponent}")
 
 
 def neutron_coupling_bound(
@@ -326,7 +319,7 @@ def scan_exclusion(
     gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     ge = electron_coupling_bound(grw)
     return ExclusionCurve(
-        lambda_over_a2=scan.grid(),
+        scan=scan,
         gn_bound_at_grw=gn.value,
         ge_bound_at_grw=ge.half_width,
         theoretical_floor=theoretical_floor(s, a_cm),

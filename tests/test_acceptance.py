@@ -100,7 +100,7 @@ def test_criterion_05_electron_bound():
     def checks():
         ge = electron_coupling_bound(RateDensity(GRW_LAMBDA_OVER_A2))
         assert ge.half_width == pytest.approx(6.536e-3, rel=1e-3)
-        assert ge.g_upper == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12)
+        assert ge.g_upper == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
 
     _report(5, "electron bound 12 m_e/m_p within 0.1% of 6.536e-3, ceiling 13 m_e/m_p", checks)
 
@@ -108,8 +108,8 @@ def test_criterion_05_electron_bound():
 def test_criterion_06_visibility_floors():
     def checks():
         sphere = CFG.sphere
-        assert visibility_floor_large_a(sphere).lambda_over_a2 == pytest.approx(6.25e-11, rel=0.01)
-        assert small_a_floor_coefficient(sphere) == pytest.approx(1.88e-35, rel=0.01)
+        assert visibility_floor_large_a(sphere).lambda_over_a2 == pytest.approx(6.25e-11, rel=0.01, abs=0)
+        assert small_a_floor_coefficient(sphere) == pytest.approx(1.88e-35, rel=0.01, abs=0)
         at_grw = visibility_floor_small_a(sphere, 1e-5).lambda_over_a2
         assert 1.8e-10 <= at_grw <= 2.1e-10
 
@@ -147,14 +147,14 @@ def test_criterion_09_property_suite():
         rng = np.random.default_rng(23)
         for eb in rng.uniform(0.5, 10.0, size=10):
             m = build_zero_range(float(eb))
-            assert mean_square_radius(m) == pytest.approx(0.5 / m.kappa_per_fm**2 * 1e-26, rel=1e-8)
+            assert mean_square_radius(m) == pytest.approx(0.5 / m.kappa_per_fm**2 * 1e-26, rel=1e-8, abs=0)
 
         # spectrum sum rule to 0.1% (60-kappa truncation tail is below 2e-5)
         kap = MODEL.kappa_per_fm
         spectral, _ = si.quad(
             lambda k: spectrum_density(MODEL, k).density_fm3, 0.0, 60.0 * kap, limit=200, epsrel=1e-6
         )
-        assert spectral * 1e-26 == pytest.approx(mean_square_radius(MODEL), rel=1e-3)
+        assert spectral * 1e-26 == pytest.approx(mean_square_radius(MODEL), rel=1e-3, abs=0)
 
         # mass-proportional coupling kills the rate identically
         mass_prop = CollapseParams(1e-16, 1e-5, g_n=CODATA.m_n_over_m_p)

@@ -25,6 +25,7 @@ from cslbounds import (
     CollapseParams,
     ExclusionCurve,
     QuadratureError,
+    ScanSpec,
     build_model,
     build_zero_range,
     default_config,
@@ -178,7 +179,7 @@ def test_spectrum_rate_matches_total(capsys, tmp_path):
     dens = np.array([float(r[1]) for r in rows])
     total = np.trapezoid(dens, ks)
     rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), build_zero_range(2.224575))
-    assert total == pytest.approx(rate.per_second, rel=0.01)
+    assert total == pytest.approx(rate.per_second, rel=0.01, abs=0)
     # low k edge is phase-space suppressed
     assert dens[0] < 1e-4 * dens.max()
 
@@ -471,7 +472,7 @@ def test_tiny_strength_ratio_is_printed_nonzero(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--config", path)
     assert code == 0 and err == ""
     assert f"  electron/neutron fractional-width ratio = {cli._fmt(ratio)}\n" in out
-    assert float(cli._fmt(ratio)) == pytest.approx(ratio, rel=1e-5)
+    assert float(cli._fmt(ratio)) == pytest.approx(ratio, rel=1e-5, abs=0)
 
 
 @pytest.mark.parametrize("argv", [("scan",), ("spectrum", "--quantity", "density")])
@@ -482,21 +483,34 @@ def test_table_commands_print_csv_as_text(capsys, argv):
 
 
 # Curve points are written from templates; the oracle is what the json and csv
-# modules write for the same values. A curve is its grid and its two bounds at GRW
+# modules write for the same values. A curve is its ScanSpec and its two bounds at GRW
 # strength; the grid starts at 1e-300 so that bounds up to 1e150 stay finite.
 EDGE_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16)
 bound_floats = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(EDGE_VALUES)
 grid_floats = st.floats(min_value=1e-300, allow_infinity=False) | st.sampled_from([1e-300, 1e-6, 1.7976931348623157e308])
-curve_args = st.tuples(
-    st.integers(min_value=1, max_value=12).flatmap(lambda n: st.sets(grid_floats, min_size=n, max_size=n).map(sorted)),
-    bound_floats,
-    bound_floats,
-)
+
+
+def holds_a_grid(spec: ScanSpec) -> bool:
+    """False for a spec whose grid repeats a point or overflows."""
+    try:
+        spec.grid()
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+scan_specs = st.builds(
+    lambda ends, points, log_spacing: ScanSpec(*sorted(ends), points, log_spacing),
+    st.sets(grid_floats, min_size=2, max_size=2),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+).filter(holds_a_grid)
+curve_args = st.tuples(scan_specs, bound_floats, bound_floats)
 CURVE_EXAMPLES = (
-    ([1.0], -0.0, 5e-324),
-    ([1e-314, 1e-300], 0.0, 1e-160),   # near the smallest grid point whose scaling stays finite
-    ([2.2250738585072014e-308, 1.7976931348623157e308], 2.6e157, -0.0),
-    ([1e-6, 1.7976931348623157e308], 1.7976931348623157e308, -1.7976931348623157e308),
+    (ScanSpec(1.0, 2.0, 2, log_spacing=False), -0.0, 5e-324),
+    (ScanSpec(1e-314, 1e-300, 2, log_spacing=False), 0.0, 1e-160),   # near the smallest grid point whose scaling stays finite
+    (ScanSpec(2.2250738585072014e-308, 1.7976931348623157e308, 2, log_spacing=False), 2.6e157, -0.0),
+    (ScanSpec(1e-6, 1.7976931348623157e308, 2, log_spacing=False), 1.7976931348623157e308, -1.7976931348623157e308),
 )
 
 
@@ -507,13 +521,14 @@ def with_curve_examples(test):
 
 
 def curve_of(args) -> ExclusionCurve:
-    grid, gn, ge = args
-    return ExclusionCurve(np.array(grid, dtype=float), gn, ge, theoretical_floor=1e-10, experimental_ceiling=2.5)
+    scan, gn, ge = args
+    return ExclusionCurve(scan, gn, ge, theoretical_floor=1e-10, experimental_ceiling=2.5)
 
 
 def columns_of(args) -> tuple[list[float], list[float], list[float]]:
     """The grid and the bounds at each of its points, each bound scaled from GRW strength."""
-    grid, gn, ge = args
+    scan, gn, ge = args
+    grid = scan.grid()
     scalings = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
     return grid, [gn * f for f in scalings], [ge * f for f in scalings]
 

@@ -304,7 +304,7 @@ def _assert_documented(documented, actual, path):
             _assert_documented(documented[key], value, f"{path}.{key}")
     elif isinstance(actual, float):
         # the README rounds, for example (2/3)e23 to 6.667e22
-        assert documented == pytest.approx(actual, rel=1e-3), path
+        assert documented == pytest.approx(actual, rel=1e-3, abs=0), path
     else:
         assert type(documented) is type(actual) and documented == actual, path
 

@@ -26,13 +26,13 @@ def test_grw_defaults_deterministic():
 
 
 def test_grw_lambda_over_a2():
-    assert lambda_over_a2(grw_defaults()).lambda_over_a2 == pytest.approx(1e-6, rel=1e-12)
+    assert lambda_over_a2(grw_defaults()).lambda_over_a2 == pytest.approx(1e-6, rel=1e-12, abs=0)
     assert GRW_LAMBDA_OVER_A2 == 1e-6
 
 
 def test_lambda_over_a2_scaling_identity():
     p = CollapseParams(lambda_rate=4e-16, a_length=2e-5)
-    assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(1e-6, rel=1e-12)
+    assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(1e-6, rel=1e-12, abs=0)
 
 
 def test_lambda_over_a2_direct_division():
@@ -50,7 +50,7 @@ def test_lambda_over_a2_invariant_under_joint_rescaling():
     rng = np.random.default_rng(7)
     for c in rng.uniform(0.1, 50.0, size=20):
         p = CollapseParams(lambda_rate=c * c * 1e-16, a_length=c * 1e-5)
-        assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(base, rel=1e-14)
+        assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(base, rel=1e-14, abs=0)
 
 
 def test_mass_ratio_invariants():

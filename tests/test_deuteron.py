@@ -129,7 +129,7 @@ def test_binding_wavenumber_value():
 def test_kappa_sqrt_scaling():
     m1 = build_zero_range(1.3)
     m4 = build_zero_range(4 * 1.3)
-    assert m4.kappa_per_fm == pytest.approx(2 * m1.kappa_per_fm, rel=1e-15)
+    assert m4.kappa_per_fm == pytest.approx(2 * m1.kappa_per_fm, rel=1e-15, abs=0)
 
 
 def test_zero_range_normalization():
@@ -228,8 +228,8 @@ def test_zero_range_r2_value():
     # analytic 1/(2 kappa^2) with kappa^-1 = 4.3176 fm gives 9.32e-26 cm^2
     m = build_zero_range(2.2246)
     r2 = mean_square_radius(m)
-    assert r2 == pytest.approx(9.32e-26, rel=1e-3)
-    assert r2 == pytest.approx(9e-26, rel=0.10)  # the (3e-13 cm)^2 reference
+    assert r2 == pytest.approx(9.32e-26, rel=1e-3, abs=0)
+    assert r2 == pytest.approx(9e-26, rel=0.10, abs=0)  # the (3e-13 cm)^2 reference
 
 
 def test_zero_range_r2_analytic_oracle_randomized():
@@ -237,20 +237,20 @@ def test_zero_range_r2_analytic_oracle_randomized():
     for eb in rng.uniform(0.5, 10.0, size=10):
         m = build_zero_range(float(eb))
         analytic = 0.5 / m.kappa_per_fm**2 * 1e-26
-        assert mean_square_radius(m) == pytest.approx(analytic, rel=1e-11)
+        assert mean_square_radius(m) == pytest.approx(analytic, rel=1e-11, abs=0)
 
 
 def test_hulthen_r2_closed_form():
     rng = np.random.default_rng(3)
     for eb, beta_over_kappa in zip(rng.uniform(0.5, 10.0, size=20), rng.uniform(1.5, 20.0, size=20)):
         m = build_hulthen(float(eb), float(beta_over_kappa))
-        assert mean_square_radius(m) == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11)
+        assert mean_square_radius(m) == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11, abs=0)
     m = build_hulthen(2.2246, 6.163)
     r2 = mean_square_radius(m)
-    assert r2 == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11)
+    assert r2 == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11, abs=0)
     # 0.7954 / kappa^2 for the conventional shape parameter
-    assert r2 == pytest.approx(0.7954 / m.kappa_per_fm**2 * 1e-26, rel=1e-3)
-    assert r2 == pytest.approx(1.48e-25, rel=5e-3)
+    assert r2 == pytest.approx(0.7954 / m.kappa_per_fm**2 * 1e-26, rel=1e-3, abs=0)
+    assert r2 == pytest.approx(1.48e-25, rel=5e-3, abs=0)
 
 
 def test_r2_monotone_in_binding_energy():
@@ -277,14 +277,14 @@ def test_spectrum_matches_zero_range_closed_form():
     for factor in (0.05, 0.3, 1.0, 3.0, 7.0, 12.0, 40.0):
         k = factor * kap
         got = spectrum_density(m, k).density_fm3
-        assert got == pytest.approx(_zero_range_density(m, k), rel=1e-9)
+        assert got == pytest.approx(_zero_range_density(m, k), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("build", [build_zero_range, build_hulthen])
 @pytest.mark.parametrize("eb", [1.0, 2.2246, 5.0])
 def test_spectrum_sum_rule(build, eb):
     model = build(eb)
-    assert _spectral_integral_cm2(model) == pytest.approx(mean_square_radius(model), rel=1e-3)
+    assert _spectral_integral_cm2(model) == pytest.approx(mean_square_radius(model), rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("eb", [0.5, 1.0, EB_DEFAULT, 5.0, 10.0])
@@ -326,7 +326,7 @@ def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over
     # and the corners of this domain
     m = build_hulthen(eb, beta_over_kappa) if hulthen else build_zero_range(eb)
     k = k_over_kappa * m.kappa_per_fm
-    assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-8)
+    assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-8, abs=0)
 
 
 # (E_B, beta/kappa, k) where the built-in quadrature missed I(k) by 0.8e-7 and
@@ -410,7 +410,7 @@ def test_default_k_grid_span():
     m = build_zero_range(EB_DEFAULT)
     grid = default_k_grid(m)
     assert len(grid) == 200
-    assert grid[0] == pytest.approx(0.01 * m.kappa_per_fm, rel=1e-12)
+    assert grid[0] == pytest.approx(0.01 * m.kappa_per_fm, rel=1e-12, abs=0)
     assert grid[-1] == pytest.approx(20.0 * m.kappa_per_fm, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
 
@@ -425,7 +425,7 @@ def test_default_k_grid_span():
 def test_linspace_matches_numpy_bit_for_bit(ends, points):
     lo, hi = sorted(ends)
     # numpy has a separate rule for a step that underflows to zero; such a grid
-    # repeats points, which ExclusionCurve rejects whichever rule built it
+    # repeats points, which ScanSpec.grid() rejects whichever rule built it
     assume((hi - lo) / (points - 1) != 0)
     assert linspace(lo, hi, points) == np.linspace(lo, hi, points).tolist()
 

@@ -21,8 +21,10 @@ from cslbounds import (
     ScanSpec,
     SphereVisibilityConfig,
     build_hulthen,
+    build_model,
     build_zero_range,
     count_coefficient,
+    default_config,
     electron_coupling_bound,
     expected_count,
     net_csl_counts,
@@ -172,20 +174,20 @@ def test_bound_count_round_trip():
 
 def test_electron_bound_values():
     ge = electron_coupling_bound(RateDensity(GRW_LAMBDA_OVER_A2))
-    assert ge.half_width == pytest.approx(12 * CODATA.m_e_over_m_p, rel=1e-12)
+    assert ge.half_width == pytest.approx(12 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
     assert ge.half_width == pytest.approx(6.536e-3, rel=1e-3)
-    assert ge.g_upper == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12)
+    assert ge.g_upper == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
 
 
 def test_electron_bound_inverse_sqrt_scaling():
     b1 = electron_coupling_bound(RateDensity(1e-6)).half_width
     b4 = electron_coupling_bound(RateDensity(4e-6)).half_width
-    assert b4 == pytest.approx(b1 / 2, rel=1e-15)
+    assert b4 == pytest.approx(b1 / 2, rel=1e-15, abs=0)
 
 
 def test_visibility_floor_large_a():
     floor = visibility_floor_large_a(reference_sphere()).lambda_over_a2
-    assert floor == pytest.approx(6.25e-11, rel=1e-2)
+    assert floor == pytest.approx(6.25e-11, rel=1e-2, abs=0)
     # displayed as 0.6e-10
     assert floor == pytest.approx(0.6e-10, rel=0.05)
 
@@ -199,7 +201,7 @@ def test_visibility_floor_large_a_scalings():
         collapse_margin=s.collapse_margin,
     )
     assert visibility_floor_large_a(quad_n).lambda_over_a2 == pytest.approx(
-        visibility_floor_large_a(s).lambda_over_a2 / 16, rel=1e-15
+        visibility_floor_large_a(s).lambda_over_a2 / 16, rel=1e-15, abs=0
     )
     doubled_budget = SphereVisibilityConfig(
         diameter_cm=s.diameter_cm,
@@ -208,17 +210,17 @@ def test_visibility_floor_large_a_scalings():
         collapse_margin=s.collapse_margin,
     )
     assert visibility_floor_large_a(doubled_budget).lambda_over_a2 == pytest.approx(
-        visibility_floor_large_a(s).lambda_over_a2 / 2, rel=1e-15
+        visibility_floor_large_a(s).lambda_over_a2 / 2, rel=1e-15, abs=0
     )
 
 
 def test_visibility_floor_small_a():
     s = reference_sphere()
-    assert small_a_floor_coefficient(s) == pytest.approx(1.88e-35, rel=1e-2)
+    assert small_a_floor_coefficient(s) == pytest.approx(1.88e-35, rel=1e-2, abs=0)
     at_grw = visibility_floor_small_a(s, 1e-5).lambda_over_a2
     assert 1.8e-10 <= at_grw <= 2.1e-10
     # a^-5 homogeneity
-    assert visibility_floor_small_a(s, 2e-5).lambda_over_a2 == pytest.approx(at_grw / 32, rel=1e-12)
+    assert visibility_floor_small_a(s, 2e-5).lambda_over_a2 == pytest.approx(at_grw / 32, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         visibility_floor_small_a(s, 0.0)
 
@@ -244,25 +246,48 @@ def test_theoretical_floor_is_max_of_regimes():
 
 
 def test_round_up_one_significant():
-    assert round_up_one_significant(0.0074799) == pytest.approx(0.008, rel=1e-12)
-    assert round_up_one_significant(0.007) == pytest.approx(0.007, rel=1e-12)
-    assert round_up_one_significant(0.0095) == pytest.approx(0.01, rel=1e-12)
-    assert round_up_one_significant(664.3) == pytest.approx(700.0, rel=1e-12)
+    assert round_up_one_significant(0.0074799) == 0.008
+    assert round_up_one_significant(0.007) == 0.007
+    assert round_up_one_significant(0.0095) == 0.01
+    assert round_up_one_significant(664.3) == 700.0
     assert round_up_one_significant(0.0) == 0.0
     with pytest.raises(ValueError):
         round_up_one_significant(-1.0)
 
 
+def test_round_up_just_above_a_digit_takes_the_next_digit():
+    for x, expected in (
+        (3.0000000001, 4.0),
+        (0.0070000000001, 0.008),
+        (9.0000000001e-5, 1e-4),
+        (math.nextafter(3.0, 4.0), 4.0),
+        (math.nextafter(0.1, 1.0), 0.2),
+        (math.nextafter(1e23, math.inf), 2e23),
+    ):
+        assert round_up_one_significant(x) == expected, x
+
+
+def test_round_up_keeps_every_one_digit_value():
+    for e in range(-300, 301):
+        for d in range(1, 10):
+            x = float(f"{d}e{e}")
+            assert round_up_one_significant(x) == x, x
+
+
 def test_round_up_dominates_value():
+    # and is the least one-digit value that does
     rng = np.random.default_rng(17)
-    for x in 10.0 ** rng.uniform(-8, 4, size=50):
-        assert round_up_one_significant(float(x)) >= x * (1 - 1e-12)
+    for x in map(float, 10.0 ** rng.uniform(-300, 300, size=2000)):
+        rounded = round_up_one_significant(x)
+        digit, exponent = map(int, f"{rounded:.0e}".split("e"))
+        assert rounded == float(f"{digit}e{exponent}") >= x
+        assert float(f"{digit - 1}e{exponent}" if digit > 1 else f"9e{exponent - 1}") < x
 
 
 def test_scan_exclusion_defaults():
     e = reference_experiment()
     curve = scan_exclusion(e, reference_sphere(), ScanSpec(), build_zero_range(EB_DEFAULT))
-    lds, gns, ges = (np.asarray(c) for c in (curve.lambda_over_a2, curve.gn_bound, curve.ge_bound))
+    lds, gns, ges = (np.asarray(c) for c in columns(curve))
 
     assert curve.experimental_ceiling == RADIATION_CEILING == 2.5
     assert 1.8e-10 <= curve.theoretical_floor <= 2.1e-10
@@ -303,71 +328,81 @@ def test_scan_spec_rejects_fractional_points():
     assert ScanSpec(points=np.int64(5)).grid() == ScanSpec(points=5).grid()
 
 
-def curve_of(grid, gn=0.1, ge=0.2, floor=1e-10, ceiling=2.5):
-    return ExclusionCurve(grid, gn, ge, theoretical_floor=floor, experimental_ceiling=ceiling)
+def linear(lo, hi, points=2):
+    return ScanSpec(lo, hi, points, log_spacing=False)
+
+
+def curve_of(scan, gn=0.1, ge=0.2, floor=1e-10, ceiling=2.5):
+    return ExclusionCurve(scan, gn, ge, theoretical_floor=floor, experimental_ceiling=ceiling)
+
+
+def columns(curve):
+    """The grid and both bounds at each of its points."""
+    grid, scalings = zip(*curve.scalings())
+    return grid, tuple(curve.gn_bound_at_grw * f for f in scalings), tuple(curve.ge_bound_at_grw * f for f in scalings)
+
+
+def test_scan_grid_that_repeats_a_point_is_an_order_error():
+    # the linear step is below half an ulp of lo; the log step below half an ulp of 1
+    for spec in (linear(1.0, 1.0000000000000004, 20), ScanSpec(1.0, math.nextafter(1.0, 2.0), 3)):
+        with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
+            spec.grid()
+        with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
+            curve_of(spec)
 
 
 def test_exclusion_curve_validation():
-    curve_of([1e-8, 1e-7])
-    with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
-        curve_of([1e-7, 1e-8])
-    with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
-        curve_of(np.array([1e-8, 1e-8]))
-    with pytest.raises(ValueError, match="points must be sorted ascending in lambda_over_a2"):
-        curve_of([1e-8, math.nan, 1e-7])
+    curve_of(linear(1e-8, 1e-7))
     with pytest.raises(ValueError, match="theoretical floor exceeds experimental ceiling"):
-        curve_of([1e-8, 1e-7], floor=3.0)
-    for bad in ([], [0.0], [-0.0, 1e-8], [-1e-8], [math.nan]):
-        with pytest.raises(ValueError, match="lambda_over_a2 must start at a positive point"):
-            curve_of(bad)
+        curve_of(linear(1e-8, 1e-7), floor=3.0)
     # the bounds are largest at the first point, which the overflow names
     with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-320 s"):
-        curve_of([1e-320, 1e-7])
+        curve_of(linear(1e-320, 1e-7))
     for gn, ge in ((math.inf, 0.1), (0.1, math.nan), (1e308, 0.1), (0.0, 1e308)):
         with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-08 s"):
-            curve_of([1e-8, 1e-7], gn, ge)
-    with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = inf s"):
-        curve_of([1e-8, math.inf])
-    with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = inf s"):
-        curve_of([math.inf])
+            curve_of(linear(1e-8, 1e-7), gn, ge)
+    # the last point is hi itself on a linear grid; on a log grid a power of ten that overflows is named
+    assert curve_of(linear(1e-6, 1.7976931348623157e308)).lambda_over_a2[-1] == 1.7976931348623157e308
+    with pytest.raises(OverflowError, match=r"log grid overflowed: 10\*\*308\.2547"):
+        curve_of(ScanSpec(1.0, 1.7976931348623157e308, 3))
 
 
-# grids of 1 to 12 ascending positive points, the bounds at GRW strength any finite floats
+def holds_a_grid(spec):
+    try:
+        spec.grid()
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+# specs of 2 to 12 points from any positive lo, the bounds at GRW strength any finite floats
 positive_floats = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
     [5e-324, 2.2250738585072014e-308, 1e-6, 1.7976931348623157e308]
 )
-grids = st.integers(min_value=1, max_value=12).flatmap(
-    lambda n: st.sets(positive_floats, min_size=n, max_size=n).map(sorted)
-)
+specs = st.builds(
+    lambda ends, points, log_spacing: ScanSpec(*sorted(ends), points, log_spacing),
+    st.sets(positive_floats, min_size=2, max_size=2),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+).filter(holds_a_grid)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(grids, finite_floats, finite_floats)
-@example([5e-324], 0.0, 0.0)                                     # f = inf, 0 * inf = nan
-@example([2.2250738585072014e-308, 1.7976931348623157e308], 2.6e157, -0.0)
-@example([2.2250738585072014e-308, 1.7976931348623157e308], 2.7e157, 1.0)
-@example([1e-6], 1.7976931348623157e308, 5e-324)                  # f = 1 at GRW strength
-@example([1e-7, 1e-6], 1.7976931348623157e308, 5e-324)
-def test_exclusion_curve_overflows_exactly_when_a_bound_does(grid, gn, ge):
+@given(specs, finite_floats, finite_floats)
+@example(linear(5e-324, 1e-300), 0.0, 0.0)                         # f = inf, 0 * inf = nan
+@example(linear(2.2250738585072014e-308, 1.7976931348623157e308), 2.6e157, -0.0)
+@example(linear(2.2250738585072014e-308, 1.7976931348623157e308), 2.7e157, 1.0)
+@example(linear(1e-6, 1.0), 1.7976931348623157e308, 5e-324)         # f = 1 at GRW strength
+@example(linear(1e-7, 1e-6), 1.7976931348623157e308, 5e-324)
+def test_exclusion_curve_overflows_exactly_when_a_bound_does(scan, gn, ge):
+    grid = scan.grid()
     points = [(x, gn * math.sqrt(GRW_LAMBDA_OVER_A2 / x), ge * math.sqrt(GRW_LAMBDA_OVER_A2 / x)) for x in grid]
     if all(map(math.isfinite, (v for point in points for v in point))):
-        c = curve_of(grid, gn, ge)
-        assert list(zip(c.lambda_over_a2, c.gn_bound, c.ge_bound)) == points
+        c = curve_of(scan, gn, ge)
+        assert list(zip(*columns(c))) == points
     else:
         with pytest.raises(OverflowError, match=re.escape(f"at lambda/a^2 = {grid[0]!r} s")):
-            curve_of(grid, gn, ge)
-
-
-@pytest.mark.parametrize("container", [np.array, list, tuple, lambda c: (x for x in c)])
-def test_exclusion_curve_stores_python_floats(container):
-    grid = [1e-8, np.float32(1e-7), np.float64(1e-6)]
-    c = ExclusionCurve(container(grid), np.float64(0.1), np.float32(0.125), theoretical_floor=1e-10, experimental_ceiling=2.5)
-    assert type(c.lambda_over_a2) is tuple and {type(x) for x in c.lambda_over_a2} == {float}
-    assert c.lambda_over_a2 == tuple(float(x) for x in grid)
-    assert (c.gn_bound_at_grw, c.ge_bound_at_grw) == (0.1, 0.125)
-    assert type(c.gn_bound_at_grw) is type(c.ge_bound_at_grw) is float
-    for column in (c.gn_bound, c.ge_bound):
-        assert type(column) is tuple and {type(x) for x in column} == {float}
+            curve_of(scan, gn, ge)
 
 
 def test_scan_exclusion_matches_pointwise_bounds():
@@ -386,12 +421,19 @@ def test_scan_exclusion_matches_pointwise_bounds():
         n_limit, grw, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
     ).value
     assert curve.ge_bound_at_grw == electron_coupling_bound(grw).half_width
-    for ld, gn, ge in zip(scan.grid(), curve.gn_bound, curve.ge_bound):
+    for ld, gn, ge in zip(*columns(curve)):
         density = RateDensity(ld)
         assert gn == neutron_coupling_bound(
             n_limit, density, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
         ).value
         assert ge == electron_coupling_bound(density).half_width
+
+
+def test_scan_exclusion_holds_the_spec_it_scanned():
+    cfg = default_config()
+    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan, build_model(cfg.model))
+    assert curve.scan is cfg.scan
+    assert curve == scan_exclusion(cfg.experiment, cfg.sphere, ScanSpec(), build_model(cfg.model))
 
 
 def test_scan_curve_holds_no_bound_columns():
@@ -448,4 +490,4 @@ def test_sphere_config_validation():
     with pytest.raises(ValueError):
         SphereVisibilityConfig(collapse_margin=-0.1)
     s = SphereVisibilityConfig()
-    assert s.time_budget_s == pytest.approx(0.1, rel=1e-12)
+    assert s.time_budget_s == pytest.approx(0.1, rel=1e-12, abs=0)

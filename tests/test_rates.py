@@ -41,7 +41,7 @@ def test_general_rate_zero_matrix_element():
 def test_general_rate_grw_value():
     # direct product (0.5e-6) * (9e-26)
     rate = general_rate(grw_defaults(), MatrixElementSq(9e-26))
-    assert rate.per_second == pytest.approx(4.5e-32, rel=1e-12)
+    assert rate.per_second == pytest.approx(4.5e-32, rel=1e-12, abs=0)
 
 
 def test_general_rate_linear_in_lambda():
@@ -68,8 +68,8 @@ def test_deuteron_rate_at_zero_coupling():
     ratio = CODATA.m_n_over_m_p
     oracle = 0.5e-6 * (ratio / (1.0 + ratio)) ** 2 * 9e-26
     rate = deuteron_rate(_grw(0.0), model)
-    assert rate.per_second == pytest.approx(oracle, rel=1e-8)
-    assert rate.per_second == pytest.approx(1.127e-32, rel=1e-3)
+    assert rate.per_second == pytest.approx(oracle, rel=1e-8, abs=0)
+    assert rate.per_second == pytest.approx(1.127e-32, rel=1e-3, abs=0)
 
 
 def test_deuteron_rate_quadratic_in_coupling_deviation():
@@ -92,7 +92,7 @@ def test_com_reduction_matches_relative_weight():
     rng = np.random.default_rng(11)
     for g_n in rng.uniform(0.0, 3.0, size=10):
         composed = (1.0 * c_p + g_n * c_n) ** 2
-        assert composed == pytest.approx(relative_coupling_weight(float(g_n)), rel=1e-12)
+        assert composed == pytest.approx(relative_coupling_weight(float(g_n)), rel=1e-12, abs=0)
 
 
 def test_spectrum_integrates_to_total_rate():
@@ -102,7 +102,7 @@ def test_spectrum_integrates_to_total_rate():
     total, _ = si.quad(
         lambda k: deuteron_spectrum(p, model, k), 0.0, 60.0 * kap, limit=200, epsrel=1e-6
     )
-    assert total == pytest.approx(deuteron_rate(p, model).per_second, rel=1e-3)
+    assert total == pytest.approx(deuteron_rate(p, model).per_second, rel=1e-3, abs=0)
 
 
 def test_spectrum_vanishes_at_zero_k_and_mass_proportional_point():
