@@ -24,14 +24,12 @@ from .constants import (
     GRW_LAMBDA_RATE,
     CollapseParams,
     PhysicalConstants,
-    RateDensity,
     grw_defaults,
     lambda_over_a2,
 )
 from .deuteron import (
     BoundStateModel,
     ModelKind,
-    SpectrumDensity,
     binding_wavenumber,
     build_hulthen,
     build_zero_range,
@@ -39,13 +37,10 @@ from .deuteron import (
     dipole_radial_integral,
     mean_square_radius,
     spectrum_densities,
-    spectrum_density,
 )
 from .limits import (
     RADIATION_CEILING,
     AnalysisReport,
-    CouplingBound,
-    ElectronBound,
     ExclusionCurve,
     ExperimentConfig,
     ObservedCounts,
@@ -64,16 +59,11 @@ from .limits import (
 )
 from .quadrature import QuadratureError, integrate_radial
 from .rates import (
-    CountPrediction,
-    ExcitationRate,
-    MatrixElementSq,
     com_reduction_coefficients,
     count_coefficient,
     deuteron_rate,
     deuteron_spectra,
-    deuteron_spectrum,
     expected_count,
-    general_rate,
     relative_coupling_weight,
 )
 from .records import ConstraintError

@@ -306,7 +306,7 @@ def _cmd_analyze(args) -> int:
             cfg.experiment.fiducial_volume_kilotonne_m3,
             cfg.experiment.deuteron_density_per_cc,
             model,
-        ).expected_neutrons
+        )
     data = _analyze_report(report, predicted)
     if args.format == "text":
         _write(args, _report_text(data))
@@ -365,7 +365,7 @@ def _cmd_constants(args) -> int:
         "collapse-model defaults (GRW)",
         f"  lambda_rate      = {_fmt(grw.lambda_rate)} 1/s",
         f"  a_length         = {_fmt(grw.a_length)} cm",
-        f"  lambda/a^2       = {_fmt(lambda_over_a2(grw).lambda_over_a2)} 1/(s cm^2)",
+        f"  lambda/a^2       = {_fmt(lambda_over_a2(grw))} 1/(s cm^2)",
         "physical constants",
         f"  m_e/m_p          = {pc.m_e_over_m_p:.9g}",
         f"  m_n/m_p          = {pc.m_n_over_m_p:.9g}",

@@ -3,6 +3,7 @@
 Unit conventions used throughout the package: lengths in cm, times in s,
 energies in MeV. Nuclear-scale quantities (wavefunctions, momenta) are
 handled in fm and converted at module boundaries via the factors below.
+The collapse strength lambda/a^2 is a plain float in s^-1 cm^-2.
 """
 
 from __future__ import annotations
@@ -64,18 +65,12 @@ class CollapseParams(Record):
     g_n: float | None = non_negative(None)      # neutron coupling
 
 
-class RateDensity(Record):
-    """The composite collapse-strength parameter lambda/a^2 (s^-1 cm^-2)."""
-
-    lambda_over_a2: float = positive()
-
-
 def grw_defaults() -> CollapseParams:
     """Canonical GRW collapse parameters; couplings left for the caller."""
     return CollapseParams(lambda_rate=GRW_LAMBDA_RATE, a_length=GRW_A_LENGTH)
 
 
-def lambda_over_a2(p: CollapseParams) -> RateDensity:
-    """Collapse strength lambda/a^2 of a parameter set."""
+def lambda_over_a2(p: CollapseParams) -> float:
+    """Collapse strength lambda/a^2 of a parameter set (s^-1 cm^-2), positive and finite."""
     lam, a = p.lambda_rate, p.a_length
-    return RateDensity(in_float_range(f"lambda/a^2 for lambda = {lam!r} s^-1, a = {a!r} cm", lambda: lam / a**2))
+    return in_float_range(f"lambda/a^2 for lambda = {lam!r} s^-1, a = {a!r} cm", lambda: lam / a**2)

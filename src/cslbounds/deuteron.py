@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from .constants import CM2_PER_FM2, CODATA, in_float_range
 from .grids import logspace
 from .quadrature import integrate_radial
-from .records import Record, non_negative, positive
+from .records import Record, positive
 
 # Hulthen short-range scale beta in units of kappa
 HULTHEN_BETA_OVER_KAPPA = 6.163
@@ -65,13 +65,6 @@ class BoundStateModel(Record):
         if self.beta_per_fm is not None:
             decay -= math.exp(-self.beta_per_fm * r_fm)
         return self.norm * decay
-
-
-class SpectrumDensity(Record):
-    """k-resolved integrand of <r^2> over the final-state momentum."""
-
-    k_per_fm: float = non_negative()
-    density_fm3: float = non_negative()
 
 
 def binding_wavenumber(binding_energy_mev: float) -> float:
@@ -148,12 +141,6 @@ def spectrum_densities(model: BoundStateModel, ks_per_fm: Iterable[float]) -> li
     if not all(map(math.isfinite, densities)):   # a product overflows to inf
         raise OverflowError(outside)
     return densities
-
-
-def spectrum_density(model: BoundStateModel, k_per_fm: float) -> SpectrumDensity:
-    """The spectrum density at one k, as a checked record."""
-    (density,) = spectrum_densities(model, (k_per_fm,))
-    return SpectrumDensity(k_per_fm=k_per_fm, density_fm3=density)
 
 
 def default_k_grid(model: BoundStateModel) -> list[float]:

@@ -4,7 +4,8 @@ Turns a counting experiment's observed and predicted neutron totals into a
 one-sided limit on excess dissociations, inverts that limit into coupling
 bounds across the lambda/a^2 parameter space, and attaches the theoretical
 (sphere-visibility) floor and the experimental (conduction-electron
-radiation) ceiling.
+radiation) ceiling. Bounds and floors are plain floats: couplings relative
+to the proton's, collapse strengths lambda/a^2 in s^-1 cm^-2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .constants import (
     CODATA,
     GRW_A_LENGTH,
     GRW_LAMBDA_OVER_A2,
-    RateDensity,
     in_float_range,
 )
 from .deuteron import BoundStateModel, mean_square_radius
@@ -149,20 +149,6 @@ class ExclusionCurve(Record):
         return zip(self.lambda_over_a2, map(math.sqrt, map(GRW_LAMBDA_OVER_A2.__truediv__, self.lambda_over_a2)))
 
 
-class CouplingBound(Record):
-    """A coupling bound together with its one-significant-digit round-up."""
-
-    value: float
-    rounded_up: float
-
-
-class ElectronBound(Record):
-    """Half-width of the electron-coupling window and the implied g_e ceiling."""
-
-    half_width: float
-    g_upper: float
-
-
 class AnalysisReport(Record):
     """Everything the full pipeline produces for one configuration."""
 
@@ -198,25 +184,34 @@ def net_csl_counts(
 
 
 def round_up_one_significant(x: float) -> float:
-    """Round a positive value up to one significant digit (0.0074 -> 0.008)."""
+    """Round a positive value up to one significant digit (0.0074 -> 0.008): the least float
+    of a one-digit decimal that is not below x, subnormal x included."""
     if x == 0.0:
         return 0.0
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"expected a non-negative finite value (got {x!r})")
-    exponent = math.floor(math.log10(x))
-    # the quotient is within a few ulps of the mantissa, so a one-digit value keeps its digit
-    digit = math.ceil(x / 10.0**exponent * (1.0 - 4.0 * math.ulp(1.0)))
-    rounded = float(f"{digit}e{exponent}")
-    return rounded if rounded >= x else float(f"{digit + 1}e{exponent}")
+    nearest = f"{x:.0e}"   # the one-digit decimal nearest to x, rounded exactly
+    rounded = float(nearest)
+    if rounded >= x:
+        return rounded
+    digit, exponent = nearest.split("e")
+    return float(f"{int(digit) + 1}e{exponent}")
+
+
+def _scaling_from_grw(ld: float) -> float:
+    """sqrt((lambda/a^2)_GRW / ld), the factor that takes a bound from GRW strength to ld."""
+    if not (math.isfinite(ld) and ld > 0):
+        raise ValueError(f"lambda/a^2 must be positive and finite (got {ld!r})")
+    return math.sqrt(GRW_LAMBDA_OVER_A2 / ld)
 
 
 def neutron_coupling_bound(
     n_limit: float,
-    ld: RateDensity,
+    ld: float,
     coefficient: float,
     live_time_yr: float,
     volume_kilotonne_m3: float,
-) -> CouplingBound:
+) -> float:
     """Invert a count limit into |g_n - m_n/m_p| at collapse strength ld.
 
     bound = sqrt(n_limit / (coefficient T V)) * sqrt((lambda/a^2)_GRW / ld).
@@ -231,34 +226,30 @@ def neutron_coupling_bound(
         f"exposure of {live_time_yr!r} yr x {volume_kilotonne_m3!r} x 10^3 m^3 at coefficient {coefficient!r}",
         lambda: coefficient * live_time_yr * volume_kilotonne_m3,
     )
-    value = math.sqrt(n_limit / exposure) * math.sqrt(GRW_LAMBDA_OVER_A2 / ld.lambda_over_a2)
-    if not math.isfinite(value):
+    bound = math.sqrt(n_limit / exposure) * _scaling_from_grw(ld)
+    if not math.isfinite(bound):
         raise OverflowError(f"neutron coupling bound at count limit {n_limit!r}, exposure {exposure!r} overflowed")
-    return CouplingBound(value=value, rounded_up=round_up_one_significant(value))
+    return bound
 
 
-def electron_coupling_bound(ld: RateDensity) -> ElectronBound:
-    """|g_e - m_e/m_p| < 12 (m_e/m_p) sqrt((lambda/a^2)_GRW / ld).
+def electron_coupling_bound(ld: float) -> float:
+    """The half-width 12 (m_e/m_p) sqrt((lambda/a^2)_GRW / ld) of |g_e - m_e/m_p|.
 
-    The half-width comes from low-background Ge ionization data; at the GRW
-    strength the implied window is 0 <= g_e < 13 m_e/m_p.
+    It comes from low-background Ge ionization data; at the GRW strength the
+    implied window is 0 <= g_e < 13 m_e/m_p.
     """
-    ratio = CODATA.m_e_over_m_p
-    half_width = 12.0 * ratio * math.sqrt(GRW_LAMBDA_OVER_A2 / ld.lambda_over_a2)
-    return ElectronBound(half_width=half_width, g_upper=ratio + half_width)
+    return 12.0 * CODATA.m_e_over_m_p * _scaling_from_grw(ld)
 
 
-def visibility_floor_large_a(s: SphereVisibilityConfig) -> RateDensity:
+def visibility_floor_large_a(s: SphereVisibilityConfig) -> float:
     """Floor on lambda/a^2 when a is large compared to the sphere radius.
 
     Requiring [lambda N^2 d^2 / (4 a^2)]^-1 below the time budget gives
     lambda/a^2 > 4 / (N^2 d^2 budget).
     """
-    return RateDensity(
-        in_float_range(
-            "large-a visibility floor of the sphere",
-            lambda: 4.0 / (s.nucleon_count**2 * s.diameter_cm**2 * s.time_budget_s),
-        )
+    return in_float_range(
+        "large-a visibility floor of the sphere",
+        lambda: 4.0 / (s.nucleon_count**2 * s.diameter_cm**2 * s.time_budget_s),
     )
 
 
@@ -270,7 +261,7 @@ def small_a_floor_coefficient(s: SphereVisibilityConfig) -> float:
     )
 
 
-def visibility_floor_small_a(s: SphereVisibilityConfig, a_cm: float) -> RateDensity:
+def visibility_floor_small_a(s: SphereVisibilityConfig, a_cm: float) -> float:
     """Floor on lambda/a^2 when a is small compared to the sphere radius.
 
     Requiring [lambda N^2 a^3 (4 pi)^(3/2) / V]^-1 below the time budget
@@ -279,22 +270,19 @@ def visibility_floor_small_a(s: SphereVisibilityConfig, a_cm: float) -> RateDens
     if a_cm <= 0:
         raise ValueError(f"a must be positive (got {a_cm!r})")
     c = small_a_floor_coefficient(s)
-    return RateDensity(in_float_range(f"small-a visibility floor at a = {a_cm!r} cm", lambda: c / a_cm**5))
+    return in_float_range(f"small-a visibility floor at a = {a_cm!r} cm", lambda: c / a_cm**5)
 
 
 def theoretical_floor(s: SphereVisibilityConfig, a_cm: float = GRW_A_LENGTH) -> float:
     """Max of the two visibility floors evaluated at localization length a."""
-    return max(
-        visibility_floor_large_a(s).lambda_over_a2,
-        visibility_floor_small_a(s, a_cm).lambda_over_a2,
-    )
+    return max(visibility_floor_large_a(s), visibility_floor_small_a(s, a_cm))
 
 
 def _floor_regime(s: SphereVisibilityConfig, a_cm: float) -> str:
     half_d = 0.5 * s.diameter_cm
     side = "a > d/2" if a_cm > half_d else "a < d/2" if a_cm < half_d else "a = d/2"
-    large = visibility_floor_large_a(s).lambda_over_a2
-    small = visibility_floor_small_a(s, a_cm).lambda_over_a2
+    large = visibility_floor_large_a(s)
+    small = visibility_floor_small_a(s, a_cm)
     dominant = "small-a" if small > large else "large-a"
     return f"{dominant} visibility constraint dominates at a={a_cm:g} cm ({side})"
 
@@ -315,13 +303,12 @@ def scan_exclusion(
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
     coefficient = count_coefficient(model, e.deuteron_density_per_cc)
-    grw = RateDensity(GRW_LAMBDA_OVER_A2)
-    gn = neutron_coupling_bound(n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
-    ge = electron_coupling_bound(grw)
     return ExclusionCurve(
         scan=scan,
-        gn_bound_at_grw=gn.value,
-        ge_bound_at_grw=ge.half_width,
+        gn_bound_at_grw=neutron_coupling_bound(
+            n_limit, GRW_LAMBDA_OVER_A2, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3
+        ),
+        ge_bound_at_grw=electron_coupling_bound(GRW_LAMBDA_OVER_A2),
         theoretical_floor=theoretical_floor(s, a_cm),
         experimental_ceiling=RADIATION_CEILING,
     )
@@ -341,15 +328,12 @@ def run_full_analysis(
     coefficient = count_coefficient(model, e.deuteron_density_per_cc)
     r2_cm2 = mean_square_radius(model)
 
-    grw = RateDensity(GRW_LAMBDA_OVER_A2)
-    gn = neutron_coupling_bound(
-        n_limit, grw, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-    )
-    ge = electron_coupling_bound(grw)
+    gn = neutron_coupling_bound(n_limit, GRW_LAMBDA_OVER_A2, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
 
     # fractional widths relative to the mass-proportional point
-    ge_fraction = ge.half_width / CODATA.m_e_over_m_p
-    gn_fraction = gn.value / CODATA.m_n_over_m_p
+    ge_fraction = ge / CODATA.m_e_over_m_p
+    gn_fraction = gn / CODATA.m_n_over_m_p
     strength_ratio = ge_fraction / gn_fraction if gn_fraction > 0 else math.inf
 
     warnings = []
@@ -368,10 +352,10 @@ def run_full_analysis(
         n_csl=n_csl,
         n_limit=n_limit,
         n_sigma=n_sigma,
-        gn_bound_at_grw=gn.value,
-        gn_bound_rounded=gn.rounded_up,
-        ge_half_width_at_grw=ge.half_width,
-        ge_upper_at_grw=ge.g_upper,
+        gn_bound_at_grw=gn,
+        gn_bound_rounded=round_up_one_significant(gn),
+        ge_half_width_at_grw=ge,
+        ge_upper_at_grw=CODATA.m_e_over_m_p + ge,
         strength_ratio=strength_ratio,
         curve=curve,
         model_r2_cm2=r2_cm2,

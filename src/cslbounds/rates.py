@@ -1,10 +1,14 @@
 """First-order collapse-induced excitation rates and expected event counts.
 
-The general rate is (lambda / 2 a^2) |<phi| sum g_alpha r_alpha |psi>|^2.
-For the deuteron the fixed-center-of-mass constraint reduces the operator
-to the relative coordinate with squared weight
-((g_n - m_n/m_p) / (1 + m_n/m_p))^2, which vanishes identically for
-mass-proportional coupling. The electron contribution is neglected.
+The general rate is (lambda / 2 a^2) |<phi| sum g_alpha r_alpha |psi>|^2,
+to first order in (bound-state size / a). For the deuteron the
+fixed-center-of-mass constraint reduces the operator to the relative
+coordinate with squared weight w = ((g_n - m_n/m_p) / (1 + m_n/m_p))^2,
+which vanishes identically for mass-proportional coupling, so the rate is
+(lambda / 2 a^2) w <r^2>. The electron contribution is neglected.
+
+Rates and counts are plain floats; one that floats cannot hold raises an
+OverflowError naming the coupling it was computed at.
 """
 
 from __future__ import annotations
@@ -21,42 +25,9 @@ from .constants import (
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_densities
-from .records import Record, non_negative, positive
 
 # 10^3 m^3 expressed in cm^3
 CC_PER_KILOTONNE_M3 = 1e9
-
-
-class MatrixElementSq(Record):
-    """Squared magnitude of the weighted dipole matrix element (cm^2)."""
-
-    value_cm2: float = non_negative()
-
-
-class ExcitationRate(Record):
-    """Excitation probability per second for one bound state."""
-
-    per_second: float = non_negative()
-
-
-class CountPrediction(Record):
-    """Expected dissociation count and the normalized count coefficient.
-
-    coefficient is the count at unit coupling deviation per (yr x 10^3 m^3)
-    of live exposure at the GRW collapse strength.
-    """
-
-    expected_neutrons: float = non_negative()
-    coefficient: float = positive()
-
-
-def general_rate(p: CollapseParams, me: MatrixElementSq) -> ExcitationRate:
-    """First-order excitation rate (lambda / 2 a^2) |M|^2.
-
-    The next order in (bound-state size / a) is dropped; it is far below
-    any observable level for nuclear bound states.
-    """
-    return ExcitationRate(0.5 * lambda_over_a2(p).lambda_over_a2 * me.value_cm2)
 
 
 def com_reduction_coefficients() -> tuple[float, float]:
@@ -81,11 +52,26 @@ def _require_gn(p: CollapseParams) -> float:
     return p.g_n
 
 
-def deuteron_rate(p: CollapseParams, model: BoundStateModel) -> ExcitationRate:
-    """Total dissociation rate per deuteron, integrated over final momenta."""
+def _rate_prefactor(p: CollapseParams) -> float:
+    """(lambda / 2 a^2) w(g_n) in s^-1 cm^-2, the rate per cm^2 of squared dipole; inf where w overflows."""
     g_n = _require_gn(p)
-    r2_cm2 = mean_square_radius(model)
-    return general_rate(p, MatrixElementSq(relative_coupling_weight(g_n) * r2_cm2))
+    strength = lambda_over_a2(p)
+    try:
+        return 0.5 * strength * relative_coupling_weight(g_n)
+    except OverflowError:   # the weight's square
+        return math.inf
+
+
+def _finite_rates(p: CollapseParams, rates: list[float]) -> list[float]:
+    if not all(map(math.isfinite, rates)):
+        raise OverflowError(f"dissociation rate at g_n = {p.g_n!r}, lambda/a^2 = {lambda_over_a2(p)!r} s^-1 cm^-2 overflowed")
+    return rates
+
+
+def deuteron_rate(p: CollapseParams, model: BoundStateModel) -> float:
+    """Total dissociation rate per deuteron in s^-1, integrated over final momenta."""
+    (rate,) = _finite_rates(p, [_rate_prefactor(p) * mean_square_radius(model)])
+    return rate
 
 
 def deuteron_spectra(p: CollapseParams, model: BoundStateModel, ks_per_fm: Iterable[float]) -> list[float]:
@@ -94,22 +80,8 @@ def deuteron_spectra(p: CollapseParams, model: BoundStateModel, ks_per_fm: Itera
     Integrating over k reproduces deuteron_rate by the completeness sum rule. Every rate
     is zero for mass-proportional g_n.
     """
-    g_n = _require_gn(p)
-    strength = lambda_over_a2(p).lambda_over_a2
-    try:
-        scaling = 0.5 * strength * relative_coupling_weight(g_n)
-    except OverflowError:   # the weight's square
-        scaling = math.inf
-    rates = [scaling * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)]
-    if not all(map(math.isfinite, rates)):
-        raise OverflowError(f"dissociation rate at g_n = {g_n!r}, lambda/a^2 = {strength!r} s^-1 cm^-2 overflowed")
-    return rates
-
-
-def deuteron_spectrum(p: CollapseParams, model: BoundStateModel, k_per_fm: float) -> float:
-    """dR/dk at one k (s^-1 per fm^-1)."""
-    (rate,) = deuteron_spectra(p, model, (k_per_fm,))
-    return rate
+    prefactor = _rate_prefactor(p)
+    return _finite_rates(p, [prefactor * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)])
 
 
 def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) -> float:
@@ -136,7 +108,7 @@ def expected_count(
     volume_kilotonne_m3: float,
     deuteron_density_per_cc: float,
     model: BoundStateModel,
-) -> CountPrediction:
+) -> float:
     """Expected number of collapse-induced dissociations over a live exposure.
 
     N = coefficient * (lambda/a^2)/(lambda/a^2)_GRW * (g_n - m_n/m_p)^2 * T * V
@@ -146,7 +118,9 @@ def expected_count(
         raise ValueError("live time and volume must be positive")
     g_n = _require_gn(p)
     coefficient = count_coefficient(model, deuteron_density_per_cc)
-    strength_ratio = lambda_over_a2(p).lambda_over_a2 / GRW_LAMBDA_OVER_A2
+    strength_ratio = lambda_over_a2(p) / GRW_LAMBDA_OVER_A2
     deviation = g_n - CODATA.m_n_over_m_p
     expected = coefficient * strength_ratio * deviation * deviation * live_time_yr * volume_kilotonne_m3
-    return CountPrediction(expected_neutrons=expected, coefficient=coefficient)
+    if not math.isfinite(expected):   # 0 is a valid count, so not in_float_range
+        raise OverflowError(f"expected count at g_n = {g_n!r} overflowed")
+    return expected

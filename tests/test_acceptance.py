@@ -15,7 +15,6 @@ from cslbounds import (
     GRW_LAMBDA_OVER_A2,
     AsymmetricValue,
     CollapseParams,
-    RateDensity,
     add,
     build_hulthen,
     build_zero_range,
@@ -31,7 +30,7 @@ from cslbounds import (
     one_sided_upper_limit,
     run_full_analysis,
     small_a_floor_coefficient,
-    spectrum_density,
+    spectrum_densities,
     subtract,
     visibility_floor_large_a,
     visibility_floor_small_a,
@@ -98,9 +97,9 @@ def test_criterion_04_neutron_bound():
 
 def test_criterion_05_electron_bound():
     def checks():
-        ge = electron_coupling_bound(RateDensity(GRW_LAMBDA_OVER_A2))
-        assert ge.half_width == pytest.approx(6.536e-3, rel=1e-3)
-        assert ge.g_upper == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
+        assert electron_coupling_bound(GRW_LAMBDA_OVER_A2) == pytest.approx(6.536e-3, rel=1e-3)
+        report = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=CFG.n_sigma)
+        assert report.ge_upper_at_grw == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
 
     _report(5, "electron bound 12 m_e/m_p within 0.1% of 6.536e-3, ceiling 13 m_e/m_p", checks)
 
@@ -108,9 +107,9 @@ def test_criterion_05_electron_bound():
 def test_criterion_06_visibility_floors():
     def checks():
         sphere = CFG.sphere
-        assert visibility_floor_large_a(sphere).lambda_over_a2 == pytest.approx(6.25e-11, rel=0.01, abs=0)
+        assert visibility_floor_large_a(sphere) == pytest.approx(6.25e-11, rel=0.01, abs=0)
         assert small_a_floor_coefficient(sphere) == pytest.approx(1.88e-35, rel=0.01, abs=0)
-        at_grw = visibility_floor_small_a(sphere, 1e-5).lambda_over_a2
+        at_grw = visibility_floor_small_a(sphere, 1e-5)
         assert 1.8e-10 <= at_grw <= 2.1e-10
 
     _report(6, "visibility floors: 6.25e-11 and 1.88e-35/a^5 within 1%", checks)
@@ -123,12 +122,12 @@ def test_criterion_07_scan_endpoint():
         coeff = count_coefficient(MODEL, CFG.experiment.deuteron_density_per_cc)
         bound = neutron_coupling_bound(
             n_limit,
-            RateDensity(1e-10),
+            1e-10,
             coeff,
             CFG.experiment.live_time_yr,
             CFG.experiment.fiducial_volume_kilotonne_m3,
         )
-        assert 0.74 <= bound.value <= 0.80
+        assert 0.74 <= bound <= 0.80
 
     _report(7, "neutron bound at lambda/a^2 = 1e-10 in [0.74, 0.80]", checks)
 
@@ -152,18 +151,18 @@ def test_criterion_09_property_suite():
         # spectrum sum rule to 0.1% (60-kappa truncation tail is below 2e-5)
         kap = MODEL.kappa_per_fm
         spectral, _ = si.quad(
-            lambda k: spectrum_density(MODEL, k).density_fm3, 0.0, 60.0 * kap, limit=200, epsrel=1e-6
+            lambda k: spectrum_densities(MODEL, (k,))[0], 0.0, 60.0 * kap, limit=200, epsrel=1e-6
         )
         assert spectral * 1e-26 == pytest.approx(mean_square_radius(MODEL), rel=1e-3, abs=0)
 
         # mass-proportional coupling kills the rate identically
         mass_prop = CollapseParams(1e-16, 1e-5, g_n=CODATA.m_n_over_m_p)
-        assert deuteron_rate(mass_prop, MODEL).per_second == 0.0
+        assert deuteron_rate(mass_prop, MODEL) == 0.0
 
         # exact quadratic scaling in the coupling deviation
         ratio = CODATA.m_n_over_m_p
-        r1 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=ratio + 0.25), MODEL).per_second
-        r2 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=ratio + 0.5), MODEL).per_second
+        r1 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=ratio + 0.25), MODEL)
+        r2 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=ratio + 0.5), MODEL)
         assert r2 == 4.0 * r1
 
         # bound -> count round trip to 1e-9 relative
@@ -172,14 +171,12 @@ def test_criterion_09_property_suite():
         n_limit = one_sided_upper_limit(n_csl, 1.0)
         coeff = count_coefficient(MODEL, e.deuteron_density_per_cc)
         for ld in (1e-10, 1e-6, 2.5):
-            b = neutron_coupling_bound(
-                n_limit, RateDensity(ld), coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-            ).value
+            b = neutron_coupling_bound(n_limit, ld, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
             params = CollapseParams(ld * 1e-10, 1e-5, g_n=ratio + b)
             pred = expected_count(
                 params, e.live_time_yr, e.fiducial_volume_kilotonne_m3, e.deuteron_density_per_cc, MODEL
             )
-            assert pred.expected_neutrons == pytest.approx(n_limit, rel=1e-9)
+            assert pred == pytest.approx(n_limit, rel=1e-9)
 
         # uncertainty algebra: commutativity and antisymmetry
         a = AsymmetricValue(10.0, 3.0, 4.0)

@@ -31,12 +31,12 @@ from cslbounds import (
     default_config,
     default_k_grid,
     deuteron_rate,
-    deuteron_spectrum,
+    deuteron_spectra,
     expected_count,
     load_config,
     run_full_analysis,
     scan_exclusion,
-    spectrum_density,
+    spectrum_densities,
 )
 
 
@@ -114,7 +114,7 @@ def test_analyze_predict(capsys, tmp_path):
         (4 * np.pi / 3) * 5.5**3 / 1e3,
         (2.0 / 3.0) * 1e23,
         build_zero_range(2.224575),
-    ).expected_neutrons
+    )
     assert data["predicted_csl_counts"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_spectrum_rate_matches_total(capsys, tmp_path):
     dens = np.array([float(r[1]) for r in rows])
     total = np.trapezoid(dens, ks)
     rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), build_zero_range(2.224575))
-    assert total == pytest.approx(rate.per_second, rel=0.01, abs=0)
+    assert total == pytest.approx(rate, rel=0.01, abs=0)
     # low k edge is phase-space suppressed
     assert dens[0] < 1e-4 * dens.max()
 
@@ -225,9 +225,9 @@ def test_spectrum_rows_are_the_per_point_values(capsys, tmp_path, kind, quantity
     cfg = load_config(path)
     model = build_model(cfg.model)
     if quantity == "rate":
-        expected = [(k, deuteron_spectrum(cfg.collapse, model, k)) for k in default_k_grid(model)]
+        expected = [(k, deuteron_spectra(cfg.collapse, model, (k,))[0]) for k in default_k_grid(model)]
     else:
-        expected = [(k, spectrum_density(model, k).density_fm3) for k in default_k_grid(model)]
+        expected = [(k, spectrum_densities(model, (k,))[0]) for k in default_k_grid(model)]
     _, _, rows = parse_csv(out)
     assert [(float(k), float(value)) for k, value in rows] == expected
 
@@ -424,8 +424,8 @@ def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, comman
         ),
         # the bound at GRW strength overflows
         (("analyze",), {"experiment": {"deuteron_density_per_cc": 1e-300}}, "neutron coupling bound at count limit"),
-        # the predicted count overflows: a record's declared domain fails on a computed value
-        (("analyze", "--predict"), {"collapse": {"g_n": 1e200}}, "expected_neutrons must be non-negative (got inf)"),
+        # the predicted count overflows
+        (("analyze", "--predict"), {"collapse": {"g_n": 1e200}}, "expected count at g_n = 1e+200 overflowed"),
     ],
     ids=[
         "predict-lambda",

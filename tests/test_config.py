@@ -14,17 +14,12 @@ from cslbounds import (
     CollapseParams,
     ConfigError,
     ConstraintError,
-    CountPrediction,
-    ExcitationRate,
     ExperimentConfig,
-    MatrixElementSq,
     ModelKind,
     ModelSpec,
     ObservedCounts,
-    RateDensity,
     RunConfig,
     ScanSpec,
-    SpectrumDensity,
     SphereVisibilityConfig,
     build_hulthen,
     build_model,
@@ -121,12 +116,7 @@ VIOLATING = {
 # one record of each type outside the config that declares a domain
 LIBRARY_RECORDS = [
     CODATA,
-    RateDensity(1e-6),
     build_hulthen(2.224575),
-    SpectrumDensity(0.5, 1.5),
-    MatrixElementSq(1e-26),
-    ExcitationRate(1e-30),
-    CountPrediction(10.0, 0.5),
 ]
 
 

@@ -8,7 +8,6 @@ from cslbounds import (
     GRW_LAMBDA_OVER_A2,
     CollapseParams,
     PhysicalConstants,
-    RateDensity,
     grw_defaults,
     lambda_over_a2,
 )
@@ -26,31 +25,31 @@ def test_grw_defaults_deterministic():
 
 
 def test_grw_lambda_over_a2():
-    assert lambda_over_a2(grw_defaults()).lambda_over_a2 == pytest.approx(1e-6, rel=1e-12, abs=0)
+    assert lambda_over_a2(grw_defaults()) == pytest.approx(1e-6, rel=1e-12, abs=0)
     assert GRW_LAMBDA_OVER_A2 == 1e-6
 
 
 def test_lambda_over_a2_scaling_identity():
     p = CollapseParams(lambda_rate=4e-16, a_length=2e-5)
-    assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(1e-6, rel=1e-12, abs=0)
+    assert lambda_over_a2(p) == pytest.approx(1e-6, rel=1e-12, abs=0)
 
 
 def test_lambda_over_a2_direct_division():
     # matches the radiation-limit strength 2.5 by direct division
     p = CollapseParams(lambda_rate=2.5e-10, a_length=1e-5)
-    assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(2.5, rel=1e-12)
+    assert lambda_over_a2(p) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_lambda_over_a2_invariant_under_joint_rescaling():
-    base = lambda_over_a2(grw_defaults()).lambda_over_a2
+    base = lambda_over_a2(grw_defaults())
     # powers of two rescale exactly
     for c in (2.0, 0.5, 8.0):
         p = CollapseParams(lambda_rate=c * c * 1e-16, a_length=c * 1e-5)
-        assert lambda_over_a2(p).lambda_over_a2 == base
+        assert lambda_over_a2(p) == base
     rng = np.random.default_rng(7)
     for c in rng.uniform(0.1, 50.0, size=20):
         p = CollapseParams(lambda_rate=c * c * 1e-16, a_length=c * 1e-5)
-        assert lambda_over_a2(p).lambda_over_a2 == pytest.approx(base, rel=1e-14, abs=0)
+        assert lambda_over_a2(p) == pytest.approx(base, rel=1e-14, abs=0)
 
 
 def test_mass_ratio_invariants():
@@ -71,13 +70,6 @@ def test_mass_ratio_invariants():
 def test_collapse_params_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         CollapseParams(**kwargs)
-
-
-def test_rate_density_must_be_positive():
-    with pytest.raises(ValueError):
-        RateDensity(0.0)
-    with pytest.raises(ValueError):
-        RateDensity(-1e-6)
 
 
 def test_physical_constants_reject_broken_year():

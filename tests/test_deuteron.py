@@ -16,7 +16,6 @@ from cslbounds import (
     ConstraintError,
     ModelKind,
     ScanSpec,
-    SpectrumDensity,
     binding_wavenumber,
     build_hulthen,
     build_zero_range,
@@ -24,7 +23,6 @@ from cslbounds import (
     dipole_radial_integral,
     mean_square_radius,
     spectrum_densities,
-    spectrum_density,
 )
 from cslbounds.deuteron import HULTHEN_BETA_OVER_KAPPA
 from cslbounds.grids import linspace, logspace
@@ -51,7 +49,7 @@ def _spectral_integral_cm2(model, rel=1e-6):
     # truncation at 60 kappa leaves a tail below 2e-5 relative for both kinds
     kap = model.kappa_per_fm
     value, _ = si.quad(
-        lambda k: spectrum_density(model, k).density_fm3, 0.0, 60.0 * kap, limit=200, epsrel=rel
+        lambda k: spectrum_densities(model, (k,))[0], 0.0, 60.0 * kap, limit=200, epsrel=rel
     )
     return value * 1e-26
 
@@ -200,12 +198,9 @@ def test_hulthen_model_rejects_non_finite_beta(beta):
 
 
 def test_spectrum_density_rejects_nan():
-    with pytest.raises(ConstraintError, match=r"k_per_fm must be non-negative \(got nan\)"):
-        SpectrumDensity(math.nan, math.nan)
-    with pytest.raises(ConstraintError, match=r"density_fm3 must be non-negative \(got nan\)"):
-        SpectrumDensity(1.0, math.nan)
-    with pytest.raises(ValueError, match="k_per_fm must be finite"):
-        spectrum_density(build_zero_range(EB_DEFAULT), math.nan)
+    for k in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match=re.escape(f"k_per_fm must be finite and non-negative (got {k!r})")):
+            spectrum_densities(build_zero_range(EB_DEFAULT), (1.0, k))
 
 
 def test_non_positive_binding_energy_rejected():
@@ -261,14 +256,14 @@ def test_r2_monotone_in_binding_energy():
 
 def test_spectrum_density_vanishes_at_zero_k():
     m = build_zero_range(EB_DEFAULT)
-    assert spectrum_density(m, 0.0).density_fm3 == 0.0
+    assert spectrum_densities(m, (0.0,))[0] == 0.0
 
 
 def test_spectrum_density_non_negative_sampled():
     m = build_hulthen(EB_DEFAULT)
     ks = np.logspace(-2.5, 1.5, 100) * m.kappa_per_fm
     for k in ks:
-        assert spectrum_density(m, float(k)).density_fm3 >= 0.0
+        assert spectrum_densities(m, (float(k),))[0] >= 0.0
 
 
 def test_spectrum_matches_zero_range_closed_form():
@@ -276,7 +271,7 @@ def test_spectrum_matches_zero_range_closed_form():
     kap = m.kappa_per_fm
     for factor in (0.05, 0.3, 1.0, 3.0, 7.0, 12.0, 40.0):
         k = factor * kap
-        got = spectrum_density(m, k).density_fm3
+        got = spectrum_densities(m, (k,))[0]
         assert got == pytest.approx(_zero_range_density(m, k), rel=1e-9, abs=0)
 
 

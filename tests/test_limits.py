@@ -17,7 +17,6 @@ from cslbounds import (
     ExclusionCurve,
     ExperimentConfig,
     ObservedCounts,
-    RateDensity,
     ScanSpec,
     SphereVisibilityConfig,
     build_hulthen,
@@ -121,33 +120,37 @@ def _reference_bound_inputs():
 
 def test_neutron_bound_at_grw():
     e, _, n_limit, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(
-        n_limit, RateDensity(GRW_LAMBDA_OVER_A2), coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-    )
-    assert 0.0074 <= bound.value <= 0.0076
-    assert bound.rounded_up == 0.008
+    bound = neutron_coupling_bound(n_limit, GRW_LAMBDA_OVER_A2, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    assert 0.0074 <= bound <= 0.0076
+    assert round_up_one_significant(bound) == 0.008
 
 
 def test_neutron_bound_zero_limit():
     e, _, _, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(0.0, RateDensity(GRW_LAMBDA_OVER_A2), coeff, 1.0, 1.0)
-    assert bound.value == 0.0
-    assert bound.rounded_up == 0.0
+    bound = neutron_coupling_bound(0.0, GRW_LAMBDA_OVER_A2, coeff, 1.0, 1.0)
+    assert bound == 0.0
+    assert round_up_one_significant(bound) == 0.0
 
 
 def test_neutron_bound_at_visibility_strength():
     e, _, n_limit, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(
-        n_limit, RateDensity(1e-10), coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-    )
-    assert 0.74 <= bound.value <= 0.80
+    bound = neutron_coupling_bound(n_limit, 1e-10, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    assert 0.74 <= bound <= 0.80
 
 
 def test_neutron_bound_validation():
     with pytest.raises(ValueError):
-        neutron_coupling_bound(-1.0, RateDensity(1e-6), 1e7, 1.0, 1.0)
+        neutron_coupling_bound(-1.0, 1e-6, 1e7, 1.0, 1.0)
     with pytest.raises(ValueError):
-        neutron_coupling_bound(100.0, RateDensity(1e-6), 0.0, 1.0, 1.0)
+        neutron_coupling_bound(100.0, 1e-6, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("ld", [0.0, -1e-6, math.nan, math.inf])
+def test_coupling_bounds_reject_a_strength_that_is_not_positive_and_finite(ld):
+    with pytest.raises(ValueError, match=re.escape(f"lambda/a^2 must be positive and finite (got {ld!r})")):
+        neutron_coupling_bound(100.0, ld, 1e7, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"lambda/a^2 must be positive and finite (got {ld!r})")):
+        electron_coupling_bound(ld)
 
 
 def test_bound_count_round_trip():
@@ -155,10 +158,7 @@ def test_bound_count_round_trip():
     e, model, n_limit, coeff = _reference_bound_inputs()
     rng = np.random.default_rng(3)
     for ld in 10.0 ** rng.uniform(-10, 0.4, size=8):
-        density = RateDensity(float(ld))
-        b = neutron_coupling_bound(
-            n_limit, density, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-        ).value
+        b = neutron_coupling_bound(n_limit, float(ld), coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
         params = CollapseParams(
             lambda_rate=float(ld) * 1e-10, a_length=1e-5, g_n=CODATA.m_n_over_m_p + b
         )
@@ -169,24 +169,26 @@ def test_bound_count_round_trip():
             e.deuteron_density_per_cc,
             model,
         )
-        assert pred.expected_neutrons == pytest.approx(n_limit, rel=1e-9)
+        assert pred == pytest.approx(n_limit, rel=1e-9)
 
 
 def test_electron_bound_values():
-    ge = electron_coupling_bound(RateDensity(GRW_LAMBDA_OVER_A2))
-    assert ge.half_width == pytest.approx(12 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
-    assert ge.half_width == pytest.approx(6.536e-3, rel=1e-3)
-    assert ge.g_upper == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
+    ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
+    assert ge == pytest.approx(12 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
+    assert ge == pytest.approx(6.536e-3, rel=1e-3)
+    report = run_full_analysis(reference_experiment(), reference_sphere(), build_zero_range(EB_DEFAULT))
+    assert report.ge_half_width_at_grw == ge
+    assert report.ge_upper_at_grw == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
 
 
 def test_electron_bound_inverse_sqrt_scaling():
-    b1 = electron_coupling_bound(RateDensity(1e-6)).half_width
-    b4 = electron_coupling_bound(RateDensity(4e-6)).half_width
+    b1 = electron_coupling_bound(1e-6)
+    b4 = electron_coupling_bound(4e-6)
     assert b4 == pytest.approx(b1 / 2, rel=1e-15, abs=0)
 
 
 def test_visibility_floor_large_a():
-    floor = visibility_floor_large_a(reference_sphere()).lambda_over_a2
+    floor = visibility_floor_large_a(reference_sphere())
     assert floor == pytest.approx(6.25e-11, rel=1e-2, abs=0)
     # displayed as 0.6e-10
     assert floor == pytest.approx(0.6e-10, rel=0.05)
@@ -200,8 +202,8 @@ def test_visibility_floor_large_a_scalings():
         perception_time_s=s.perception_time_s,
         collapse_margin=s.collapse_margin,
     )
-    assert visibility_floor_large_a(quad_n).lambda_over_a2 == pytest.approx(
-        visibility_floor_large_a(s).lambda_over_a2 / 16, rel=1e-15, abs=0
+    assert visibility_floor_large_a(quad_n) == pytest.approx(
+        visibility_floor_large_a(s) / 16, rel=1e-15, abs=0
     )
     doubled_budget = SphereVisibilityConfig(
         diameter_cm=s.diameter_cm,
@@ -209,18 +211,18 @@ def test_visibility_floor_large_a_scalings():
         perception_time_s=2 * s.perception_time_s,
         collapse_margin=s.collapse_margin,
     )
-    assert visibility_floor_large_a(doubled_budget).lambda_over_a2 == pytest.approx(
-        visibility_floor_large_a(s).lambda_over_a2 / 2, rel=1e-15, abs=0
+    assert visibility_floor_large_a(doubled_budget) == pytest.approx(
+        visibility_floor_large_a(s) / 2, rel=1e-15, abs=0
     )
 
 
 def test_visibility_floor_small_a():
     s = reference_sphere()
     assert small_a_floor_coefficient(s) == pytest.approx(1.88e-35, rel=1e-2, abs=0)
-    at_grw = visibility_floor_small_a(s, 1e-5).lambda_over_a2
+    at_grw = visibility_floor_small_a(s, 1e-5)
     assert 1.8e-10 <= at_grw <= 2.1e-10
     # a^-5 homogeneity
-    assert visibility_floor_small_a(s, 2e-5).lambda_over_a2 == pytest.approx(at_grw / 32, rel=1e-12, abs=0)
+    assert visibility_floor_small_a(s, 2e-5) == pytest.approx(at_grw / 32, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         visibility_floor_small_a(s, 0.0)
 
@@ -240,9 +242,9 @@ def test_floors_and_volume_outside_float_range_are_overflow():
 
 def test_theoretical_floor_is_max_of_regimes():
     s = reference_sphere()
-    assert theoretical_floor(s, 1e-5) == visibility_floor_small_a(s, 1e-5).lambda_over_a2
+    assert theoretical_floor(s, 1e-5) == visibility_floor_small_a(s, 1e-5)
     # at large a the large-a constraint takes over
-    assert theoretical_floor(s, 1e-3) == visibility_floor_large_a(s).lambda_over_a2
+    assert theoretical_floor(s, 1e-3) == visibility_floor_large_a(s)
 
 
 def test_round_up_one_significant():
@@ -272,6 +274,21 @@ def test_round_up_keeps_every_one_digit_value():
         for d in range(1, 10):
             x = float(f"{d}e{e}")
             assert round_up_one_significant(x) == x, x
+
+
+def test_round_up_subnormals():
+    # below 1e-323, 10.0**floor(log10(x)) is 0.0, so the rounding must not divide by it
+    for x, expected in ((5e-324, 5e-324), (1e-323, 1e-323), (2.5e-320, 3e-320)):
+        assert round_up_one_significant(x) == expected, x
+    # every subnormal rounds to a one-digit value not below it, and the next one-digit value
+    # down is either below it or rounds to the same float
+    rng = np.random.default_rng(19)
+    for x in sorted({math.ldexp(float(m), -1074) for m in rng.integers(1, 2**52, size=2000)} | {5e-324, 1e-323}):
+        rounded = round_up_one_significant(x)
+        digit, exponent = map(int, f"{rounded:.0e}".split("e"))
+        assert rounded == float(f"{digit}e{exponent}") >= x
+        below = float(f"{digit - 1}e{exponent}" if digit > 1 else f"9e{exponent - 1}")
+        assert below < x or below == rounded, x
 
 
 def test_round_up_dominates_value():
@@ -415,18 +432,13 @@ def test_scan_exclusion_matches_pointwise_bounds():
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, 2.0)
     coeff = count_coefficient(model, e.deuteron_density_per_cc)
-    grw = RateDensity(GRW_LAMBDA_OVER_A2)
+    exposure = (coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     assert curve.lambda_over_a2 == tuple(scan.grid())
-    assert curve.gn_bound_at_grw == neutron_coupling_bound(
-        n_limit, grw, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-    ).value
-    assert curve.ge_bound_at_grw == electron_coupling_bound(grw).half_width
+    assert curve.gn_bound_at_grw == neutron_coupling_bound(n_limit, GRW_LAMBDA_OVER_A2, *exposure)
+    assert curve.ge_bound_at_grw == electron_coupling_bound(GRW_LAMBDA_OVER_A2)
     for ld, gn, ge in zip(*columns(curve)):
-        density = RateDensity(ld)
-        assert gn == neutron_coupling_bound(
-            n_limit, density, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-        ).value
-        assert ge == electron_coupling_bound(density).half_width
+        assert gn == neutron_coupling_bound(n_limit, ld, *exposure)
+        assert ge == electron_coupling_bound(ld)
 
 
 def test_scan_exclusion_holds_the_spec_it_scanned():

@@ -7,15 +7,14 @@ import scipy.integrate as si
 from cslbounds import (
     CODATA,
     CollapseParams,
-    MatrixElementSq,
     build_zero_range,
     com_reduction_coefficients,
     count_coefficient,
     deuteron_rate,
-    deuteron_spectrum,
+    deuteron_spectra,
     expected_count,
-    general_rate,
     grw_defaults,
+    mean_square_radius,
     relative_coupling_weight,
 )
 
@@ -34,32 +33,28 @@ def _model_with_r2(r2_cm2):
     return build_zero_range(eb)
 
 
-def test_general_rate_zero_matrix_element():
-    assert general_rate(grw_defaults(), MatrixElementSq(0.0)).per_second == 0.0
-
-
 def test_general_rate_grw_value():
-    # direct product (0.5e-6) * (9e-26)
-    rate = general_rate(grw_defaults(), MatrixElementSq(9e-26))
-    assert rate.per_second == pytest.approx(4.5e-32, rel=1e-12, abs=0)
+    # the general rate (lambda / 2 a^2) |M|^2 with |M|^2 = w <r^2>: the direct product (0.5e-6) w <r^2>,
+    # which is (0.5e-6) * (9e-26) at unit weight and <r^2> = 9e-26
+    model = build_zero_range(EB_DEFAULT)
+    g_n = 0.75
+    oracle = 0.5e-6 * relative_coupling_weight(g_n) * mean_square_radius(model)
+    assert deuteron_rate(_grw(g_n), model) == pytest.approx(oracle, rel=1e-12, abs=0)
+    unit_weight = _grw(1.0 + 2.0 * CODATA.m_n_over_m_p)
+    assert deuteron_rate(unit_weight, _model_with_r2(9e-26)) == pytest.approx(4.5e-32, rel=1e-8, abs=0)
 
 
 def test_general_rate_linear_in_lambda():
-    me = MatrixElementSq(3.3e-26)
-    r1 = general_rate(CollapseParams(1e-16, 1e-5), me).per_second
-    r2 = general_rate(CollapseParams(2e-16, 1e-5), me).per_second
+    model = build_zero_range(EB_DEFAULT)
+    r1 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), model)
+    r2 = deuteron_rate(CollapseParams(2e-16, 1e-5, g_n=0.0), model)
     assert r2 == 2.0 * r1
-
-
-def test_matrix_element_rejects_negative():
-    with pytest.raises(ValueError):
-        MatrixElementSq(-1e-30)
 
 
 def test_mass_proportional_coupling_vanishes_identically():
     model = build_zero_range(EB_DEFAULT)
     rate = deuteron_rate(_grw(CODATA.m_n_over_m_p), model)
-    assert rate.per_second == 0.0
+    assert rate == 0.0
 
 
 def test_deuteron_rate_at_zero_coupling():
@@ -68,21 +63,31 @@ def test_deuteron_rate_at_zero_coupling():
     ratio = CODATA.m_n_over_m_p
     oracle = 0.5e-6 * (ratio / (1.0 + ratio)) ** 2 * 9e-26
     rate = deuteron_rate(_grw(0.0), model)
-    assert rate.per_second == pytest.approx(oracle, rel=1e-8, abs=0)
-    assert rate.per_second == pytest.approx(1.127e-32, rel=1e-3, abs=0)
+    assert rate == pytest.approx(oracle, rel=1e-8, abs=0)
+    assert rate == pytest.approx(1.127e-32, rel=1e-3, abs=0)
 
 
 def test_deuteron_rate_quadratic_in_coupling_deviation():
     model = build_zero_range(EB_DEFAULT)
     ratio = CODATA.m_n_over_m_p
-    r1 = deuteron_rate(_grw(ratio + 0.25), model).per_second
-    r2 = deuteron_rate(_grw(ratio + 0.5), model).per_second
+    r1 = deuteron_rate(_grw(ratio + 0.25), model)
+    r2 = deuteron_rate(_grw(ratio + 0.5), model)
     assert r2 == 4.0 * r1
 
 
 def test_deuteron_rate_requires_gn():
     with pytest.raises(ValueError, match="g_n"):
         deuteron_rate(grw_defaults(), build_zero_range(EB_DEFAULT))
+
+
+def test_deuteron_rate_overflow_is_named():
+    model = build_zero_range(EB_DEFAULT)
+    # the weight's square overflows (a = 1 cm, so lambda/a^2 is lambda exactly)
+    with pytest.raises(OverflowError, match=r"^dissociation rate at g_n = 1e\+200, lambda/a\^2 = 1e-06 s\^-1 cm\^-2 overflowed$"):
+        deuteron_rate(CollapseParams(1e-6, 1.0, g_n=1e200), model)
+    # lambda/a^2 and the weight are finite, their product is not
+    with pytest.raises(OverflowError, match=r"^dissociation rate at g_n = 1e\+150, lambda/a\^2 = 1e\+300 s\^-1 cm\^-2 overflowed$"):
+        deuteron_rate(CollapseParams(1e300, 1.0, g_n=1e150), model)
 
 
 def test_com_reduction_matches_relative_weight():
@@ -100,17 +105,17 @@ def test_spectrum_integrates_to_total_rate():
     p = _grw(0.0)
     kap = model.kappa_per_fm
     total, _ = si.quad(
-        lambda k: deuteron_spectrum(p, model, k), 0.0, 60.0 * kap, limit=200, epsrel=1e-6
+        lambda k: deuteron_spectra(p, model, (k,))[0], 0.0, 60.0 * kap, limit=200, epsrel=1e-6
     )
-    assert total == pytest.approx(deuteron_rate(p, model).per_second, rel=1e-3, abs=0)
+    assert total == pytest.approx(deuteron_rate(p, model), rel=1e-3, abs=0)
 
 
 def test_spectrum_vanishes_at_zero_k_and_mass_proportional_point():
     model = build_zero_range(EB_DEFAULT)
-    assert deuteron_spectrum(_grw(0.0), model, 0.0) == 0.0
+    assert deuteron_spectra(_grw(0.0), model, (0.0,))[0] == 0.0
     p = _grw(CODATA.m_n_over_m_p)
     for k in (0.1, 0.5, 2.0):
-        assert deuteron_spectrum(p, model, k) == 0.0
+        assert deuteron_spectra(p, model, (k,))[0] == 0.0
 
 
 def test_count_coefficient_against_quoted_value():
@@ -131,34 +136,34 @@ def test_expected_count_reference_exposure():
     # unit coupling deviation squared
     model = build_zero_range(EB_DEFAULT)
     pred = expected_count(_grw(CODATA.m_n_over_m_p + 1.0), 0.70, 0.697, PAPER_DENSITY, model)
-    assert pred.expected_neutrons == pytest.approx(1.2e7, rel=0.03)
+    assert pred == pytest.approx(1.2e7, rel=0.03)
 
 
 def test_expected_count_zero_at_mass_proportional():
     model = build_zero_range(EB_DEFAULT)
     pred = expected_count(_grw(CODATA.m_n_over_m_p), 1.0, 1.0, PAPER_DENSITY, model)
-    assert pred.expected_neutrons == 0.0
-    assert pred.coefficient > 0
+    assert pred == 0.0
+    assert count_coefficient(model, PAPER_DENSITY) > 0
 
 
 def test_expected_count_homogeneity():
     model = build_zero_range(EB_DEFAULT)
     ratio = CODATA.m_n_over_m_p
-    base = expected_count(_grw(ratio + 0.5), 1.0, 1.0, PAPER_DENSITY, model).expected_neutrons
+    base = expected_count(_grw(ratio + 0.5), 1.0, 1.0, PAPER_DENSITY, model)
 
     # doubling each extensive input doubles the count exactly
-    assert expected_count(_grw(ratio + 0.5), 2.0, 1.0, PAPER_DENSITY, model).expected_neutrons == 2 * base
-    assert expected_count(_grw(ratio + 0.5), 1.0, 2.0, PAPER_DENSITY, model).expected_neutrons == 2 * base
-    assert expected_count(_grw(ratio + 0.5), 1.0, 1.0, 2 * PAPER_DENSITY, model).expected_neutrons == 2 * base
+    assert expected_count(_grw(ratio + 0.5), 2.0, 1.0, PAPER_DENSITY, model) == 2 * base
+    assert expected_count(_grw(ratio + 0.5), 1.0, 2.0, PAPER_DENSITY, model) == 2 * base
+    assert expected_count(_grw(ratio + 0.5), 1.0, 1.0, 2 * PAPER_DENSITY, model) == 2 * base
     doubled_strength = CollapseParams(2e-16, 1e-5, g_n=ratio + 0.5)
-    assert expected_count(doubled_strength, 1.0, 1.0, PAPER_DENSITY, model).expected_neutrons == 2 * base
+    assert expected_count(doubled_strength, 1.0, 1.0, PAPER_DENSITY, model) == 2 * base
     # quadratic in the coupling deviation
-    assert expected_count(_grw(ratio + 1.0), 1.0, 1.0, PAPER_DENSITY, model).expected_neutrons == 4 * base
+    assert expected_count(_grw(ratio + 1.0), 1.0, 1.0, PAPER_DENSITY, model) == 4 * base
 
     rng = np.random.default_rng(5)
     for _ in range(10):
         t, v, c = rng.uniform(0.2, 4.0, size=3)
-        scaled = expected_count(_grw(ratio + 0.5), t, v, c * PAPER_DENSITY, model).expected_neutrons
+        scaled = expected_count(_grw(ratio + 0.5), t, v, c * PAPER_DENSITY, model)
         assert scaled == pytest.approx(base * t * v * c, rel=1e-12)
 
 
@@ -170,6 +175,13 @@ def test_expected_count_validates_inputs():
         expected_count(_grw(0.0), 1.0, -1.0, PAPER_DENSITY, model)
     with pytest.raises(ValueError):
         expected_count(grw_defaults(), 1.0, 1.0, PAPER_DENSITY, model)
+
+
+def test_expected_count_overflow_is_named():
+    # the deviation squared overflows where lambda/a^2 and the coefficient are finite
+    model = build_zero_range(EB_DEFAULT)
+    with pytest.raises(OverflowError, match=r"^expected count at g_n = 1e\+200 overflowed$"):
+        expected_count(_grw(1e200), 1.0, 1.0, PAPER_DENSITY, model)
 
 
 @pytest.mark.parametrize("density", [math.nan, math.inf, 0.0])
