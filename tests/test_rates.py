@@ -33,6 +33,16 @@ def _model_with_r2(r2_cm2):
     return build_zero_range(eb)
 
 
+def test_general_rate_zero_matrix_element():
+    # |M|^2 = w <r^2> is zero at mass-proportional g_n, so the rate and every spectral
+    # density are zero whatever the collapse strength lambda/a^2
+    model = build_zero_range(EB_DEFAULT)
+    for lam, a in [(1e-16, 1e-5), (1e-8, 1e-7), (1.0, 1e-10)]:
+        p = CollapseParams(lam, a, g_n=CODATA.m_n_over_m_p)
+        assert deuteron_rate(p, model) == 0.0
+        assert deuteron_spectra(p, model, [0.1, 1.0, 10.0]) == [0.0, 0.0, 0.0]
+
+
 def test_general_rate_grw_value():
     # the general rate (lambda / 2 a^2) |M|^2 with |M|^2 = w <r^2>: the direct product (0.5e-6) w <r^2>,
     # which is (0.5e-6) * (9e-26) at unit weight and <r^2> = 9e-26
