@@ -8,9 +8,7 @@ exclusion curves over the lambda/a^2 parameter space.
 
 from .config import (
     ConfigError,
-    ModelSpec,
     RunConfig,
-    build_model,
     config_to_dict,
     default_config,
     load_config,
@@ -30,9 +28,6 @@ from .constants import (
 from .deuteron import (
     BoundStateModel,
     ModelKind,
-    binding_wavenumber,
-    build_hulthen,
-    build_zero_range,
     default_k_grid,
     dipole_radial_integral,
     mean_square_radius,

@@ -18,16 +18,10 @@ from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, islice
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_model,
-    load_config,
-    update_config,
-)
+from .config import ConfigError, RunConfig, load_config
 from .constants import CODATA, GRW_LAMBDA_OVER_A2, grw_defaults, lambda_over_a2
 from .deuteron import ModelKind, default_k_grid, spectrum_densities
-from .limits import AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
+from .limits import RADIATION_CEILING, AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
 from .records import ConstraintError
 from .rates import deuteron_spectra, expected_count
@@ -138,7 +132,7 @@ def _load(args) -> RunConfig:
     changes = {"model": {"kind": args.model}} if args.model else {}
     if args.nsigma is not None:
         changes["n_sigma"] = args.nsigma
-    return update_config(load_config(args.config), changes)
+    return load_config(args.config, changes)
 
 
 def _write(args, pieces: Iterable[str]) -> None:
@@ -219,7 +213,7 @@ def _curve_block(curve: ExclusionCurve) -> dict:
     """The curve as structured output shows it, in `scan` and in the analyze report."""
     return {
         "theoretical_floor": curve.theoretical_floor,
-        "experimental_ceiling": curve.experimental_ceiling,
+        "experimental_ceiling": RADIATION_CEILING,
         "points": curve,   # listed point by point only when written as JSON
     }
 
@@ -287,11 +281,10 @@ def _report_text(data: dict) -> Iterator[str]:
 
 def _cmd_analyze(args) -> int:
     cfg = _load(args)
-    model = build_model(cfg.model)
     report = run_full_analysis(
         cfg.experiment,
         cfg.sphere,
-        model,
+        cfg.model,
         n_sigma=cfg.n_sigma,
         scan=cfg.scan,
         a_cm=cfg.collapse.a_length,
@@ -305,7 +298,7 @@ def _cmd_analyze(args) -> int:
             cfg.experiment.live_time_yr,
             cfg.experiment.fiducial_volume_kilotonne_m3,
             cfg.experiment.deuteron_density_per_cc,
-            model,
+            cfg.model,
         )
     data = _analyze_report(report, predicted)
     if args.format == "text":
@@ -319,12 +312,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = _load(args)
-    model = build_model(cfg.model)
     curve = scan_exclusion(
         cfg.experiment,
         cfg.sphere,
         cfg.scan,
-        model,
+        cfg.model,
         n_sigma=cfg.n_sigma,
         a_cm=cfg.collapse.a_length,
     )
@@ -339,16 +331,15 @@ def _cmd_scan(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load(args)
-    model = build_model(cfg.model)
     if args.quantity == "rate" and cfg.collapse.g_n is None:
         raise ConfigError(
             "collapse.g_n must be set for the rate spectrum (set it in the config or use --quantity density)"
         )
-    ks = default_k_grid(model)
+    ks = default_k_grid(cfg.model)
     if args.quantity == "rate":
-        column, values = "rate_density", deuteron_spectra(cfg.collapse, model, ks)
+        column, values = "rate_density", deuteron_spectra(cfg.collapse, cfg.model, ks)
     else:
-        column, values = "density_fm3", spectrum_densities(model, ks)
+        column, values = "density_fm3", spectrum_densities(cfg.model, ks)
     rows = list(zip(ks, values))
     header = ["k_per_fm", column]
     if args.format == "structured":

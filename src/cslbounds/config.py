@@ -7,6 +7,10 @@ the config records, so parsing, overriding and serializing all walk the
 records themselves; RENAMED holds the few keys that differ from their
 field's name. A key's domain is the one its record field declares, so a
 value outside it is reported with the key's path and the record's phrase.
+The `model` object is deuteron.BoundStateModel itself, so a model that
+floats cannot hold raises its OverflowError as the config is read, but only
+once every other key, and every change set over the document (the CLI's
+--model and --nsigma), has been read: an input error anywhere comes first.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import re
 from typing import Any
 
 from .constants import CollapseParams, grw_defaults
-from .deuteron import HULTHEN_BETA_OVER_KAPPA, BoundStateModel, ModelKind, build_hulthen, build_zero_range
+from .deuteron import BoundStateModel, ModelKind
 from .limits import (
     ExperimentConfig,
     ObservedCounts,
     ScanSpec,
     SphereVisibilityConfig,
 )
-from .records import Constraint, Record, greater_than_one, non_negative, positive
+from .records import Constraint, Record, non_negative
 from .uncertainty import AsymmetricValue
 
 
@@ -31,28 +35,13 @@ class ConfigError(ValueError):
     """Invalid configuration document."""
 
 
-class ModelSpec(Record):
-    """Bound-state model selection."""
-
-    kind: ModelKind = ModelKind.ZERO_RANGE
-    binding_energy_mev: float = positive(2.224575)
-    beta_over_kappa: float = greater_than_one(HULTHEN_BETA_OVER_KAPPA)
-
-
 class RunConfig(Record):
     collapse: CollapseParams
     experiment: ExperimentConfig
     sphere: SphereVisibilityConfig
     scan: ScanSpec
-    model: ModelSpec
+    model: BoundStateModel
     n_sigma: float = non_negative(1.0)
-
-
-def build_model(spec: ModelSpec) -> BoundStateModel:
-    """Construct the bound-state model a ModelSpec selects."""
-    if spec.kind is ModelKind.ZERO_RANGE:
-        return build_zero_range(spec.binding_energy_mev)
-    return build_hulthen(spec.binding_energy_mev, spec.beta_over_kappa)
 
 
 def default_config() -> RunConfig:
@@ -68,7 +57,7 @@ def default_config() -> RunConfig:
         ),
         sphere=SphereVisibilityConfig(),
         scan=ScanSpec(),
-        model=ModelSpec(),
+        model=BoundStateModel(),
         n_sigma=1.0,
     )
 
@@ -91,11 +80,9 @@ RENAMED = {
 
 
 def _read(current: Any, check: Constraint | None, raw: Any, where: str) -> Any:
-    """The value raw gives a field that holds current and declares check: a nested object
-    for a record, a JSON number in the declared domain (null where the field's default is
-    None), or else a flag or a model kind, as current is."""
-    if isinstance(current, Record):
-        return _update(current, raw, where)
+    """The value raw gives a field that holds current and declares check: a JSON number in
+    the declared domain (null where the field's default is None), or else a flag or a model
+    kind, as current is."""
     if check is not None:
         if raw is None and check.default is None:
             return None
@@ -120,19 +107,34 @@ def _read(current: Any, check: Constraint | None, raw: Any, where: str) -> Any:
         raise ConfigError(f"{where}: must be one of {choices} (got {raw!r})") from None
 
 
-def _update(default: Record, node: Any, where: str) -> Record:
-    """default with the keys node sets changed, each checked; absent keys keep default's values."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where or 'document root'}: expected an object (got {type(node).__name__})")
+def _update(default: Record, nodes: list, where: str) -> Record:
+    """default with the keys each of nodes sets changed, a later node's value over an earlier's,
+    each checked in turn; absent keys keep default's values. Each record is built once, from
+    every node, and a model floats cannot hold raises its OverflowError only once every other
+    key has been read."""
     fields = {RENAMED.get(name, name): name for name in default._fields}
-    for key in node:
-        if key not in fields:
-            raise ConfigError(f"{_join(where, key)}: unknown key")
-    changes = {
-        name: _read(getattr(default, name), default._checks.get(name), node[key], _join(where, key))
-        for key, name in fields.items()
-        if key in node
-    }
+    for node in nodes:
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where or 'document root'}: expected an object (got {type(node).__name__})")
+        for key in node:
+            if key not in fields:
+                raise ConfigError(f"{_join(where, key)}: unknown key")
+    changes, failure = {}, None
+    for key, name in fields.items():
+        given = [node[key] for node in nodes if key in node]
+        if not given:
+            continue
+        current, at = getattr(default, name), _join(where, key)
+        try:
+            if isinstance(current, Record):
+                changes[name] = _update(current, given, at)
+            else:
+                for raw in given:   # each checked, the last kept
+                    changes[name] = _read(current, default._checks.get(name), raw, at)
+        except OverflowError as exc:   # a model floats cannot hold
+            failure = failure or exc
+    if failure:
+        raise failure
     try:
         return default.replace(**changes)
     except ValueError as exc:
@@ -149,31 +151,29 @@ def _dump(value: Any) -> Any:
     return value.value if isinstance(value, ModelKind) else value
 
 
-def parse_config(document: str | bytes) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
+def parse_config(document: str | bytes, changes: dict | None = None) -> RunConfig:
+    """Parse and validate a JSON configuration document, with schema-shaped changes set over
+    its keys; they are checked as its keys are, after them."""
     if isinstance(document, bytes):
         document = document.decode("utf-8")
     try:
         root = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return _update(default_config(), root, "")
+    return _update(default_config(), [root, changes or {}], "")
 
 
-def update_config(rc: RunConfig, changes: dict) -> RunConfig:
-    """Apply schema-shaped changes to rc, checked as a config document's keys are."""
-    return _update(rc, changes, "")
-
-
-def load_config(path: str | None) -> RunConfig:
-    """Read a config file, or return the defaults when no path is given."""
+def load_config(path: str | None, changes: dict | None = None) -> RunConfig:
+    """Read a config file, or the defaults when no path is given, with changes set over it
+    as parse_config sets them."""
     if path is None:
-        return default_config()
+        return _update(default_config(), [changes or {}], "")
     try:
         with open(path, "rb") as fh:
-            return parse_config(fh.read())
+            document = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    return parse_config(document, changes)
 
 
 def config_to_dict(rc: RunConfig) -> dict:

@@ -1,10 +1,11 @@
 """Deuteron relative-motion bound states and their dissociation spectrum.
 
+A model is one record, BoundStateModel: its kind, the binding energy and,
+for Hulthen, beta/kappa; kappa, beta and the norm are derived from them.
 Wavefunctions are reduced radial functions u(r) = r R(r) with r in fm,
-normalized so that int_0^inf u(r)^2 dr = 1, with the norm derived from the
-model's kappa and beta. The dissociated final states are free plane waves
-of the relative momentum k; no final-state interaction is applied.
-Mean-square radii are returned in cm^2.
+normalized so that int_0^inf u(r)^2 dr = 1. The dissociated final states
+are free plane waves of the relative momentum k; no final-state
+interaction is applied. Mean-square radii are returned in cm^2.
 
 Both models are sums of exponentials, so the dipole radial integral and
 the spectrum are evaluated in closed form, Hulthen's factored so that
@@ -20,7 +21,7 @@ from collections.abc import Iterable
 from .constants import CM2_PER_FM2, CODATA, in_float_range
 from .grids import logspace
 from .quadrature import integrate_radial
-from .records import Record, positive
+from .records import Record, greater_than_one, positive
 
 # Hulthen short-range scale beta in units of kappa
 HULTHEN_BETA_OVER_KAPPA = 6.163
@@ -32,32 +33,33 @@ class ModelKind(str, enum.Enum):
 
 
 class BoundStateModel(Record):
-    """Normalized reduced radial wavefunction of the deuteron ground state.
-
-    kappa is the asymptotic decay constant sqrt(2 mu E_B)/(hbar c); the
-    Hulthen form adds a short-range scale beta > kappa that makes u(0) = 0.
-    norm, in fm^-1/2, is derived from them: sqrt(2 kappa) for zero-range,
-    sqrt(2 kappa beta (kappa + beta)) / (beta - kappa) for Hulthen.
+    """Normalized reduced radial wavefunction of the deuteron ground state: its kind, binding
+    energy E_B and, for Hulthen, beta/kappa. Derived once, never compared, hashed or printed:
+    kappa_per_fm = sqrt(2 mu E_B)/(hbar c); beta_per_fm = beta/kappa * kappa, the Hulthen scale
+    that makes u(0) = 0 (None for zero-range); and norm, in fm^-1/2, sqrt(2 kappa) for
+    zero-range, sqrt(2 kappa beta (kappa + beta)) / (beta - kappa) for Hulthen. A model floats
+    cannot hold raises an OverflowError naming it.
     """
 
-    kind: ModelKind
-    kappa_per_fm: float = positive()   # fm^-1
-    binding_energy_mev: float
-    beta_per_fm: float | None = None   # fm^-1, Hulthen only
+    kind: ModelKind = ModelKind.ZERO_RANGE
+    binding_energy_mev: float = positive(2.224575)
+    beta_over_kappa: float = greater_than_one(HULTHEN_BETA_OVER_KAPPA)   # read by Hulthen only
 
     def __post_init__(self) -> None:
-        kappa, beta = self.kappa_per_fm, self.beta_per_fm
-        norm_sq = 2.0 * kappa
+        e_b, ratio = self.binding_energy_mev, self.beta_over_kappa
+        kappa = in_float_range(
+            f"binding wavenumber at binding energy {e_b!r} MeV",
+            lambda: math.sqrt(2.0 * CODATA.reduced_mass_np_mev * e_b) / CODATA.hbar_c_mev_fm,
+        )
+        beta, norm_sq = None, 2.0 * kappa
         if self.kind is ModelKind.HULTHEN:
-            if beta is None or not (math.isfinite(beta) and beta > kappa):
-                raise ValueError(f"Hulthen model requires finite beta > kappa (got beta={beta!r})")
+            beta = ratio * kappa
+            # an overflowing beta makes the quotient NaN, so this one check covers it
             norm_sq = in_float_range(
-                f"Hulthen normalization at binding energy {self.binding_energy_mev!r} MeV, beta/kappa {beta / kappa!r}",
+                f"Hulthen normalization at binding energy {e_b!r} MeV, beta/kappa {ratio!r}",
                 lambda: 2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2,
             )
-        elif beta is not None:
-            raise ValueError("beta is only meaningful for the Hulthen model")
-        self.__dict__["norm"] = math.sqrt(norm_sq)   # derived, so never compared, hashed or printed
+        self.__dict__.update(kappa_per_fm=kappa, beta_per_fm=beta, norm=math.sqrt(norm_sq))   # fm^-1, fm^-1, fm^-1/2
 
     def u(self, r_fm: float) -> float:
         """Reduced radial wavefunction at one radius r (fm)."""
@@ -65,42 +67,6 @@ class BoundStateModel(Record):
         if self.beta_per_fm is not None:
             decay -= math.exp(-self.beta_per_fm * r_fm)
         return self.norm * decay
-
-
-def binding_wavenumber(binding_energy_mev: float) -> float:
-    """kappa = sqrt(2 mu E_B)/(hbar c) in fm^-1."""
-    if not (math.isfinite(binding_energy_mev) and binding_energy_mev > 0):
-        raise ValueError(f"binding energy must be positive (got {binding_energy_mev!r})")
-    return math.sqrt(2.0 * CODATA.reduced_mass_np_mev * binding_energy_mev) / CODATA.hbar_c_mev_fm
-
-
-def build_zero_range(binding_energy_mev: float) -> BoundStateModel:
-    """Zero-range model u(r) = sqrt(2 kappa) exp(-kappa r)."""
-    return BoundStateModel(
-        kind=ModelKind.ZERO_RANGE,
-        kappa_per_fm=binding_wavenumber(binding_energy_mev),
-        binding_energy_mev=binding_energy_mev,
-    )
-
-
-def build_hulthen(
-    binding_energy_mev: float, beta_over_kappa: float = HULTHEN_BETA_OVER_KAPPA
-) -> BoundStateModel:
-    """Hulthen model u(r) = N (exp(-kappa r) - exp(-beta r)).
-
-    N^2 = 2 kappa beta (kappa + beta) / (beta - kappa)^2 from the closed-form
-    exponential integrals. beta/kappa must exceed 1 so u vanishes at the
-    origin with the correct sign.
-    """
-    if not (math.isfinite(beta_over_kappa) and beta_over_kappa > 1.0):
-        raise ValueError(f"beta_over_kappa must exceed 1 (got {beta_over_kappa!r})")
-    kappa = binding_wavenumber(binding_energy_mev)
-    return BoundStateModel(
-        kind=ModelKind.HULTHEN,
-        kappa_per_fm=kappa,
-        binding_energy_mev=binding_energy_mev,
-        beta_per_fm=beta_over_kappa * kappa,
-    )
 
 
 def mean_square_radius(model: BoundStateModel) -> float:

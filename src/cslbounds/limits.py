@@ -133,7 +133,6 @@ class ExclusionCurve(Record):
     gn_bound_at_grw: float               # max |g_n - m_n/m_p| at GRW strength
     ge_bound_at_grw: float               # max |g_e - m_e/m_p| at GRW strength
     theoretical_floor: float             # s^-1 cm^-2
-    experimental_ceiling: float          # s^-1 cm^-2
 
     def __post_init__(self) -> None:
         grid = self.__dict__["lambda_over_a2"] = tuple(self.scan.grid())   # s^-1 cm^-2
@@ -141,7 +140,7 @@ class ExclusionCurve(Record):
         _, f = next(self.scalings())
         if not (math.isfinite(self.gn_bound_at_grw * f) and math.isfinite(self.ge_bound_at_grw * f)):
             raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {grid[0]!r} s^-1 cm^-2")
-        if self.theoretical_floor > self.experimental_ceiling:
+        if self.theoretical_floor > RADIATION_CEILING:
             raise ValueError("theoretical floor exceeds experimental ceiling")
 
     def scalings(self) -> Iterator[tuple[float, float]]:
@@ -295,7 +294,7 @@ def scan_exclusion(
     n_sigma: float = 1.0,
     a_cm: float = GRW_A_LENGTH,
 ) -> ExclusionCurve:
-    """Coupling bounds on a lambda/a^2 grid with floor and ceiling attached.
+    """Coupling bounds on a lambda/a^2 grid with the floor attached; the ceiling is RADIATION_CEILING.
 
     Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so they are
     evaluated once, at the GRW strength; the curve scales them to a point when read.
@@ -310,7 +309,6 @@ def scan_exclusion(
         ),
         ge_bound_at_grw=electron_coupling_bound(GRW_LAMBDA_OVER_A2),
         theoretical_floor=theoretical_floor(s, a_cm),
-        experimental_ceiling=RADIATION_CEILING,
     )
 
 

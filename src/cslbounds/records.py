@@ -2,12 +2,12 @@
 
 A subclass lists its fields as annotations, in order, with class-level
 values as their defaults. A field may declare its domain there instead, as
-`kappa_per_fm: float = positive()` or, with a default, `positive(4e-5)`.
+`live_time_days: float = positive()` or, with a default, `positive(4e-5)`.
 One generic __init__ binds the arguments, checks each declared domain and
-calls __post_init__, which may check invariants across fields, so no
-per-class method is compiled at import. Records are immutable, compare equal
-to a record of the same type with equal fields, hash by their fields and
-print as `Name(field=value, ...)`.
+calls __post_init__, which may check invariants across fields or derive
+values from them, so no per-class method is compiled at import. Records are
+immutable, compare equal to a record of the same type with equal fields,
+hash by their fields and print as `Name(field=value, ...)`.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ from cslbounds import (
     CODATA,
     GRW_LAMBDA_OVER_A2,
     AsymmetricValue,
+    BoundStateModel,
     CollapseParams,
+    ModelKind,
     add,
-    build_hulthen,
-    build_zero_range,
     combine_quadrature,
     count_coefficient,
     default_config,
@@ -35,7 +35,6 @@ from cslbounds import (
     visibility_floor_large_a,
     visibility_floor_small_a,
 )
-from cslbounds.config import build_model
 
 
 def _report(number, description, checks):
@@ -51,7 +50,7 @@ def _report(number, description, checks):
 
 
 CFG = default_config()
-MODEL = build_model(CFG.model)
+MODEL = CFG.model
 
 
 def test_criterion_01_count_coefficient_window():
@@ -145,7 +144,7 @@ def test_criterion_09_property_suite():
         # zero-range <r^2> analytic oracle across 10 binding energies
         rng = np.random.default_rng(23)
         for eb in rng.uniform(0.5, 10.0, size=10):
-            m = build_zero_range(float(eb))
+            m = BoundStateModel(binding_energy_mev=float(eb))
             assert mean_square_radius(m) == pytest.approx(0.5 / m.kappa_per_fm**2 * 1e-26, rel=1e-8, abs=0)
 
         # spectrum sum rule to 0.1% (60-kappa truncation tail is below 2e-5)
@@ -194,12 +193,12 @@ def test_criterion_09_property_suite():
 def test_criterion_10_model_spread_warning():
     def checks():
         report = run_full_analysis(
-            CFG.experiment, CFG.sphere, build_hulthen(CFG.model.binding_energy_mev), n_sigma=1.0
+            CFG.experiment, CFG.sphere, CFG.model.replace(kind=ModelKind.HULTHEN), n_sigma=1.0
         )
         assert len(report.warnings) >= 1
         assert any("<r^2>" in w and "reference" in w for w in report.warnings)
         # the deviation reported is indeed beyond 10%
-        r2 = mean_square_radius(build_hulthen(CFG.model.binding_energy_mev))
+        r2 = mean_square_radius(CFG.model.replace(kind=ModelKind.HULTHEN))
         assert abs(r2 - 9e-26) / 9e-26 > 0.10
         # and the default model stays quiet
         quiet = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=1.0)

@@ -22,12 +22,11 @@ import cslbounds.cli as cli
 from cslbounds import (
     CODATA,
     GRW_LAMBDA_OVER_A2,
+    BoundStateModel,
     CollapseParams,
     ExclusionCurve,
     QuadratureError,
     ScanSpec,
-    build_model,
-    build_zero_range,
     default_config,
     default_k_grid,
     deuteron_rate,
@@ -113,7 +112,7 @@ def test_analyze_predict(capsys, tmp_path):
         254.2 / 365.0,
         (4 * np.pi / 3) * 5.5**3 / 1e3,
         (2.0 / 3.0) * 1e23,
-        build_zero_range(2.224575),
+        BoundStateModel(binding_energy_mev=2.224575),
     )
     assert data["predicted_csl_counts"] == pytest.approx(expected, rel=1e-12)
 
@@ -178,7 +177,7 @@ def test_spectrum_rate_matches_total(capsys, tmp_path):
     ks = np.array([float(r[0]) for r in rows])
     dens = np.array([float(r[1]) for r in rows])
     total = np.trapezoid(dens, ks)
-    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), build_zero_range(2.224575))
+    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), BoundStateModel(binding_energy_mev=2.224575))
     assert total == pytest.approx(rate, rel=0.01, abs=0)
     # low k edge is phase-space suppressed
     assert dens[0] < 1e-4 * dens.max()
@@ -223,7 +222,7 @@ def test_spectrum_rows_are_the_per_point_values(capsys, tmp_path, kind, quantity
     code, out, err = run_cli(capsys, "spectrum", "--config", path, "--quantity", quantity)
     assert code == 0 and err == ""
     cfg = load_config(path)
-    model = build_model(cfg.model)
+    model = cfg.model
     if quantity == "rate":
         expected = [(k, deuteron_spectra(cfg.collapse, model, (k,))[0]) for k in default_k_grid(model)]
     else:
@@ -368,6 +367,32 @@ def test_too_wide_model_is_numeric_failure(capsys, tmp_path, command):
 def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, command, config, named):
     path = write_config(tmp_path, config)
     assert run_cli(capsys, command, "--config", path) == (2, "", f"error[numeric]: {named} is outside the float range\n")
+
+
+# beta (kappa + beta) overflows: a model floats cannot hold
+HUGE_HULTHEN = {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}
+HUGE_HULTHEN_ERROR = (
+    "error[numeric]: Hulthen normalization at binding energy 1.0 MeV, beta/kappa 1e+155 is outside the float range\n"
+)
+N_SIGMA_ERROR = "error[config]: n_sigma: must be non-negative (got -1)\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "spectrum"])
+def test_model_floats_cannot_hold_fails_once_every_config_key_is_read(capsys, tmp_path, command):
+    # the model is built as the config is parsed, yet an input error in any key still exits 1
+    both = write_config(tmp_path, {"model": HUGE_HULTHEN, "n_sigma": -1})
+    assert run_cli(capsys, command, "--config", both) == (1, "", N_SIGMA_ERROR)
+    model_only = write_config(tmp_path, {"model": HUGE_HULTHEN})
+    assert run_cli(capsys, command, "--config", model_only) == (2, "", HUGE_HULTHEN_ERROR)
+    # the flags are read with the document, before the model is built
+    flag_error = N_SIGMA_ERROR.replace("-1)", "-1.0)")
+    assert run_cli(capsys, command, "--config", model_only, "--nsigma", "-1") == (1, "", flag_error)
+    # zero-range never reads beta/kappa, so the model fails exactly when Hulthen is selected
+    with_gn = write_config(tmp_path, {"model": HUGE_HULTHEN, "collapse": {"g_n": 0.5}})
+    assert run_cli(capsys, command, "--config", with_gn, "--model", "zero-range")[0] == 0
+    zero_range = write_config(tmp_path, {"model": {**HUGE_HULTHEN, "kind": "zero-range"}, "collapse": {"g_n": 0.5}})
+    assert run_cli(capsys, command, "--config", zero_range)[0] == 0
+    assert run_cli(capsys, command, "--config", zero_range, "--model", "hulthen") == (2, "", HUGE_HULTHEN_ERROR)
 
 
 @pytest.mark.parametrize(
@@ -522,7 +547,7 @@ def with_curve_examples(test):
 
 def curve_of(args) -> ExclusionCurve:
     scan, gn, ge = args
-    return ExclusionCurve(scan, gn, ge, theoretical_floor=1e-10, experimental_ceiling=2.5)
+    return ExclusionCurve(scan, gn, ge, theoretical_floor=1e-10)
 
 
 def columns_of(args) -> tuple[list[float], list[float], list[float]]:
@@ -540,7 +565,7 @@ def point_dicts(columns) -> list[dict]:
 @functools.cache
 def default_report():
     cfg = default_config()
-    return run_full_analysis(cfg.experiment, cfg.sphere, build_model(cfg.model), scan=cfg.scan)
+    return run_full_analysis(cfg.experiment, cfg.sphere, cfg.model, scan=cfg.scan)
 
 
 @given(curve_args)
@@ -567,7 +592,7 @@ def test_json_keeps_no_curve_alive():
 def test_write_memory_does_not_grow_with_output(fmt):
     # a 1.5e4-point curve is about 1 MB as csv and 2.1 MB as JSON; one batch of pieces is about 70 kB
     cfg = default_config()
-    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan.replace(points=15000), build_model(cfg.model))
+    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan.replace(points=15000), cfg.model)
     if fmt == "csv":
         pieces = functools.partial(cli._curve_csv, curve, "# note\n")
     else:

@@ -4,25 +4,23 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import cslbounds
 from cslbounds import (
     CODATA,
     AsymmetricValue,
+    BoundStateModel,
     CollapseParams,
     ConfigError,
     ConstraintError,
     ExperimentConfig,
     ModelKind,
-    ModelSpec,
     ObservedCounts,
     RunConfig,
     ScanSpec,
     SphereVisibilityConfig,
-    build_hulthen,
-    build_model,
     config_to_dict,
     default_config,
     load_config,
@@ -114,10 +112,7 @@ VIOLATING = {
 
 
 # one record of each type outside the config that declares a domain
-LIBRARY_RECORDS = [
-    CODATA,
-    build_hulthen(2.224575),
-]
+LIBRARY_RECORDS = [CODATA]
 
 
 def schema_fields(record=None, path=""):
@@ -210,12 +205,21 @@ def test_round_trip_modified():
     assert d["collapse"]["g_n"] == 0.25
 
 
-def test_build_model_dispatches():
-    cfg = parse_config('{"model":{"kind":"hulthen"}}')
-    m = build_model(cfg.model)
-    assert m.kind is ModelKind.HULTHEN
-    z = build_model(default_config().model)
-    assert z.kind is ModelKind.ZERO_RANGE
+def test_changes_are_read_after_the_document_and_set_over_it():
+    # the model is built once, from the document and the changes together
+    huge = {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}
+    cfg = parse_config(json.dumps({"model": huge}), {"model": {"kind": "zero-range"}})
+    assert cfg.model == BoundStateModel(ModelKind.ZERO_RANGE, 1.0, 1e155)
+    with pytest.raises(OverflowError, match=re.escape("beta/kappa 1e+155 is outside the float range")):
+        parse_config(json.dumps({"model": huge}))
+    # an input error in the document, then in the changes, comes before the model's failure
+    with pytest.raises(ConfigError, match=re.escape("n_sigma: must be non-negative (got -5)")):
+        parse_config(json.dumps({"model": huge, "n_sigma": -5}), {"n_sigma": 1.0})
+    with pytest.raises(ConfigError, match=re.escape("n_sigma: must be non-negative (got -1.0)")):
+        parse_config(json.dumps({"model": huge}), {"n_sigma": -1.0})
+    assert load_config(None, {"n_sigma": 2.0, "model": {"kind": "hulthen"}}) == default_config().replace(
+        n_sigma=2.0, model=BoundStateModel(ModelKind.HULTHEN)
+    )
 
 
 def test_load_config(tmp_path):
@@ -231,6 +235,16 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 coupling = st.none() | non_negative
+
+
+@st.composite
+def models(draw):
+    ratio = st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
+    args = draw(st.tuples(st.sampled_from(ModelKind), positive, ratio))
+    try:
+        return BoundStateModel(*args)
+    except OverflowError:   # a model floats cannot hold cannot be built; test_cli covers such documents
+        reject()
 
 
 @st.composite
@@ -266,12 +280,7 @@ run_configs = st.builds(
         collapse_margin=positive,
     ),
     scan=scan_specs(),
-    model=st.builds(
-        ModelSpec,
-        kind=st.sampled_from(ModelKind),
-        binding_energy_mev=positive,
-        beta_over_kappa=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
-    ),
+    model=models(),
     n_sigma=non_negative,
 )
 

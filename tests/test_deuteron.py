@@ -16,9 +16,6 @@ from cslbounds import (
     ConstraintError,
     ModelKind,
     ScanSpec,
-    binding_wavenumber,
-    build_hulthen,
-    build_zero_range,
     default_k_grid,
     dipole_radial_integral,
     mean_square_radius,
@@ -118,42 +115,41 @@ def _partial_wave_matrix_element(model, ell, k):
 
 def test_binding_wavenumber_value():
     # oracle: kappa = sqrt(2 mu E_B) / (hbar c) evaluated with the stored constants
-    kappa = binding_wavenumber(2.2246)
+    kappa = BoundStateModel(binding_energy_mev=2.2246).kappa_per_fm
     oracle = math.sqrt(2.0 * CODATA.reduced_mass_np_mev * 2.2246) / CODATA.hbar_c_mev_fm
     assert kappa == oracle
     assert 1.0 / kappa == pytest.approx(4.318, abs=1e-3)
 
 
 def test_kappa_sqrt_scaling():
-    m1 = build_zero_range(1.3)
-    m4 = build_zero_range(4 * 1.3)
+    m1 = BoundStateModel(binding_energy_mev=1.3)
+    m4 = BoundStateModel(binding_energy_mev=4 * 1.3)
     assert m4.kappa_per_fm == pytest.approx(2 * m1.kappa_per_fm, rel=1e-15, abs=0)
 
 
 def test_zero_range_normalization():
-    m = build_zero_range(EB_DEFAULT)
+    m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     assert _half_line_integral(lambda r: m.u(r) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hulthen_normalization():
-    m = build_hulthen(2.2246, 6.163)
+    m = BoundStateModel(ModelKind.HULTHEN, 2.2246, 6.163)
     assert _half_line_integral(lambda r: m.u(r) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hulthen_vanishes_at_origin_and_positive():
-    m = build_hulthen(EB_DEFAULT)
+    m = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     assert m.u(0.0) == 0.0
-    z = build_zero_range(EB_DEFAULT)
+    z = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     for r in np.linspace(0.01, 30.0, 50):
         assert m.u(r) > 0
         assert z.u(r) > 0
 
 
 def test_hulthen_rejects_beta_at_or_below_kappa():
-    with pytest.raises(ValueError):
-        build_hulthen(EB_DEFAULT, beta_over_kappa=1.0)
-    with pytest.raises(ValueError):
-        build_hulthen(EB_DEFAULT, beta_over_kappa=0.5)
+    for ratio in (1.0, 0.5):
+        with pytest.raises(ConstraintError, match=re.escape(f"beta_over_kappa must be greater than 1 (got {ratio!r})")):
+            BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, beta_over_kappa=ratio)
 
 
 @pytest.mark.parametrize(
@@ -161,67 +157,109 @@ def test_hulthen_rejects_beta_at_or_below_kappa():
     [
         (5e-324, 2.00001),   # (beta - kappa)^2 underflows to 0
         (1e-250, HULTHEN_BETA_OVER_KAPPA),   # kappa beta (kappa + beta) underflows to 0
+        (1.0, 1e155),   # beta (kappa + beta) overflows
+        (1e4, 1e308),   # beta = beta/kappa * kappa overflows to inf
     ],
 )
 def test_hulthen_norm_outside_float_range_is_overflow(eb, beta_over_kappa):
     message = f"Hulthen normalization at binding energy {eb!r} MeV, beta/kappa {beta_over_kappa!r} is outside the float range"
     with pytest.raises(OverflowError, match=re.escape(message)):
-        build_hulthen(eb, beta_over_kappa)
+        BoundStateModel(ModelKind.HULTHEN, eb, beta_over_kappa)
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
 def test_model_rejects_non_finite_kappa(kappa):
-    with pytest.raises(ConstraintError, match=re.escape(f"kappa_per_fm must be positive (got {kappa!r})")):
-        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=kappa, binding_energy_mev=EB_DEFAULT)
+    # kappa is derived; the binding energy E_B = (hbar c kappa)^2 / (2 mu) that would give it is refused
+    eb = (kappa * CODATA.hbar_c_mev_fm) ** 2 / (2.0 * CODATA.reduced_mass_np_mev)
+    with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev must be positive (got {eb!r})")):
+        BoundStateModel(binding_energy_mev=eb)
+
+
+@pytest.mark.parametrize("eb", [1e306, 1.7e308])
+def test_kappa_outside_float_range_is_overflow(eb):
+    # 2 mu E_B overflows to inf
+    message = f"binding wavenumber at binding energy {eb!r} MeV is outside the float range"
+    for kind in ModelKind:
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            BoundStateModel(kind, eb)
+
+
+@pytest.mark.parametrize("eb", ["abc", -1, math.nan])
+def test_binding_energy_outside_its_domain_is_constraint_error(eb):
+    phrase = "a number" if isinstance(eb, str) else "positive"
+    for kind in ModelKind:
+        with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev must be {phrase} (got {eb!r})")):
+            BoundStateModel(kind, eb)
+
+
+@pytest.mark.parametrize("derived", ["kappa_per_fm", "beta_per_fm", "norm"])
+def test_derived_values_cannot_be_given(derived):
+    # a kappa, beta or norm that disagrees with the binding energy and beta/kappa cannot be built
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
+        BoundStateModel(binding_energy_mev=EB_DEFAULT, **{derived: 1.0})
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
+        BoundStateModel(ModelKind.HULTHEN).replace(**{derived: 1.0})
 
 
 def test_model_norm_is_derived_not_a_field():
-    # a model is its kind, kappa and beta; a norm that disagrees with them cannot be given
-    assert BoundStateModel._fields == ("kind", "kappa_per_fm", "binding_energy_mev", "beta_per_fm")
-    with pytest.raises(TypeError, match="unexpected keyword argument 'norm'"):
-        BoundStateModel(kind=ModelKind.ZERO_RANGE, kappa_per_fm=1.0, norm=1.0, binding_energy_mev=EB_DEFAULT)
-    z, h = build_zero_range(EB_DEFAULT), build_hulthen(EB_DEFAULT)
+    # a model is its kind, binding energy and beta/kappa; kappa, beta and the norm are derived
+    assert BoundStateModel._fields == ("kind", "binding_energy_mev", "beta_over_kappa")
+    z, h = BoundStateModel(binding_energy_mev=EB_DEFAULT), BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     kap, beta = h.kappa_per_fm, h.beta_per_fm
     assert z.norm == math.sqrt(2.0 * z.kappa_per_fm)
     assert h.norm == math.sqrt(2.0 * kap * beta * (kap + beta) / (beta - kap) ** 2)
-    assert h.replace(beta_per_fm=2.0 * kap).norm == math.sqrt(2.0 * kap * (2.0 * kap) * (3.0 * kap) / kap**2)
-    assert "norm" not in repr(h)
+    assert h.replace(beta_over_kappa=2.0).norm == math.sqrt(2.0 * kap * (2.0 * kap) * (3.0 * kap) / kap**2)
+    for name in ("kappa", "beta", "norm"):
+        assert name not in repr(h).replace("beta_over_kappa", "")
+    assert BoundStateModel(ModelKind.ZERO_RANGE, beta_over_kappa=2.0).beta_per_fm is None
+
+
+@settings(deadline=None)
+@given(
+    eb=st.floats(min_value=1e-100, max_value=1e100),
+    ratio=st.floats(min_value=1.0, max_value=1e50, exclude_min=True),
+)
+def test_derived_values_are_the_closed_forms_bit_for_bit(eb, ratio):
+    kappa = math.sqrt(2.0 * CODATA.reduced_mass_np_mev * eb) / CODATA.hbar_c_mev_fm
+    beta = ratio * kappa
+    z, h = BoundStateModel(ModelKind.ZERO_RANGE, eb, ratio), BoundStateModel(ModelKind.HULTHEN, eb, ratio)
+    assert (z.kappa_per_fm, z.beta_per_fm, z.norm) == (kappa, None, math.sqrt(2.0 * kappa))
+    assert (h.kappa_per_fm, h.beta_per_fm) == (kappa, beta)
+    assert h.norm == math.sqrt(2.0 * kappa * beta * (kappa + beta) / (beta - kappa) ** 2)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_hulthen_model_rejects_non_finite_beta(beta):
-    kappa = binding_wavenumber(EB_DEFAULT)
-    with pytest.raises(ValueError, match="requires finite beta > kappa"):
-        BoundStateModel(
-            kind=ModelKind.HULTHEN, kappa_per_fm=kappa, binding_energy_mev=EB_DEFAULT, beta_per_fm=beta
-        )
+    # beta is derived as beta/kappa times kappa, so it is non-finite only where beta/kappa is or
+    # where the product overflows, which test_hulthen_norm_outside_float_range_is_overflow covers
+    with pytest.raises(ConstraintError, match=re.escape(f"beta_over_kappa must be greater than 1 (got {beta!r})")):
+        BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, beta)
 
 
 def test_spectrum_density_rejects_nan():
     for k in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match=re.escape(f"k_per_fm must be finite and non-negative (got {k!r})")):
-            spectrum_densities(build_zero_range(EB_DEFAULT), (1.0, k))
+            spectrum_densities(BoundStateModel(binding_energy_mev=EB_DEFAULT), (1.0, k))
 
 
 def test_non_positive_binding_energy_rejected():
     for eb in (0.0, -2.2):
-        with pytest.raises(ValueError):
-            build_zero_range(eb)
-        with pytest.raises(ValueError):
-            build_hulthen(eb)
+        for kind in ModelKind:
+            with pytest.raises(ConstraintError, match="binding_energy_mev must be positive"):
+                BoundStateModel(kind, eb)
 
 
 def test_hulthen_approaches_zero_range_shape():
     # for beta >> kappa the Hulthen u matches the zero-range u at r >> 1/beta
-    m = build_hulthen(EB_DEFAULT, beta_over_kappa=1e6)
-    z = build_zero_range(EB_DEFAULT)
+    m = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, beta_over_kappa=1e6)
+    z = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     for r in (0.5, 1.0, 3.0, 8.0):
         assert float(m.u(r)) == pytest.approx(float(z.u(r)), rel=1e-5)
 
 
 def test_zero_range_r2_value():
     # analytic 1/(2 kappa^2) with kappa^-1 = 4.3176 fm gives 9.32e-26 cm^2
-    m = build_zero_range(2.2246)
+    m = BoundStateModel(binding_energy_mev=2.2246)
     r2 = mean_square_radius(m)
     assert r2 == pytest.approx(9.32e-26, rel=1e-3, abs=0)
     assert r2 == pytest.approx(9e-26, rel=0.10, abs=0)  # the (3e-13 cm)^2 reference
@@ -230,7 +268,7 @@ def test_zero_range_r2_value():
 def test_zero_range_r2_analytic_oracle_randomized():
     rng = np.random.default_rng(2)
     for eb in rng.uniform(0.5, 10.0, size=10):
-        m = build_zero_range(float(eb))
+        m = BoundStateModel(binding_energy_mev=float(eb))
         analytic = 0.5 / m.kappa_per_fm**2 * 1e-26
         assert mean_square_radius(m) == pytest.approx(analytic, rel=1e-11, abs=0)
 
@@ -238,9 +276,9 @@ def test_zero_range_r2_analytic_oracle_randomized():
 def test_hulthen_r2_closed_form():
     rng = np.random.default_rng(3)
     for eb, beta_over_kappa in zip(rng.uniform(0.5, 10.0, size=20), rng.uniform(1.5, 20.0, size=20)):
-        m = build_hulthen(float(eb), float(beta_over_kappa))
+        m = BoundStateModel(ModelKind.HULTHEN, float(eb), float(beta_over_kappa))
         assert mean_square_radius(m) == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11, abs=0)
-    m = build_hulthen(2.2246, 6.163)
+    m = BoundStateModel(ModelKind.HULTHEN, 2.2246, 6.163)
     r2 = mean_square_radius(m)
     assert r2 == pytest.approx(_r2_closed_form_fm2(m) * 1e-26, rel=1e-11, abs=0)
     # 0.7954 / kappa^2 for the conventional shape parameter
@@ -249,25 +287,25 @@ def test_hulthen_r2_closed_form():
 
 
 def test_r2_monotone_in_binding_energy():
-    for build in (build_zero_range, build_hulthen):
-        values = [mean_square_radius(build(eb)) for eb in (0.8, 1.5, 2.2246, 4.0, 8.0)]
+    for kind in ModelKind:
+        values = [mean_square_radius(BoundStateModel(kind, eb)) for eb in (0.8, 1.5, 2.2246, 4.0, 8.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_spectrum_density_vanishes_at_zero_k():
-    m = build_zero_range(EB_DEFAULT)
+    m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     assert spectrum_densities(m, (0.0,))[0] == 0.0
 
 
 def test_spectrum_density_non_negative_sampled():
-    m = build_hulthen(EB_DEFAULT)
+    m = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     ks = np.logspace(-2.5, 1.5, 100) * m.kappa_per_fm
     for k in ks:
         assert spectrum_densities(m, (float(k),))[0] >= 0.0
 
 
 def test_spectrum_matches_zero_range_closed_form():
-    m = build_zero_range(EB_DEFAULT)
+    m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     kap = m.kappa_per_fm
     for factor in (0.05, 0.3, 1.0, 3.0, 7.0, 12.0, 40.0):
         k = factor * kap
@@ -275,10 +313,10 @@ def test_spectrum_matches_zero_range_closed_form():
         assert got == pytest.approx(_zero_range_density(m, k), rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("build", [build_zero_range, build_hulthen])
+@pytest.mark.parametrize("kind", list(ModelKind), ids=["build_zero_range", "build_hulthen"])
 @pytest.mark.parametrize("eb", [1.0, 2.2246, 5.0])
-def test_spectrum_sum_rule(build, eb):
-    model = build(eb)
+def test_spectrum_sum_rule(kind, eb):
+    model = BoundStateModel(kind, eb)
     assert _spectral_integral_cm2(model) == pytest.approx(mean_square_radius(model), rel=1e-3, abs=0)
 
 
@@ -287,7 +325,7 @@ def test_spectrum_sum_rule_as_beta_approaches_kappa(eb):
     # at beta/kappa = 1 + 1e-6 the tail beyond 60 kappa is below 3e-12 relative and <r^2>'s
     # quadrature is good to about 2e-11; the subtractive spectrum missed by up to 8e-11.
     # abs=0: approx's default absolute tolerance of 1e-12 would pass any value in cm^2
-    model = build_hulthen(eb, 1.0 + 1e-6)
+    model = BoundStateModel(ModelKind.HULTHEN, eb, 1.0 + 1e-6)
     assert _spectral_integral_cm2(model, rel=1e-12) == pytest.approx(mean_square_radius(model), rel=4e-11, abs=0)
 
 
@@ -300,7 +338,7 @@ def test_dipole_selection_rule():
 
 
 def test_partial_wave_contributions_vanish_off_dipole():
-    m = build_zero_range(EB_DEFAULT)
+    m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     kap = m.kappa_per_fm
     for k in (0.2 * kap, kap, 4.0 * kap):
         dipole = _partial_wave_matrix_element(m, 1, k)
@@ -319,7 +357,7 @@ def test_partial_wave_contributions_vanish_off_dipole():
 def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over_kappa):
     # the scipy oracle missed by at most 1.2e-10 relative over 300 random draws
     # and the corners of this domain
-    m = build_hulthen(eb, beta_over_kappa) if hulthen else build_zero_range(eb)
+    m = BoundStateModel(ModelKind.HULTHEN if hulthen else ModelKind.ZERO_RANGE, eb, beta_over_kappa)
     k = k_over_kappa * m.kappa_per_fm
     assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-8, abs=0)
 
@@ -332,7 +370,7 @@ def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over
 ])
 @pytest.mark.parametrize("hulthen", [False, True])
 def test_dipole_integral_matches_mpmath_where_quadrature_missed(eb, beta_over_kappa, k, hulthen):
-    m = build_hulthen(eb, beta_over_kappa) if hulthen else build_zero_range(eb)
+    m = BoundStateModel(ModelKind.HULTHEN if hulthen else ModelKind.ZERO_RANGE, eb, beta_over_kappa)
     assert dipole_radial_integral(m, k) == pytest.approx(_mpmath_dipole(m, k), rel=1e-12)
 
 
@@ -341,7 +379,7 @@ def test_hulthen_dipole_integral_matches_mpmath_as_beta_approaches_kappa():
     # the two terms lost up to 5.1e-3 relative over these models, the factored form 9e-16
     rng = np.random.default_rng(16)
     for log_excess, log_eb in zip(rng.uniform(-12.0, 3.0, 100), rng.uniform(-6.0, 6.0, 100)):
-        m = build_hulthen(10.0**log_eb, 1.0 + 10.0**log_excess)
+        m = BoundStateModel(ModelKind.HULTHEN, 10.0**log_eb, 1.0 + 10.0**log_excess)
         for k in default_k_grid(m)[::10]:
             exact, _ = _mpmath_hulthen(m, k)
             assert abs(dipole_radial_integral(m, k) - exact) <= 1e-14 * exact, (m, k)
@@ -356,7 +394,7 @@ def test_cli_hulthen_density_as_beta_approaches_kappa(capsys, tmp_path):
     rows = [tuple(map(float, line.split(","))) for line in lines]
     assert header == "k_per_fm,density_fm3" and len(rows) == 200
     assert all(density > 0 for _, density in rows)
-    model = build_hulthen(EB_DEFAULT, 1.000000000000001)
+    model = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, 1.000000000000001)
     for k, density in rows[::10] + rows[-1:]:
         _, exact = _mpmath_hulthen(model, k)
         assert abs(density - exact) <= 1e-12 * exact, k
@@ -364,18 +402,18 @@ def test_cli_hulthen_density_as_beta_approaches_kappa(capsys, tmp_path):
 
 def test_dipole_integral_rejects_negative_k():
     with pytest.raises(ValueError):
-        dipole_radial_integral(build_zero_range(EB_DEFAULT), -1.0)
+        dipole_radial_integral(BoundStateModel(binding_energy_mev=EB_DEFAULT), -1.0)
 
 
 @pytest.mark.parametrize(
     "model",
     [
-        build_zero_range(1e-300),   # (k^2 + kappa^2)^2 underflows to 0
-        build_zero_range(1e300),    # (k^2 + kappa^2)^2 overflows
+        BoundStateModel(binding_energy_mev=1e-300),   # (k^2 + kappa^2)^2 underflows to 0
+        BoundStateModel(binding_energy_mev=1e300),    # (k^2 + kappa^2)^2 overflows
         # no power raises: Hulthen's quotients overflow to inf, and so does (2/pi) k^2 I^2
-        build_hulthen(1e-210),
+        BoundStateModel(ModelKind.HULTHEN, 1e-210),
         # the subtractive Hulthen form underflowed here and printed every density as 0.0
-        build_hulthen(1e-160, 1.000000000001),
+        BoundStateModel(ModelKind.HULTHEN, 1e-160, 1.000000000001),
     ],
     ids=["underflow", "overflow", "product", "hulthen-near-kappa"],
 )
@@ -390,7 +428,7 @@ def test_hulthen_spectrum_computes_across_binding_energies(beta_over_kappa):
     # the quotients are taken one at a time: the single denominator
     # (k^2+kappa^2)^2 (k^2+beta^2)^2 underflows to 0 at the small binding energies
     for exponent in range(-120, 146, 5):
-        model = build_hulthen(float(f"1e{exponent}"), beta_over_kappa)
+        model = BoundStateModel(ModelKind.HULTHEN, float(f"1e{exponent}"), beta_over_kappa)
         assert len(spectrum_densities(model, default_k_grid(model))) == 200
 
 
@@ -398,11 +436,11 @@ def test_hulthen_spectrum_computes_across_binding_energies(beta_over_kappa):
 def test_dipole_integral_rejects_non_finite_k(k):
     # the spectrum functions that take a whole k grid build no checked record per point
     with pytest.raises(ValueError, match="k_per_fm must be finite and non-negative"):
-        dipole_radial_integral(build_zero_range(EB_DEFAULT), k)
+        dipole_radial_integral(BoundStateModel(binding_energy_mev=EB_DEFAULT), k)
 
 
 def test_default_k_grid_span():
-    m = build_zero_range(EB_DEFAULT)
+    m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     grid = default_k_grid(m)
     assert len(grid) == 200
     assert grid[0] == pytest.approx(0.01 * m.kappa_per_fm, rel=1e-12, abs=0)
@@ -449,7 +487,7 @@ def test_logspace_is_ten_to_each_linspace_point(lo, hi, points):
 def test_default_grids_no_farther_from_exact_powers_than_numpy():
     # 10**y by the C library's pow is at least as close to the exact power as the
     # SIMD pow behind np.logspace, at every point of the default scan and k grids
-    spec, model = ScanSpec(), build_zero_range(EB_DEFAULT)
+    spec, model = ScanSpec(), BoundStateModel(binding_energy_mev=EB_DEFAULT)
     kappa = model.kappa_per_fm
     cases = [
         (spec.grid(), math.log10(spec.lo), math.log10(spec.hi), spec.points),
@@ -464,7 +502,7 @@ def test_default_grids_no_farther_from_exact_powers_than_numpy():
 
 
 def test_wavefunction_and_grids_are_python_floats():
-    for m in (build_zero_range(EB_DEFAULT), build_hulthen(EB_DEFAULT)):
+    for m in (BoundStateModel(binding_energy_mev=EB_DEFAULT), BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)):
         assert type(m.u(1.5)) is float
         assert type(m.u(np.float64(1.5))) is float
         assert {type(k) for k in default_k_grid(m)} == {float}

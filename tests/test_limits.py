@@ -13,15 +13,14 @@ from cslbounds import (
     GRW_LAMBDA_OVER_A2,
     RADIATION_CEILING,
     AsymmetricValue,
+    BoundStateModel,
     ConstraintError,
     ExclusionCurve,
     ExperimentConfig,
+    ModelKind,
     ObservedCounts,
     ScanSpec,
     SphereVisibilityConfig,
-    build_hulthen,
-    build_model,
-    build_zero_range,
     count_coefficient,
     default_config,
     electron_coupling_bound,
@@ -111,7 +110,7 @@ def test_fiducial_volume():
 
 def _reference_bound_inputs():
     e = reference_experiment()
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, 1.0)
     coeff = count_coefficient(model, e.deuteron_density_per_cc)
@@ -176,7 +175,8 @@ def test_electron_bound_values():
     ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
     assert ge == pytest.approx(12 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
     assert ge == pytest.approx(6.536e-3, rel=1e-3)
-    report = run_full_analysis(reference_experiment(), reference_sphere(), build_zero_range(EB_DEFAULT))
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
+    report = run_full_analysis(reference_experiment(), reference_sphere(), model)
     assert report.ge_half_width_at_grw == ge
     assert report.ge_upper_at_grw == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
 
@@ -303,10 +303,10 @@ def test_round_up_dominates_value():
 
 def test_scan_exclusion_defaults():
     e = reference_experiment()
-    curve = scan_exclusion(e, reference_sphere(), ScanSpec(), build_zero_range(EB_DEFAULT))
+    curve = scan_exclusion(e, reference_sphere(), ScanSpec(), BoundStateModel(binding_energy_mev=EB_DEFAULT))
     lds, gns, ges = (np.asarray(c) for c in columns(curve))
 
-    assert curve.experimental_ceiling == RADIATION_CEILING == 2.5
+    assert RADIATION_CEILING == 2.5
     assert 1.8e-10 <= curve.theoretical_floor <= 2.1e-10
     assert np.all(np.diff(lds) > 0)
     assert np.all(np.diff(gns) < 0)  # inverse-square-root law
@@ -349,8 +349,8 @@ def linear(lo, hi, points=2):
     return ScanSpec(lo, hi, points, log_spacing=False)
 
 
-def curve_of(scan, gn=0.1, ge=0.2, floor=1e-10, ceiling=2.5):
-    return ExclusionCurve(scan, gn, ge, theoretical_floor=floor, experimental_ceiling=ceiling)
+def curve_of(scan, gn=0.1, ge=0.2, floor=1e-10):
+    return ExclusionCurve(scan, gn, ge, theoretical_floor=floor)
 
 
 def columns(curve):
@@ -372,6 +372,10 @@ def test_exclusion_curve_validation():
     curve_of(linear(1e-8, 1e-7))
     with pytest.raises(ValueError, match="theoretical floor exceeds experimental ceiling"):
         curve_of(linear(1e-8, 1e-7), floor=3.0)
+    assert curve_of(linear(1e-8, 1e-7), floor=RADIATION_CEILING).theoretical_floor == RADIATION_CEILING
+    # the ceiling is the constant RADIATION_CEILING, which no argument sets
+    with pytest.raises(TypeError, match="unexpected keyword argument 'experimental_ceiling'"):
+        ExclusionCurve(linear(1e-8, 1e-7), 0.01, 0.006, theoretical_floor=1e-10, experimental_ceiling=99.0)
     # the bounds are largest at the first point, which the overflow names
     with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-320 s"):
         curve_of(linear(1e-320, 1e-7))
@@ -426,7 +430,7 @@ def test_scan_exclusion_matches_pointwise_bounds():
     # the scan scales the GRW bounds over the grid; it must equal inverting
     # the count limit at each grid point, to the last bit
     e = reference_experiment()
-    model = build_hulthen(EB_DEFAULT)
+    model = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     scan = ScanSpec(points=1001)
     curve = scan_exclusion(e, reference_sphere(), scan, model, n_sigma=2.0)
     _, _, n_csl = net_csl_counts(e)
@@ -443,15 +447,15 @@ def test_scan_exclusion_matches_pointwise_bounds():
 
 def test_scan_exclusion_holds_the_spec_it_scanned():
     cfg = default_config()
-    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan, build_model(cfg.model))
+    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan, cfg.model)
     assert curve.scan is cfg.scan
-    assert curve == scan_exclusion(cfg.experiment, cfg.sphere, ScanSpec(), build_model(cfg.model))
+    assert curve == scan_exclusion(cfg.experiment, cfg.sphere, ScanSpec(), cfg.model)
 
 
 def test_scan_curve_holds_no_bound_columns():
     # a 1.5e4-point curve holds its grid, a tuple of floats of about 0.46 MiB, and two
     # scalars; each column of bounds would add as much again
-    args = (reference_experiment(), reference_sphere(), ScanSpec(points=15_000), build_zero_range(EB_DEFAULT))
+    args = (reference_experiment(), reference_sphere(), ScanSpec(points=15_000), BoundStateModel())
     scan_exclusion(*args)   # first calls fill caches, which are not the curve's
     gc.collect()
     tracemalloc.start()
@@ -467,7 +471,7 @@ def test_scan_curve_holds_no_bound_columns():
 
 def test_run_full_analysis_reference():
     report = run_full_analysis(
-        reference_experiment(), reference_sphere(), build_zero_range(EB_DEFAULT)
+        reference_experiment(), reference_sphere(), BoundStateModel(binding_energy_mev=EB_DEFAULT)
     )
     assert 0.0073 <= report.gn_bound_at_grw <= 0.0077
     assert report.gn_bound_rounded == 0.008
@@ -481,7 +485,7 @@ def test_run_full_analysis_reference():
 
 def test_run_full_analysis_zero_sigma():
     report = run_full_analysis(
-        reference_experiment(), reference_sphere(), build_zero_range(EB_DEFAULT), n_sigma=0.0
+        reference_experiment(), reference_sphere(), BoundStateModel(binding_energy_mev=EB_DEFAULT), n_sigma=0.0
     )
     assert report.n_limit == report.n_csl.central
     assert report.n_limit == pytest.approx(56, abs=3)
@@ -489,7 +493,7 @@ def test_run_full_analysis_zero_sigma():
 
 def test_run_full_analysis_hulthen_warns_on_model_spread():
     report = run_full_analysis(
-        reference_experiment(), reference_sphere(), build_hulthen(EB_DEFAULT)
+        reference_experiment(), reference_sphere(), BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     )
     assert len(report.warnings) == 1
     assert "<r^2>" in report.warnings[0]

@@ -6,8 +6,8 @@ import scipy.integrate as si
 
 from cslbounds import (
     CODATA,
+    BoundStateModel,
     CollapseParams,
-    build_zero_range,
     com_reduction_coefficients,
     count_coefficient,
     deuteron_rate,
@@ -30,13 +30,13 @@ def _model_with_r2(r2_cm2):
     # invert 1/(2 kappa^2) and kappa = sqrt(2 mu E)/hbar c for the binding energy
     kappa_per_fm = math.sqrt(0.5 / (r2_cm2 * 1e26))
     eb = (kappa_per_fm * CODATA.hbar_c_mev_fm) ** 2 / (2.0 * CODATA.reduced_mass_np_mev)
-    return build_zero_range(eb)
+    return BoundStateModel(binding_energy_mev=eb)
 
 
 def test_general_rate_zero_matrix_element():
     # |M|^2 = w <r^2> is zero at mass-proportional g_n, so the rate and every spectral
     # density are zero whatever the collapse strength lambda/a^2
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     for lam, a in [(1e-16, 1e-5), (1e-8, 1e-7), (1.0, 1e-10)]:
         p = CollapseParams(lam, a, g_n=CODATA.m_n_over_m_p)
         assert deuteron_rate(p, model) == 0.0
@@ -46,7 +46,7 @@ def test_general_rate_zero_matrix_element():
 def test_general_rate_grw_value():
     # the general rate (lambda / 2 a^2) |M|^2 with |M|^2 = w <r^2>: the direct product (0.5e-6) w <r^2>,
     # which is (0.5e-6) * (9e-26) at unit weight and <r^2> = 9e-26
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     g_n = 0.75
     oracle = 0.5e-6 * relative_coupling_weight(g_n) * mean_square_radius(model)
     assert deuteron_rate(_grw(g_n), model) == pytest.approx(oracle, rel=1e-12, abs=0)
@@ -55,14 +55,14 @@ def test_general_rate_grw_value():
 
 
 def test_general_rate_linear_in_lambda():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     r1 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), model)
     r2 = deuteron_rate(CollapseParams(2e-16, 1e-5, g_n=0.0), model)
     assert r2 == 2.0 * r1
 
 
 def test_mass_proportional_coupling_vanishes_identically():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     rate = deuteron_rate(_grw(CODATA.m_n_over_m_p), model)
     assert rate == 0.0
 
@@ -78,7 +78,7 @@ def test_deuteron_rate_at_zero_coupling():
 
 
 def test_deuteron_rate_quadratic_in_coupling_deviation():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     ratio = CODATA.m_n_over_m_p
     r1 = deuteron_rate(_grw(ratio + 0.25), model)
     r2 = deuteron_rate(_grw(ratio + 0.5), model)
@@ -87,11 +87,11 @@ def test_deuteron_rate_quadratic_in_coupling_deviation():
 
 def test_deuteron_rate_requires_gn():
     with pytest.raises(ValueError, match="g_n"):
-        deuteron_rate(grw_defaults(), build_zero_range(EB_DEFAULT))
+        deuteron_rate(grw_defaults(), BoundStateModel(binding_energy_mev=EB_DEFAULT))
 
 
 def test_deuteron_rate_overflow_is_named():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     # the weight's square overflows (a = 1 cm, so lambda/a^2 is lambda exactly)
     with pytest.raises(OverflowError, match=r"^dissociation rate at g_n = 1e\+200, lambda/a\^2 = 1e-06 s\^-1 cm\^-2 overflowed$"):
         deuteron_rate(CollapseParams(1e-6, 1.0, g_n=1e200), model)
@@ -111,7 +111,7 @@ def test_com_reduction_matches_relative_weight():
 
 
 def test_spectrum_integrates_to_total_rate():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     p = _grw(0.0)
     kap = model.kappa_per_fm
     total, _ = si.quad(
@@ -121,7 +121,7 @@ def test_spectrum_integrates_to_total_rate():
 
 
 def test_spectrum_vanishes_at_zero_k_and_mass_proportional_point():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     assert deuteron_spectra(_grw(0.0), model, (0.0,))[0] == 0.0
     p = _grw(CODATA.m_n_over_m_p)
     for k in (0.1, 0.5, 2.0):
@@ -136,7 +136,7 @@ def test_count_coefficient_against_quoted_value():
 
 
 def test_count_coefficient_default_model_window():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     coeff = count_coefficient(model, PAPER_DENSITY)
     assert 2.3e7 <= coeff <= 2.45e7
 
@@ -144,20 +144,20 @@ def test_count_coefficient_default_model_window():
 def test_expected_count_reference_exposure():
     # T = 0.70 yr, V = 0.697 (10^3 m^3) turns the coefficient into ~1.2e7 per
     # unit coupling deviation squared
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     pred = expected_count(_grw(CODATA.m_n_over_m_p + 1.0), 0.70, 0.697, PAPER_DENSITY, model)
     assert pred == pytest.approx(1.2e7, rel=0.03)
 
 
 def test_expected_count_zero_at_mass_proportional():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     pred = expected_count(_grw(CODATA.m_n_over_m_p), 1.0, 1.0, PAPER_DENSITY, model)
     assert pred == 0.0
     assert count_coefficient(model, PAPER_DENSITY) > 0
 
 
 def test_expected_count_homogeneity():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     ratio = CODATA.m_n_over_m_p
     base = expected_count(_grw(ratio + 0.5), 1.0, 1.0, PAPER_DENSITY, model)
 
@@ -178,7 +178,7 @@ def test_expected_count_homogeneity():
 
 
 def test_expected_count_validates_inputs():
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     with pytest.raises(ValueError):
         expected_count(_grw(0.0), 0.0, 1.0, PAPER_DENSITY, model)
     with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ def test_expected_count_validates_inputs():
 
 def test_expected_count_overflow_is_named():
     # the deviation squared overflows where lambda/a^2 and the coefficient are finite
-    model = build_zero_range(EB_DEFAULT)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     with pytest.raises(OverflowError, match=r"^expected count at g_n = 1e\+200 overflowed$"):
         expected_count(_grw(1e200), 1.0, 1.0, PAPER_DENSITY, model)
 
@@ -197,4 +197,4 @@ def test_expected_count_overflow_is_named():
 @pytest.mark.parametrize("density", [math.nan, math.inf, 0.0])
 def test_count_coefficient_rejects_non_finite_density(density):
     with pytest.raises(ValueError, match="deuteron density must be finite and positive"):
-        count_coefficient(build_zero_range(EB_DEFAULT), density)
+        count_coefficient(BoundStateModel(binding_energy_mev=EB_DEFAULT), density)

@@ -9,12 +9,11 @@ import cslbounds
 from cslbounds import (
     CODATA,
     AsymmetricValue,
+    BoundStateModel,
     CollapseParams,
     ExclusionCurve,
-    ModelSpec,
+    ModelKind,
     ScanSpec,
-    build_hulthen,
-    build_model,
     default_config,
     grw_defaults,
     run_full_analysis,
@@ -22,19 +21,18 @@ from cslbounds import (
 from cslbounds.records import ConstraintError, Record, at_least_two, non_negative, positive
 
 CFG = default_config()
-REPORT = run_full_analysis(CFG.experiment, CFG.sphere, build_model(CFG.model), scan=ScanSpec(points=3))
+REPORT = run_full_analysis(CFG.experiment, CFG.sphere, CFG.model, scan=ScanSpec(points=3))
 
 # one instance of every record
 EXAMPLES = [
     CODATA,
     CollapseParams(1e-16, 1e-5, 0.5, 1.0),
-    build_hulthen(2.224575),
+    BoundStateModel(ModelKind.HULTHEN, 2.224575),
     AsymmetricValue(1.0, 2.0, 3.0),
     CFG.experiment.observed,
     CFG.experiment,
     CFG.sphere,
     CFG.scan,
-    CFG.model,
     CFG,
     REPORT.curve,
     REPORT,
@@ -127,8 +125,8 @@ def test_records_are_frozen(record):
 def test_repr_is_the_dataclass_format():
     assert repr(AsymmetricValue(1.0)) == "AsymmetricValue(central=1.0, err_up=0.0, err_down=0.0)"
     assert repr(ScanSpec()) == "ScanSpec(lo=1e-10, hi=2.5, points=201, log_spacing=True)"
-    assert repr(ModelSpec()) == (
-        "ModelSpec(kind=<ModelKind.ZERO_RANGE: 'zero-range'>, binding_energy_mev=2.224575, beta_over_kappa=6.163)"
+    assert repr(BoundStateModel()) == (
+        "BoundStateModel(kind=<ModelKind.ZERO_RANGE: 'zero-range'>, binding_energy_mev=2.224575, beta_over_kappa=6.163)"
     )
     assert repr(grw_defaults()) == "CollapseParams(lambda_rate=1e-16, a_length=1e-05, g_e=None, g_n=None)"
 
