@@ -16,12 +16,10 @@ from .config import (
     serialize_config,
 )
 from .constants import (
-    CODATA,
     GRW_A_LENGTH,
     GRW_LAMBDA_OVER_A2,
     GRW_LAMBDA_RATE,
     CollapseParams,
-    PhysicalConstants,
     grw_defaults,
     lambda_over_a2,
 )
@@ -66,7 +64,6 @@ from .uncertainty import (
     AsymmetricValue,
     add,
     combine_quadrature,
-    from_rate_per_day,
     one_sided_upper_limit,
     scale,
     subtract,

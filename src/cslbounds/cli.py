@@ -19,9 +19,19 @@ from contextlib import nullcontext
 from itertools import chain, islice
 
 from .config import ConfigError, RunConfig, load_config
-from .constants import CODATA, GRW_LAMBDA_OVER_A2, grw_defaults, lambda_over_a2
+from .constants import (
+    GRW_LAMBDA_OVER_A2,
+    HBAR_C_MEV_FM,
+    M_E_OVER_M_P,
+    M_N_OVER_M_P,
+    REDUCED_MASS_NP_MEV,
+    SECONDS_PER_DAY,
+    SECONDS_PER_YEAR,
+    grw_defaults,
+    lambda_over_a2,
+)
 from .deuteron import ModelKind, default_k_grid, spectrum_densities
-from .limits import RADIATION_CEILING, AnalysisReport, ExclusionCurve, run_full_analysis, scan_exclusion
+from .limits import RADIATION_CEILING, AnalysisReport, ExclusionCurve, ScanGridError, run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
 from .records import ConstraintError
 from .rates import deuteron_spectra, expected_count
@@ -112,6 +122,9 @@ def main(argv=None) -> int:
     except (QuadratureError, OverflowError, ConstraintError) as exc:
         sys.stderr.write(f"error[numeric]: {exc}\n")
         return EXIT_NUMERIC
+    except ScanGridError as exc:   # every curve the CLI builds is on the config's scan block
+        sys.stderr.write(f"error[config]: scan.min, scan.max, scan.points: {exc}\n")
+        return EXIT_CONFIG
     except ValueError as exc:   # ConfigError, and the argument checks of the library's functions
         sys.stderr.write(f"error[config]: {exc}\n")
         return EXIT_CONFIG
@@ -350,7 +363,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    pc = CODATA
     grw = grw_defaults()
     lines = [
         "collapse-model defaults (GRW)",
@@ -358,12 +370,12 @@ def _cmd_constants(args) -> int:
         f"  a_length         = {_fmt(grw.a_length)} cm",
         f"  lambda/a^2       = {_fmt(lambda_over_a2(grw))} 1/(s cm^2)",
         "physical constants",
-        f"  m_e/m_p          = {pc.m_e_over_m_p:.9g}",
-        f"  m_n/m_p          = {pc.m_n_over_m_p:.9g}",
-        f"  hbar*c           = {pc.hbar_c_mev_fm:.7g} MeV fm",
-        f"  mu_np            = {pc.reduced_mass_np_mev:.6g} MeV/c^2",
-        f"  seconds_per_day  = {_fmt(pc.seconds_per_day)} s",
-        f"  seconds_per_year = {_fmt(pc.seconds_per_year)} s",
+        f"  m_e/m_p          = {M_E_OVER_M_P:.9g}",
+        f"  m_n/m_p          = {M_N_OVER_M_P:.9g}",
+        f"  hbar*c           = {HBAR_C_MEV_FM:.7g} MeV fm",
+        f"  mu_np            = {REDUCED_MASS_NP_MEV:.6g} MeV/c^2",
+        f"  seconds_per_day  = {_fmt(SECONDS_PER_DAY)} s",
+        f"  seconds_per_year = {_fmt(SECONDS_PER_YEAR)} s",
     ]
     _write(args, (line + "\n" for line in lines))
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .records import Record, greater_than_one, non_negative, positive
+from .records import Record, non_negative, positive
 
 # Length conversions between the nuclear (fm) and collapse (cm) scales
 CM_PER_FM = 1e-13
@@ -21,6 +21,16 @@ CM2_PER_FM2 = 1e-26
 GRW_LAMBDA_RATE = 1e-16      # collapse rate lambda (s^-1)
 GRW_A_LENGTH = 1e-5          # localization length a (cm)
 GRW_LAMBDA_OVER_A2 = 1e-6    # lambda/a^2 (s^-1 cm^-2)
+
+# Mass ratios and conversion constants of the deuteron analysis, rounded to
+# the precision it needs; fixed, so no config key, flag or argument sets them
+M_E_OVER_M_P = 1.0 / 1836.15267     # electron/proton mass ratio
+M_N_OVER_M_P = 1.00137842           # neutron/proton mass ratio
+HBAR_C_MEV_FM = 197.3270            # hbar * c (MeV fm)
+REDUCED_MASS_NP_MEV = 469.459       # n-p reduced mass (MeV/c^2)
+SECONDS_PER_DAY = 86400.0
+SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY   # 365-day year convention
+DAYS_PER_YEAR = SECONDS_PER_YEAR / SECONDS_PER_DAY
 
 
 def in_float_range(what: str, compute: Callable[[], float]) -> float:
@@ -34,25 +44,6 @@ def in_float_range(what: str, compute: Callable[[], float]) -> float:
     if not 0.0 < value < math.inf:
         raise OverflowError(f"{what} is outside the float range")
     return value
-
-
-class PhysicalConstants(Record):
-    """Mass ratios and conversion constants for the deuteron analysis."""
-
-    m_e_over_m_p: float = positive(1.0 / 1836.15267)       # electron/proton mass ratio
-    m_n_over_m_p: float = greater_than_one(1.00137842)     # neutron/proton mass ratio
-    hbar_c_mev_fm: float = positive(197.3270)              # hbar * c (MeV fm)
-    reduced_mass_np_mev: float = positive(469.459)         # n-p reduced mass (MeV/c^2)
-    seconds_per_day: float = positive(86400.0)
-    seconds_per_year: float = positive(365.0 * 86400.0)    # 365-day year convention
-
-    def __post_init__(self) -> None:
-        if not math.isclose(self.seconds_per_year, 365.0 * self.seconds_per_day, rel_tol=1e-12):
-            raise ValueError("seconds_per_year must equal 365 * seconds_per_day")
-
-
-#: Default constants; reference values rounded to the precision the analysis needs.
-CODATA = PhysicalConstants()
 
 
 class CollapseParams(Record):

@@ -18,7 +18,7 @@ import enum
 import math
 from collections.abc import Iterable
 
-from .constants import CM2_PER_FM2, CODATA, in_float_range
+from .constants import CM2_PER_FM2, HBAR_C_MEV_FM, REDUCED_MASS_NP_MEV, in_float_range
 from .grids import logspace
 from .quadrature import integrate_radial
 from .records import Record, greater_than_one, positive
@@ -49,7 +49,7 @@ class BoundStateModel(Record):
         e_b, ratio = self.binding_energy_mev, self.beta_over_kappa
         kappa = in_float_range(
             f"binding wavenumber at binding energy {e_b!r} MeV",
-            lambda: math.sqrt(2.0 * CODATA.reduced_mass_np_mev * e_b) / CODATA.hbar_c_mev_fm,
+            lambda: math.sqrt(2.0 * REDUCED_MASS_NP_MEV * e_b) / HBAR_C_MEV_FM,
         )
         beta, norm_sq = None, 2.0 * kappa
         if self.kind is ModelKind.HULTHEN:

@@ -16,9 +16,11 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .constants import (
-    CODATA,
+    DAYS_PER_YEAR,
     GRW_A_LENGTH,
     GRW_LAMBDA_OVER_A2,
+    M_E_OVER_M_P,
+    M_N_OVER_M_P,
     in_float_range,
 )
 from .deuteron import BoundStateModel, mean_square_radius
@@ -28,7 +30,6 @@ from .records import Record, at_least_two, finite, in_unit_interval, non_negativ
 from .uncertainty import (
     AsymmetricValue,
     combine_quadrature,
-    from_rate_per_day,
     one_sided_upper_limit,
     scale,
     subtract,
@@ -42,8 +43,6 @@ RADIATION_CEILING = 2.5
 # coefficient; models deviating beyond the tolerance trigger a warning.
 R2_REFERENCE_CM2 = 9e-26
 R2_SPREAD_TOLERANCE = 0.10
-
-DAYS_PER_YEAR = CODATA.seconds_per_year / CODATA.seconds_per_day
 
 
 class ObservedCounts(Record):
@@ -99,9 +98,13 @@ class SphereVisibilityConfig(Record):
         return math.pi / 6.0 * self.diameter_cm**3
 
 
+class ScanGridError(ValueError):
+    """A ScanSpec whose grid floats cannot keep strictly ascending."""
+
+
 class ScanSpec(Record):
     """Grid over lambda/a^2 for exclusion scans. `grid` returns it strictly ascending, positive
-    and finite, or raises a ValueError where floats cannot keep its points apart."""
+    and finite, or raises a ScanGridError where floats cannot keep its points apart."""
 
     lo: float = positive(1e-10)
     hi: float = positive(RADIATION_CEILING)
@@ -118,7 +121,7 @@ class ScanSpec(Record):
         else:
             grid = linspace(self.lo, self.hi, self.points)
         if not all(map(operator.lt, grid, islice(grid, 1, None))):
-            raise ValueError("points must be sorted ascending in lambda_over_a2")
+            raise ScanGridError("points must be sorted ascending in lambda_over_a2")
         return grid
 
 
@@ -177,7 +180,7 @@ def net_csl_counts(
     syst = AsymmetricValue(obs.value, obs.syst_up, obs.syst_down)
     correction = in_float_range(f"efficiency correction 1/{e.efficiency!r}", lambda: 1.0 / e.efficiency)
     n_expt = scale(combine_quadrature(stat, syst), correction)
-    n_ssm = from_rate_per_day(e.ssm_rate_per_day, e.live_time_days)
+    n_ssm = scale(e.ssm_rate_per_day, e.live_time_days)
     n_csl = subtract(n_expt, n_ssm)
     return n_expt, n_ssm, n_csl
 
@@ -237,7 +240,7 @@ def electron_coupling_bound(ld: float) -> float:
     It comes from low-background Ge ionization data; at the GRW strength the
     implied window is 0 <= g_e < 13 m_e/m_p.
     """
-    return 12.0 * CODATA.m_e_over_m_p * _scaling_from_grw(ld)
+    return 12.0 * M_E_OVER_M_P * _scaling_from_grw(ld)
 
 
 def visibility_floor_large_a(s: SphereVisibilityConfig) -> float:
@@ -330,8 +333,8 @@ def run_full_analysis(
     ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
 
     # fractional widths relative to the mass-proportional point
-    ge_fraction = ge / CODATA.m_e_over_m_p
-    gn_fraction = gn / CODATA.m_n_over_m_p
+    ge_fraction = ge / M_E_OVER_M_P
+    gn_fraction = gn / M_N_OVER_M_P
     strength_ratio = ge_fraction / gn_fraction if gn_fraction > 0 else math.inf
 
     warnings = []
@@ -353,7 +356,7 @@ def run_full_analysis(
         gn_bound_at_grw=gn,
         gn_bound_rounded=round_up_one_significant(gn),
         ge_half_width_at_grw=ge,
-        ge_upper_at_grw=CODATA.m_e_over_m_p + ge,
+        ge_upper_at_grw=M_E_OVER_M_P + ge,
         strength_ratio=strength_ratio,
         curve=curve,
         model_r2_cm2=r2_cm2,

@@ -18,8 +18,9 @@ from collections.abc import Iterable
 
 from .constants import (
     CM2_PER_FM2,
-    CODATA,
     GRW_LAMBDA_OVER_A2,
+    M_N_OVER_M_P,
+    SECONDS_PER_YEAR,
     CollapseParams,
     in_float_range,
     lambda_over_a2,
@@ -37,13 +38,13 @@ def com_reduction_coefficients() -> tuple[float, float]:
     which ties r_p = -(m_n/m_p) r_n, with r = r_p - r_n the relative
     coordinate.
     """
-    ratio = CODATA.m_n_over_m_p
+    ratio = M_N_OVER_M_P
     return ratio / (1.0 + ratio), -1.0 / (1.0 + ratio)
 
 
 def relative_coupling_weight(g_n: float) -> float:
     """Squared relative-coordinate weight ((g_n - m_n/m_p)/(1 + m_n/m_p))^2."""
-    return ((g_n - CODATA.m_n_over_m_p) / (1.0 + CODATA.m_n_over_m_p)) ** 2
+    return ((g_n - M_N_OVER_M_P) / (1.0 + M_N_OVER_M_P)) ** 2
 
 
 def _require_gn(p: CollapseParams) -> float:
@@ -98,7 +99,7 @@ def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) ->
         * unit_weight
         * r2_cm2
         * deuterons_per_unit_volume
-        * CODATA.seconds_per_year,
+        * SECONDS_PER_YEAR,
     )
 
 
@@ -119,7 +120,7 @@ def expected_count(
     g_n = _require_gn(p)
     coefficient = count_coefficient(model, deuteron_density_per_cc)
     strength_ratio = lambda_over_a2(p) / GRW_LAMBDA_OVER_A2
-    deviation = g_n - CODATA.m_n_over_m_p
+    deviation = g_n - M_N_OVER_M_P
     expected = coefficient * strength_ratio * deviation * deviation * live_time_yr * volume_kilotonne_m3
     if not math.isfinite(expected):   # 0 is a valid count, so not in_float_range
         raise OverflowError(f"expected count at g_n = {g_n!r} overflowed")

@@ -74,10 +74,3 @@ def one_sided_upper_limit(v: AsymmetricValue, n_sigma: float) -> float:
     if not math.isfinite(limit):
         raise OverflowError(f"one_sided_upper_limit overflowed ({v.central!r} + {n_sigma!r} * {v.err_up!r})")
     return limit
-
-
-def from_rate_per_day(rate: AsymmetricValue, days: float) -> AsymmetricValue:
-    """Total over a live time from a per-day rate; all fields scale with days."""
-    if not (math.isfinite(days) and days > 0):
-        raise ValueError(f"days must be positive (got {days!r})")
-    return _finite("from_rate_per_day", rate.central * days, rate.err_up * days, rate.err_down * days)

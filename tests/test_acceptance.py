@@ -11,7 +11,6 @@ import pytest
 import scipy.integrate as si
 
 from cslbounds import (
-    CODATA,
     GRW_LAMBDA_OVER_A2,
     AsymmetricValue,
     BoundStateModel,
@@ -35,6 +34,7 @@ from cslbounds import (
     visibility_floor_large_a,
     visibility_floor_small_a,
 )
+from cslbounds.constants import M_E_OVER_M_P, M_N_OVER_M_P
 
 
 def _report(number, description, checks):
@@ -98,7 +98,7 @@ def test_criterion_05_electron_bound():
     def checks():
         assert electron_coupling_bound(GRW_LAMBDA_OVER_A2) == pytest.approx(6.536e-3, rel=1e-3)
         report = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=CFG.n_sigma)
-        assert report.ge_upper_at_grw == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
+        assert report.ge_upper_at_grw == pytest.approx(13 * M_E_OVER_M_P, rel=1e-12, abs=0)
 
     _report(5, "electron bound 12 m_e/m_p within 0.1% of 6.536e-3, ceiling 13 m_e/m_p", checks)
 
@@ -155,11 +155,11 @@ def test_criterion_09_property_suite():
         assert spectral * 1e-26 == pytest.approx(mean_square_radius(MODEL), rel=1e-3, abs=0)
 
         # mass-proportional coupling kills the rate identically
-        mass_prop = CollapseParams(1e-16, 1e-5, g_n=CODATA.m_n_over_m_p)
+        mass_prop = CollapseParams(1e-16, 1e-5, g_n=M_N_OVER_M_P)
         assert deuteron_rate(mass_prop, MODEL) == 0.0
 
         # exact quadratic scaling in the coupling deviation
-        ratio = CODATA.m_n_over_m_p
+        ratio = M_N_OVER_M_P
         r1 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=ratio + 0.25), MODEL)
         r2 = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=ratio + 0.5), MODEL)
         assert r2 == 4.0 * r1

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import functools
 import gc
@@ -15,18 +16,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslbounds.cli as cli
 from cslbounds import (
-    CODATA,
     GRW_LAMBDA_OVER_A2,
     BoundStateModel,
     CollapseParams,
     ExclusionCurve,
+    ModelKind,
     QuadratureError,
     ScanSpec,
+    config_to_dict,
     default_config,
     default_k_grid,
     deuteron_rate,
@@ -37,6 +39,7 @@ from cslbounds import (
     scan_exclusion,
     spectrum_densities,
 )
+from cslbounds.constants import M_N_OVER_M_P
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +95,75 @@ def test_analyze_csv_format(capsys):
     assert all(len(r) == 4 for r in rows)
     names = [r[0] for r in rows]
     assert "n_csl" in names and "gn_bound_at_grw" in names
+
+
+@st.composite
+def near_default_documents(draw):
+    """The default config with about half its numbers moved by a factor 10^U(-s, s), s 0.5 or 2,
+    a drawn model kind, g_n set or not, and the scan cut to at most 40 points."""
+
+    def move(node):
+        if isinstance(node, dict):
+            return {key: move(value) for key, value in node.items()}
+        if isinstance(node, float) and draw(st.booleans()):
+            s = draw(st.sampled_from([0.5, 2.0]))
+            return node * 10.0 ** draw(st.floats(-s, s))
+        return node
+
+    doc = move(config_to_dict(default_config()))
+    doc["scan"]["points"] = draw(st.integers(2, 40))
+    doc["model"]["kind"] = draw(st.sampled_from([kind.value for kind in ModelKind]))
+    doc["collapse"]["g_n"] = draw(st.none() | st.floats(0.0, 3.0))
+    return doc
+
+
+def structured_numbers(data):
+    """Each number of a structured analyze report by its csv quantity name: a count's three
+    fields, or one float; model keys carry the section name, and n_sigma is an input."""
+    numbers = {}
+    for section, block in data.items():
+        for key, value in block.items() if isinstance(block, dict) else [(section, block)]:
+            name = f"model_{key}" if section == "model" else key
+            if isinstance(value, dict):
+                numbers[name] = [value["central"], value["err_up"], value["err_down"]]
+            elif isinstance(value, float) and key != "n_sigma":
+                numbers[name] = [value]
+    return numbers
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=near_default_documents())
+def test_csv_and_structured_outputs_agree_bit_for_bit(tmp_path_factory, doc):
+    # every number a csv row prints is the repr of the float the structured output holds under its key
+    path = tmp_path_factory.getbasetemp() / "near_default.json"
+    path.write_text(json.dumps(doc))
+
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--config", str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    predict = [] if doc["collapse"]["g_n"] is None else ["--predict"]
+    for command in (["analyze", *predict], ["scan"]):
+        code, csv_text, err = run(*command, "--format", "csv")
+        structured_code, structured, structured_err = run(*command, "--format", "structured")
+        assert (code, err) == (structured_code, structured_err)
+        if code != 0:
+            continue
+        data = json.loads(structured)
+        comments, header, rows = parse_csv(csv_text)
+        if command[0] == "analyze":
+            assert header == ["quantity", "central", "err_up", "err_down"]
+            numbers = structured_numbers(data)
+            assert [row[0] for row in rows] == list(numbers)
+            for name, *cells in rows:
+                assert [cell for cell in cells if cell] == list(map(repr, numbers[name]))
+        else:
+            assert comments == [f"# {key}_per_s_cm2 = {data[key]!r}" for key in ("theoretical_floor", "experimental_ceiling")]
+            assert len(rows) == len(data["points"]) == doc["scan"]["points"]
+            for row, point in zip(rows, data["points"]):
+                assert list(point) == header and row == list(map(repr, point.values()))
 
 
 def test_analyze_hulthen_override_warns(capsys):
@@ -184,7 +256,7 @@ def test_spectrum_rate_matches_total(capsys, tmp_path):
 
 
 def test_spectrum_mass_proportional_is_all_zero(capsys, tmp_path):
-    path = write_config(tmp_path, {"collapse": {"g_n": CODATA.m_n_over_m_p}})
+    path = write_config(tmp_path, {"collapse": {"g_n": M_N_OVER_M_P}})
     code, out, _ = run_cli(capsys, "spectrum", "--config", path)
     assert code == 0
     _, _, rows = parse_csv(out)
@@ -474,11 +546,20 @@ def test_computed_value_outside_its_domain_is_named_numeric_failure(capsys, tmp_
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
-def test_repeated_grid_points_are_config_error(capsys, tmp_path, command):
-    # the linear step is below half an ulp of min, so the grid repeats its points
-    path = write_config(tmp_path, {"scan": {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": False}})
-    expected = (1, "", "error[config]: points must be sorted ascending in lambda_over_a2\n")
-    assert run_cli(capsys, command, "--config", path) == expected
+def test_repeated_grid_points_are_config_error(capsys, tmp_path, monkeypatch, command):
+    expected = (1, "", "error[config]: scan.min, scan.max, scan.points: points must be sorted ascending in lambda_over_a2\n")
+    for scan in (
+        {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": False},   # step below half an ulp of min
+        {"min": 1.0, "max": 1.000000000000001, "points": 100},   # log step below half an ulp of 1
+    ):
+        path = write_config(tmp_path, {"scan": scan})
+        assert run_cli(capsys, command, "--config", path) == expected
+        # the grid is built with the curve, not while the config is read
+        with monkeypatch.context() as patch:
+            patch.setattr(ScanSpec, "grid", lambda spec: pytest.fail("grid built while the config is read"))
+            assert load_config(path).scan.hi == scan["max"]
+        code, out, err = run_cli(capsys, "spectrum", "--quantity", "density", "--config", path)
+        assert code == 0 and err == "" and out
 
 
 def test_huge_counts_keep_text_lines_short(capsys, tmp_path):

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from cslbounds import (
-    CODATA,
     GRW_LAMBDA_OVER_A2,
     CollapseParams,
-    PhysicalConstants,
     grw_defaults,
     lambda_over_a2,
+)
+from cslbounds.constants import (
+    DAYS_PER_YEAR,
+    HBAR_C_MEV_FM,
+    M_E_OVER_M_P,
+    M_N_OVER_M_P,
+    REDUCED_MASS_NP_MEV,
+    SECONDS_PER_DAY,
+    SECONDS_PER_YEAR,
 )
 
 
@@ -53,11 +60,18 @@ def test_lambda_over_a2_invariant_under_joint_rescaling():
 
 
 def test_mass_ratio_invariants():
-    pc = CODATA
-    assert pc.m_n_over_m_p > 1
-    assert pc.m_n_over_m_p - 1 == pytest.approx(1.4e-3, rel=0.05)
-    assert pc.m_e_over_m_p == pytest.approx(1 / 1836.15, rel=1e-3)
-    assert pc.seconds_per_year == 365 * pc.seconds_per_day
+    assert M_N_OVER_M_P > 1
+    assert M_N_OVER_M_P - 1 == pytest.approx(1.4e-3, rel=0.05)
+    assert M_E_OVER_M_P == pytest.approx(1 / 1836.15, rel=1e-3)
+    assert SECONDS_PER_YEAR == 365 * SECONDS_PER_DAY and DAYS_PER_YEAR == 365.0
+
+
+def test_constants_keep_their_reference_bits():
+    # every figure and golden output rests on these exact floats
+    held = [M_E_OVER_M_P, M_N_OVER_M_P, HBAR_C_MEV_FM, REDUCED_MASS_NP_MEV, SECONDS_PER_DAY, SECONDS_PER_YEAR]
+    assert list(map(repr, held)) == [
+        "0.0005446170225049968", "1.00137842", "197.327", "469.459", "86400.0", "31536000.0"
+    ]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -70,10 +84,3 @@ def test_mass_ratio_invariants():
 def test_collapse_params_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         CollapseParams(**kwargs)
-
-
-def test_physical_constants_reject_broken_year():
-    with pytest.raises(ValueError):
-        PhysicalConstants(seconds_per_year=366 * 86400.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(m_n_over_m_p=0.5)

@@ -11,7 +11,6 @@ from scipy.special import eval_legendre, spherical_jn
 
 import cslbounds.cli as cli
 from cslbounds import (
-    CODATA,
     BoundStateModel,
     ConstraintError,
     ModelKind,
@@ -21,6 +20,7 @@ from cslbounds import (
     mean_square_radius,
     spectrum_densities,
 )
+from cslbounds.constants import HBAR_C_MEV_FM, REDUCED_MASS_NP_MEV
 from cslbounds.deuteron import HULTHEN_BETA_OVER_KAPPA
 from cslbounds.grids import linspace, logspace
 
@@ -116,7 +116,7 @@ def _partial_wave_matrix_element(model, ell, k):
 def test_binding_wavenumber_value():
     # oracle: kappa = sqrt(2 mu E_B) / (hbar c) evaluated with the stored constants
     kappa = BoundStateModel(binding_energy_mev=2.2246).kappa_per_fm
-    oracle = math.sqrt(2.0 * CODATA.reduced_mass_np_mev * 2.2246) / CODATA.hbar_c_mev_fm
+    oracle = math.sqrt(2.0 * REDUCED_MASS_NP_MEV * 2.2246) / HBAR_C_MEV_FM
     assert kappa == oracle
     assert 1.0 / kappa == pytest.approx(4.318, abs=1e-3)
 
@@ -170,7 +170,7 @@ def test_hulthen_norm_outside_float_range_is_overflow(eb, beta_over_kappa):
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
 def test_model_rejects_non_finite_kappa(kappa):
     # kappa is derived; the binding energy E_B = (hbar c kappa)^2 / (2 mu) that would give it is refused
-    eb = (kappa * CODATA.hbar_c_mev_fm) ** 2 / (2.0 * CODATA.reduced_mass_np_mev)
+    eb = (kappa * HBAR_C_MEV_FM) ** 2 / (2.0 * REDUCED_MASS_NP_MEV)
     with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev must be positive (got {eb!r})")):
         BoundStateModel(binding_energy_mev=eb)
 
@@ -220,7 +220,7 @@ def test_model_norm_is_derived_not_a_field():
     ratio=st.floats(min_value=1.0, max_value=1e50, exclude_min=True),
 )
 def test_derived_values_are_the_closed_forms_bit_for_bit(eb, ratio):
-    kappa = math.sqrt(2.0 * CODATA.reduced_mass_np_mev * eb) / CODATA.hbar_c_mev_fm
+    kappa = math.sqrt(2.0 * REDUCED_MASS_NP_MEV * eb) / HBAR_C_MEV_FM
     beta = ratio * kappa
     z, h = BoundStateModel(ModelKind.ZERO_RANGE, eb, ratio), BoundStateModel(ModelKind.HULTHEN, eb, ratio)
     assert (z.kappa_per_fm, z.beta_per_fm, z.norm) == (kappa, None, math.sqrt(2.0 * kappa))

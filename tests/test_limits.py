@@ -9,7 +9,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
-    CODATA,
     GRW_LAMBDA_OVER_A2,
     RADIATION_CEILING,
     AsymmetricValue,
@@ -36,7 +35,7 @@ from cslbounds import (
     visibility_floor_large_a,
     visibility_floor_small_a,
 )
-from cslbounds.constants import CollapseParams
+from cslbounds.constants import M_E_OVER_M_P, M_N_OVER_M_P, CollapseParams
 
 EB_DEFAULT = 2.224575
 
@@ -159,7 +158,7 @@ def test_bound_count_round_trip():
     for ld in 10.0 ** rng.uniform(-10, 0.4, size=8):
         b = neutron_coupling_bound(n_limit, float(ld), coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
         params = CollapseParams(
-            lambda_rate=float(ld) * 1e-10, a_length=1e-5, g_n=CODATA.m_n_over_m_p + b
+            lambda_rate=float(ld) * 1e-10, a_length=1e-5, g_n=M_N_OVER_M_P + b
         )
         pred = expected_count(
             params,
@@ -173,12 +172,12 @@ def test_bound_count_round_trip():
 
 def test_electron_bound_values():
     ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
-    assert ge == pytest.approx(12 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
+    assert ge == pytest.approx(12 * M_E_OVER_M_P, rel=1e-12, abs=0)
     assert ge == pytest.approx(6.536e-3, rel=1e-3)
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     report = run_full_analysis(reference_experiment(), reference_sphere(), model)
     assert report.ge_half_width_at_grw == ge
-    assert report.ge_upper_at_grw == pytest.approx(13 * CODATA.m_e_over_m_p, rel=1e-12, abs=0)
+    assert report.ge_upper_at_grw == pytest.approx(13 * M_E_OVER_M_P, rel=1e-12, abs=0)
 
 
 def test_electron_bound_inverse_sqrt_scaling():

@@ -5,7 +5,6 @@ import pytest
 import scipy.integrate as si
 
 from cslbounds import (
-    CODATA,
     BoundStateModel,
     CollapseParams,
     com_reduction_coefficients,
@@ -17,6 +16,7 @@ from cslbounds import (
     mean_square_radius,
     relative_coupling_weight,
 )
+from cslbounds.constants import HBAR_C_MEV_FM, M_N_OVER_M_P, REDUCED_MASS_NP_MEV
 
 EB_DEFAULT = 2.224575
 PAPER_DENSITY = (2.0 / 3.0) * 1e23
@@ -29,7 +29,7 @@ def _grw(g_n):
 def _model_with_r2(r2_cm2):
     # invert 1/(2 kappa^2) and kappa = sqrt(2 mu E)/hbar c for the binding energy
     kappa_per_fm = math.sqrt(0.5 / (r2_cm2 * 1e26))
-    eb = (kappa_per_fm * CODATA.hbar_c_mev_fm) ** 2 / (2.0 * CODATA.reduced_mass_np_mev)
+    eb = (kappa_per_fm * HBAR_C_MEV_FM) ** 2 / (2.0 * REDUCED_MASS_NP_MEV)
     return BoundStateModel(binding_energy_mev=eb)
 
 
@@ -38,7 +38,7 @@ def test_general_rate_zero_matrix_element():
     # density are zero whatever the collapse strength lambda/a^2
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     for lam, a in [(1e-16, 1e-5), (1e-8, 1e-7), (1.0, 1e-10)]:
-        p = CollapseParams(lam, a, g_n=CODATA.m_n_over_m_p)
+        p = CollapseParams(lam, a, g_n=M_N_OVER_M_P)
         assert deuteron_rate(p, model) == 0.0
         assert deuteron_spectra(p, model, [0.1, 1.0, 10.0]) == [0.0, 0.0, 0.0]
 
@@ -50,7 +50,7 @@ def test_general_rate_grw_value():
     g_n = 0.75
     oracle = 0.5e-6 * relative_coupling_weight(g_n) * mean_square_radius(model)
     assert deuteron_rate(_grw(g_n), model) == pytest.approx(oracle, rel=1e-12, abs=0)
-    unit_weight = _grw(1.0 + 2.0 * CODATA.m_n_over_m_p)
+    unit_weight = _grw(1.0 + 2.0 * M_N_OVER_M_P)
     assert deuteron_rate(unit_weight, _model_with_r2(9e-26)) == pytest.approx(4.5e-32, rel=1e-8, abs=0)
 
 
@@ -63,14 +63,14 @@ def test_general_rate_linear_in_lambda():
 
 def test_mass_proportional_coupling_vanishes_identically():
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    rate = deuteron_rate(_grw(CODATA.m_n_over_m_p), model)
+    rate = deuteron_rate(_grw(M_N_OVER_M_P), model)
     assert rate == 0.0
 
 
 def test_deuteron_rate_at_zero_coupling():
     # oracle: (lambda/2a^2) ((0 - m_n/m_p)/(1 + m_n/m_p))^2 <r^2> with <r^2> = 9e-26
     model = _model_with_r2(9e-26)
-    ratio = CODATA.m_n_over_m_p
+    ratio = M_N_OVER_M_P
     oracle = 0.5e-6 * (ratio / (1.0 + ratio)) ** 2 * 9e-26
     rate = deuteron_rate(_grw(0.0), model)
     assert rate == pytest.approx(oracle, rel=1e-8, abs=0)
@@ -79,7 +79,7 @@ def test_deuteron_rate_at_zero_coupling():
 
 def test_deuteron_rate_quadratic_in_coupling_deviation():
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    ratio = CODATA.m_n_over_m_p
+    ratio = M_N_OVER_M_P
     r1 = deuteron_rate(_grw(ratio + 0.25), model)
     r2 = deuteron_rate(_grw(ratio + 0.5), model)
     assert r2 == 4.0 * r1
@@ -123,7 +123,7 @@ def test_spectrum_integrates_to_total_rate():
 def test_spectrum_vanishes_at_zero_k_and_mass_proportional_point():
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     assert deuteron_spectra(_grw(0.0), model, (0.0,))[0] == 0.0
-    p = _grw(CODATA.m_n_over_m_p)
+    p = _grw(M_N_OVER_M_P)
     for k in (0.1, 0.5, 2.0):
         assert deuteron_spectra(p, model, (k,))[0] == 0.0
 
@@ -145,20 +145,20 @@ def test_expected_count_reference_exposure():
     # T = 0.70 yr, V = 0.697 (10^3 m^3) turns the coefficient into ~1.2e7 per
     # unit coupling deviation squared
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    pred = expected_count(_grw(CODATA.m_n_over_m_p + 1.0), 0.70, 0.697, PAPER_DENSITY, model)
+    pred = expected_count(_grw(M_N_OVER_M_P + 1.0), 0.70, 0.697, PAPER_DENSITY, model)
     assert pred == pytest.approx(1.2e7, rel=0.03)
 
 
 def test_expected_count_zero_at_mass_proportional():
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    pred = expected_count(_grw(CODATA.m_n_over_m_p), 1.0, 1.0, PAPER_DENSITY, model)
+    pred = expected_count(_grw(M_N_OVER_M_P), 1.0, 1.0, PAPER_DENSITY, model)
     assert pred == 0.0
     assert count_coefficient(model, PAPER_DENSITY) > 0
 
 
 def test_expected_count_homogeneity():
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    ratio = CODATA.m_n_over_m_p
+    ratio = M_N_OVER_M_P
     base = expected_count(_grw(ratio + 0.5), 1.0, 1.0, PAPER_DENSITY, model)
 
     # doubling each extensive input doubles the count exactly

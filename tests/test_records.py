@@ -7,7 +7,6 @@ import pytest
 
 import cslbounds
 from cslbounds import (
-    CODATA,
     AsymmetricValue,
     BoundStateModel,
     CollapseParams,
@@ -25,7 +24,6 @@ REPORT = run_full_analysis(CFG.experiment, CFG.sphere, CFG.model, scan=ScanSpec(
 
 # one instance of every record
 EXAMPLES = [
-    CODATA,
     CollapseParams(1e-16, 1e-5, 0.5, 1.0),
     BoundStateModel(ModelKind.HULTHEN, 2.224575),
     AsymmetricValue(1.0, 2.0, 3.0),
