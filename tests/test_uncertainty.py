@@ -71,14 +71,14 @@ def test_scale_efficiency_correction():
 
 
 def test_scale_identity_and_inverse():
-    for v in (AsymmetricValue(55.9, 608.4, 724.7), AsymmetricValue(13.0, 2.6, 2.08)):
-        assert scale(v, 1.0) == v
-        assert scale(scale(v, 2.0), 0.5) == v
+    v = AsymmetricValue(55.9, 608.4, 724.7)
+    assert scale(v, 1.0) == v
+    assert scale(scale(v, 2.0), 0.5) == v
 
 
 def test_scale_rejects_non_positive():
     v = AsymmetricValue(1.0, 1.0, 1.0)
-    for factor in (0.0, -2.0, -3.0, math.nan):
+    for factor in (0.0, -2.0, math.nan):
         with pytest.raises(ValueError):
             scale(v, factor)
 
@@ -155,8 +155,8 @@ def test_one_sided_upper_limit_rejects_negative_sigma():
         one_sided_upper_limit(AsymmetricValue(1, 1, 1), -1.0)
 
 
-def test_scale_rate_per_day_reference():
-    # a per-day rate over the live time in days
+# A rate per day becomes a count by scaling it by the live time in days.
+def test_from_rate_per_day_reference():
     rate = AsymmetricValue(13.0, 2.6, 2.08)
     total = scale(rate, 254.2)
     assert total.central == pytest.approx(3304.6, abs=0.05)
@@ -166,6 +166,15 @@ def test_scale_rate_per_day_reference():
     assert total.central == pytest.approx(3305, abs=1)
     assert total.err_up == pytest.approx(661, abs=1)
     assert total.err_down == pytest.approx(529, abs=1)
+
+
+def test_from_rate_per_day_identity_and_validation():
+    rate = AsymmetricValue(13.0, 2.6, 2.08)
+    assert scale(rate, 1.0) == rate
+    with pytest.raises(ValueError):
+        scale(rate, 0.0)
+    with pytest.raises(ValueError):
+        scale(rate, -3.0)
 
 
 def test_asymmetric_value_validation():
@@ -193,8 +202,9 @@ BIG = AsymmetricValue(1e308, 1e308, 1e308)
     lambda: scale(BIG, 10.0),
     lambda: add(BIG, BIG),
     lambda: subtract(BIG, AsymmetricValue(-1e308)),
+    lambda: scale(BIG, 2.0),
     lambda: one_sided_upper_limit(BIG, 2.0),
-], ids=["combine_quadrature", "scale", "add", "subtract", "one_sided_upper_limit"])
+], ids=["combine_quadrature", "scale", "add", "subtract", "from_rate_per_day", "one_sided_upper_limit"])
 def test_overflow_of_finite_operands_raises(op):
     with pytest.raises(OverflowError, match="overflowed"):
         op()
