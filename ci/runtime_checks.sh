@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Checks of an installed `cslbounds` that need nothing but the package: every subcommand runs,
+# outputs match the files under tests/golden/ byte for byte, to stdout and through --output, and
+# each failure class exits with its code. Scratch files go to $RUNNER_TEMP.
+#
+#   RUNNER_TEMP=$(mktemp -d) ci/runtime_checks.sh
+set -e
+: "${RUNNER_TEMP:?must name a scratch directory}"
+cd "$(dirname "$0")/.."
+
+# every subcommand runs
+cslbounds analyze
+cslbounds scan > /dev/null
+cslbounds spectrum --quantity density > /dev/null
+cslbounds constants
+
+# outputs match the golden files; csv rows and curve points are formatted by hand rather than by
+# the csv and json modules
+cslbounds scan | cmp - tests/golden/scan_default.csv
+cslbounds scan --format structured | cmp - tests/golden/scan_default.json
+cslbounds analyze | cmp - tests/golden/analyze_default.txt
+cslbounds analyze --format csv | cmp - tests/golden/analyze_default.csv
+cslbounds analyze --format structured | cmp - tests/golden/analyze_default.json
+set -- --config tests/golden/config_gn05.json --model hulthen --predict
+cslbounds analyze "$@" | cmp - tests/golden/analyze_hulthen_predict.txt
+cslbounds analyze "$@" --format csv | cmp - tests/golden/analyze_hulthen_predict.csv
+cslbounds analyze "$@" --format structured | cmp - tests/golden/analyze_hulthen_predict.json
+cslbounds constants | cmp - tests/golden/constants.txt
+cslbounds spectrum --quantity density | cmp - tests/golden/spectrum_density.csv
+cslbounds spectrum --quantity density --model hulthen | cmp - tests/golden/spectrum_density_hulthen.csv
+cslbounds spectrum --quantity rate --config tests/golden/config_gn05.json --format structured | cmp - tests/golden/spectrum_rate.json
+
+# outputs written with --output match the golden files; the file sink is a separate write path from stdout.
+# Each command is a line of its own: set -e ignores a failure left of `&&`.
+cslbounds scan --output "$RUNNER_TEMP/scan.csv"
+cmp "$RUNNER_TEMP/scan.csv" tests/golden/scan_default.csv
+cslbounds scan --format structured --output "$RUNNER_TEMP/scan.json"
+cmp "$RUNNER_TEMP/scan.json" tests/golden/scan_default.json
+cslbounds analyze --format structured --output "$RUNNER_TEMP/analyze.json"
+cmp "$RUNNER_TEMP/analyze.json" tests/golden/analyze_default.json
+
+# exit codes: a config value outside its declared domain exits 1; a computed value outside its domain exits 2
+expect() {
+  want=$1; shift
+  code=0; "$@" > /dev/null || code=$?
+  [ "$code" -eq "$want" ] || { echo "exit $code, expected $want: $*"; exit 1; }
+}
+cd "$RUNNER_TEMP"
+echo '{"n_sigma": -1}' > n_sigma.json
+echo '{"collapse": {"g_n": 1e150, "lambda_per_sec": 1e300}}' > predict.json
+echo '{"collapse": {"g_n": 1e200}}' > count.json
+echo '{"collapse": {"a_cm": 1e-200, "g_n": 0.5}}' > rate.json
+echo '{"experiment": {"efficiency": 5e-324}}' > efficiency.json
+echo '{"scan": {"min": 1e-320, "max": 1.0, "points": 3}}' > scan.json
+echo '{"scan": {"log_spacing": 1}}' > log_spacing.json
+echo '{"model": {"kind": "square-well"}}' > kind.json
+echo '{"sphere": {"bogus": 1}}' > bogus.json
+echo '{"model": {"binding_energy_mev": 1e300}}' > binding.json
+echo '{"scan": {"points": 15000}}' > big.json
+echo '{"scan": {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": false}}' > repeat.json
+echo '{"model": {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}}' > model.json
+echo '{"model": {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}, "n_sigma": -1}' > model_n_sigma.json
+expect 1 cslbounds analyze --config n_sigma.json
+# the three ways a key is read: a flag, a model kind, a nested object's keys
+expect 1 cslbounds analyze --config log_spacing.json
+expect 1 cslbounds analyze --config kind.json
+expect 1 cslbounds analyze --config bogus.json
+# a scan whose grid repeats a point, the one input error found after the config parses
+expect 1 cslbounds scan --config repeat.json
+# a model floats cannot hold fails as the config is parsed, but an input error in another key comes first
+expect 1 cslbounds analyze --config model_n_sigma.json
+expect 2 cslbounds analyze --config model.json
+# <r^2> underflows to 0
+expect 2 cslbounds analyze --config binding.json
+expect 2 cslbounds analyze --predict --config predict.json
+# lambda/a^2 is finite, the predicted count is not
+expect 2 cslbounds analyze --predict --config count.json
+expect 2 cslbounds spectrum --quantity rate --config rate.json
+expect 2 cslbounds analyze --config efficiency.json
+# a failing run writes nothing, so it creates no output file
+expect 2 cslbounds scan --config scan.json --output failed.csv
+[ ! -e failed.csv ] || { echo "a failing scan created its output file"; exit 1; }
+# a reader that closes the pipe early ends the run with exit 1 and no traceback
+cslbounds scan --config big.json 2> pipe.err | head -c 10 > /dev/null
+code=${PIPESTATUS[0]}
+[ "$code" -eq 1 ] && [ ! -s pipe.err ] || { echo "closed pipe: exit $code"; cat pipe.err; exit 1; }

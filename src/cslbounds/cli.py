@@ -4,6 +4,10 @@ Subcommands: analyze (full constraint report), scan (exclusion curve over
 lambda/a^2), spectrum (dissociation spectrum over relative momentum), and
 constants. Exit codes: 0 success, 1 usage or configuration error or a
 stdout closed by its reader, 2 numerical failure.
+
+analyze's text, csv and structured outputs are views of one table, REPORT: a new number
+is an AnalysisReport field, its run_full_analysis keyword and one REPORT row. A number that is
+not finite (strength_ratio at a zero neutron bound) is null when structured, an empty csv cell.
 """
 
 from __future__ import annotations
@@ -11,12 +15,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
-import re
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from .config import ConfigError, RunConfig, load_config
 from .constants import (
@@ -51,7 +56,8 @@ _BATCH = 512   # pieces joined per write call; 512 curve points are about 70 kB
 
 def _fmt(x: float) -> str:
     """Compact scientific formatting without zero-padded exponents (1e-5, 2.5)."""
-    return re.sub(r"e([+-])0(\d)", r"e\1\2", f"{x:g}")
+    mantissa, e, exponent = f"{x:g}".partition("e")
+    return f"{mantissa}e{int(exponent):+d}" if e else mantissa
 
 
 def _fmt_ratio(x: float) -> str:
@@ -231,65 +237,72 @@ def _curve_block(curve: ExclusionCurve) -> dict:
     }
 
 
-def _pick(report: AnalysisReport, *names: str) -> dict:
-    return {name: getattr(report, name) for name in names}
+# The analyze report, in the order of its structured and csv outputs. A row gives a value's section ("" is the
+# top level), its key there, its csv quantity name (None: no csv row) and its text line, a function of the value
+# and of all values by name (None: another row's line shows it). A value is named by its csv name, else its key.
+REPORT = (
+    ("counts", "n_expt", "n_expt", lambda x, _: f"  n_expt  = {x.display()}   (exact {x.central!r})"),
+    ("counts", "n_ssm", "n_ssm", lambda x, _: f"  n_ssm   = {x.display()}   (exact {x.central!r})"),
+    ("counts", "n_csl", "n_csl", lambda x, _: f"  n_csl   = {x.display()}   (exact {x.central!r})"),
+    ("counts", "n_limit", "n_limit", lambda x, v: f"  one-sided upper limit ({_fmt(v.n_sigma)} sigma) = {display_number(x)}"),
+    ("counts", "n_sigma", None, None),   # the input the limit was computed at
+    ("bounds", "gn_bound_at_grw", "gn_bound_at_grw",
+     lambda x, v: f"  |g_n - m_n/m_p| < {x:.6g}   (rounded up: {_fmt(v.gn_bound_rounded)})"),
+    ("bounds", "gn_bound_rounded", "gn_bound_rounded", None),
+    ("bounds", "ge_half_width_at_grw", "ge_half_width_at_grw",
+     lambda x, v: f"  |g_e - m_e/m_p| < {x:.6g}   (g_e < {v.ge_upper_at_grw:.6g})"),
+    ("bounds", "ge_upper_at_grw", "ge_upper_at_grw", None),
+    ("bounds", "strength_ratio", "strength_ratio", lambda x, _: f"  electron/neutron fractional-width ratio = {_fmt_ratio(x)}"),
+    ("model", "r2_cm2", "model_r2_cm2", lambda x, _: f"  <r^2> = {x:.6e} cm^2"),
+    ("curve", "theoretical_floor", "theoretical_floor", lambda x, _: f"  theoretical floor    = {x:.6g} 1/(s cm^2)"),
+    ("curve", "experimental_ceiling", "experimental_ceiling", lambda x, _: f"  experimental ceiling = {_fmt(x)} 1/(s cm^2)"),
+    ("curve", "points", None, None),   # listed in structured output only
+    ("", "floor_regime", None, lambda x, _: f"  {x}"),
+    ("", "warnings", None, None),   # the text report closes with them
+    ("", "predicted_csl_counts", "predicted_csl_counts", lambda x, _: f"predicted excess count for configured g_n = {x:.6g}"),
+)
+# the text report's sections in the order it prints them, each by its heading line ("" has none)
+TEXT_SECTIONS = {
+    "counts": "counts (efficiency-corrected)", "model": "model",
+    "bounds": f"bounds at lambda/a^2 = {_fmt(GRW_LAMBDA_OVER_A2)} 1/(s cm^2)", "curve": "exclusion curve", "": None,
+}
 
 
-def _analyze_report(report: AnalysisReport, predicted: float | None) -> dict:
-    """The analyze report; the structured output is this dict, the text and csv outputs views of it."""
-    data = {
-        "counts": _pick(report, "n_expt", "n_ssm", "n_csl", "n_limit", "n_sigma"),
-        "bounds": _pick(
-            report, "gn_bound_at_grw", "gn_bound_rounded", "ge_half_width_at_grw", "ge_upper_at_grw", "strength_ratio"
-        ),
-        "model": {"r2_cm2": report.model_r2_cm2},
-        "curve": _curve_block(report.curve),
-        "floor_regime": report.floor_regime,
-        "warnings": list(report.warnings),
-    }
-    if predicted is not None:
-        data["predicted_csl_counts"] = predicted
+def _report_rows(report: AnalysisReport, predicted: float | None) -> list[tuple]:
+    """(section, key, csv name, text line, value) for each row of REPORT, the predicted count's only if given."""
+    values = {**dict(zip(report._fields, report._values())), **_curve_block(report.curve), "predicted_csl_counts": predicted}
+    return [(*row, x) for row in REPORT if (x := values[row[2] or row[1]]) is not None]
+
+
+def _report_structured(rows: list[tuple]) -> dict:
+    """The structured report; a number that is not finite is written null, as JSON has no inf."""
+    data = {}
+    for section, key, _, _, value in rows:
+        finite = not isinstance(value, float) or math.isfinite(value)
+        (data.setdefault(section, {}) if section else data)[key] = value if finite else None
     return data
 
 
-def _report_csv_rows(data: dict):
-    """One row per number in the report, named by its key; model keys carry the section
-    name, and n_sigma, the input the limit was computed at, is left out."""
-    for section, block in data.items():
-        for key, value in block.items() if isinstance(block, dict) else [(section, block)]:
-            name = f"{section}_{key}" if section == "model" else key
-            if isinstance(value, AsymmetricValue):
-                yield [name, value.central, value.err_up, value.err_down]
-            elif isinstance(value, float) and key != "n_sigma":
-                yield [name, value, "", ""]
+def _report_csv_rows(rows: list[tuple]) -> Iterator[list]:
+    """A count's three fields, or one number and empty error cells; a number that is not finite is an empty cell."""
+    for _, _, name, _, value in rows:
+        if name is None:
+            continue
+        if isinstance(value, AsymmetricValue):
+            yield [name, value.central, value.err_up, value.err_down]
+        else:
+            yield [name, value if math.isfinite(value) else "", "", ""]
 
 
-def _report_text(data: dict) -> Iterator[str]:
-    """The analyze report as text, one piece per line, a view of the `_analyze_report` dict."""
-    counts, bounds, curve = data["counts"], data["bounds"], data["curve"]
-    lines = ["collapse-coupling constraint analysis", "counts (efficiency-corrected)"]
-    lines.extend(
-        f"  {name:<7} = {counts[name].display()}   (exact {counts[name].central!r})"
-        for name in ("n_expt", "n_ssm", "n_csl")
-    )
-    lines += [
-        f"  one-sided upper limit ({_fmt(counts['n_sigma'])} sigma) = {display_number(counts['n_limit'])}",
-        "model",
-        f"  <r^2> = {data['model']['r2_cm2']:.6e} cm^2",
-        f"bounds at lambda/a^2 = {_fmt(GRW_LAMBDA_OVER_A2)} 1/(s cm^2)",
-        f"  |g_n - m_n/m_p| < {bounds['gn_bound_at_grw']:.6g}   (rounded up: {_fmt(bounds['gn_bound_rounded'])})",
-        f"  |g_e - m_e/m_p| < {bounds['ge_half_width_at_grw']:.6g}   (g_e < {bounds['ge_upper_at_grw']:.6g})",
-        f"  electron/neutron fractional-width ratio = {_fmt_ratio(bounds['strength_ratio'])}",
-        "exclusion curve",
-        f"  theoretical floor    = {curve['theoretical_floor']:.6g} 1/(s cm^2)",
-        f"  experimental ceiling = {_fmt(curve['experimental_ceiling'])} 1/(s cm^2)",
-        f"  {data['floor_regime']}",
-    ]
-    if "predicted_csl_counts" in data:
-        lines.append(f"predicted excess count for configured g_n = {data['predicted_csl_counts']:.6g}")
-    lines.append("warnings")
-    lines.extend(f"  {w}" for w in data["warnings"] or ["none"])
-    return (line + "\n" for line in lines)
+def _report_text(rows: list[tuple]) -> Iterator[str]:
+    """The text report, one piece per line: each section's heading and row lines, then the warnings."""
+    v = SimpleNamespace(**{name or key: value for _, key, name, _, value in rows})
+    yield "collapse-coupling constraint analysis\n"
+    for section, heading in TEXT_SECTIONS.items():
+        yield from [heading + "\n"] if heading else []
+        yield from (line(x, v) + "\n" for s, _, _, line, x in rows if s == section and line)
+    yield "warnings\n"
+    yield from (f"  {w}\n" for w in v.warnings or ["none"])
 
 
 def _cmd_analyze(args) -> int:
@@ -313,13 +326,13 @@ def _cmd_analyze(args) -> int:
             cfg.experiment.deuteron_density_per_cc,
             cfg.model,
         )
-    data = _analyze_report(report, predicted)
+    rows = _report_rows(report, predicted)
     if args.format == "text":
-        _write(args, _report_text(data))
+        _write(args, _report_text(rows))
     elif args.format == "csv":
-        _write(args, _csv(["quantity", "central", "err_up", "err_down"], _report_csv_rows(data)))
+        _write(args, _csv(["quantity", "central", "err_up", "err_down"], _report_csv_rows(rows)))
     else:
-        _write(args, _json(data))
+        _write(args, _json(_report_structured(rows)))
     return EXIT_OK
 
 

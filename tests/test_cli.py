@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -40,6 +41,7 @@ from cslbounds import (
     spectrum_densities,
 )
 from cslbounds.constants import M_N_OVER_M_P
+from cslbounds.uncertainty import AsymmetricValue
 
 
 def run_cli(capsys, *argv):
@@ -119,16 +121,25 @@ def near_default_documents(draw):
 
 def structured_numbers(data):
     """Each number of a structured analyze report by its csv quantity name: a count's three
-    fields, or one float; model keys carry the section name, and n_sigma is an input."""
+    fields, or one float; model keys carry the section name, and n_sigma is an input. A null,
+    a number that is not finite, is an empty cell, which leaves no value to compare."""
     numbers = {}
     for section, block in data.items():
         for key, value in block.items() if isinstance(block, dict) else [(section, block)]:
             name = f"model_{key}" if section == "model" else key
             if isinstance(value, dict):
                 numbers[name] = [value["central"], value["err_up"], value["err_down"]]
-            elif isinstance(value, float) and key != "n_sigma":
-                numbers[name] = [value]
+            elif (value is None or isinstance(value, float)) and key != "n_sigma":
+                numbers[name] = [] if value is None else [value]
     return numbers
+
+
+def run_in_process(*argv):
+    """cli.main(argv) with stdout and stderr captured, for tests that hypothesis runs many times."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,10 +150,7 @@ def test_csv_and_structured_outputs_agree_bit_for_bit(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
 
     def run(*argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([*argv, "--config", str(path)])
-        return code, out.getvalue(), err.getvalue()
+        return run_in_process(*argv, "--config", str(path))
 
     predict = [] if doc["collapse"]["g_n"] is None else ["--predict"]
     for command in (["analyze", *predict], ["scan"]):
@@ -164,6 +172,165 @@ def test_csv_and_structured_outputs_agree_bit_for_bit(tmp_path_factory, doc):
             assert len(rows) == len(data["points"]) == doc["scan"]["points"]
             for row, point in zip(rows, data["points"]):
                 assert list(point) == header and row == list(map(repr, point.values()))
+
+
+# Each line of the analyze text report that prints numbers, as a pattern with a group per number,
+# and for each group the structured value it prints (a path of keys) and how the line rounds it:
+# "display" is display_number (one decimal, or 6 significant digits from 1e15 up), "g6" 6 and
+# "e7" 7 significant digits, "ratio" the strength ratio's format, "repr" the exact repr.
+COUNT_LINE = r" = (\S+) \+(\S+)/-(\S+)   \(exact (\S+)\)"
+TEXT_NUMBERS = {
+    **{
+        f"  {name:<7}{COUNT_LINE}": [
+            *((("counts", name, field), "display") for field in ("central", "err_up", "err_down")),
+            (("counts", name, "central"), "repr"),
+        ]
+        for name in ("n_expt", "n_ssm", "n_csl")
+    },
+    r"  one-sided upper limit \((\S+) sigma\) = (\S+)": [(("counts", "n_sigma"), "g6"), (("counts", "n_limit"), "display")],
+    r"  <r\^2> = (\S+) cm\^2": [(("model", "r2_cm2"), "e7")],
+    r"  \|g_n - m_n/m_p\| < (\S+)   \(rounded up: (\S+)\)": [
+        (("bounds", "gn_bound_at_grw"), "g6"),
+        (("bounds", "gn_bound_rounded"), "g6"),
+    ],
+    r"  \|g_e - m_e/m_p\| < (\S+)   \(g_e < (\S+)\)": [
+        (("bounds", "ge_half_width_at_grw"), "g6"),
+        (("bounds", "ge_upper_at_grw"), "g6"),
+    ],
+    r"  electron/neutron fractional-width ratio = (\S+)": [(("bounds", "strength_ratio"), "ratio")],
+    r"  theoretical floor    = (\S+) 1/\(s cm\^2\)": [(("curve", "theoretical_floor"), "g6")],
+    r"  experimental ceiling = (\S+) 1/\(s cm\^2\)": [(("curve", "experimental_ceiling"), "g6")],
+    r"predicted excess count for configured g_n = (\S+)": [(("predicted_csl_counts",), "g6")],
+}
+
+
+def rounds_from(printed: str, value: float, rounding: str) -> bool:
+    """Whether printed is value rounded as its line rounds it (a printed inf stands for a null)."""
+    if rounding == "repr":
+        return printed == repr(value)
+    if value is None:
+        return printed == "inf"
+    if rounding == "ratio":
+        rounding = "g6" if 0 < value < 0.05 else "display"
+    if rounding == "display" and abs(value) < 1e15:
+        return abs(float(printed) - value) <= 0.05 * (1 + 1e-9) + 1e-15 * abs(value)
+    rel = {"g6": 5e-6, "e7": 5e-7, "display": 5e-6}[rounding]
+    return abs(float(printed) - value) <= rel * (1 + 1e-9) * abs(value)
+
+
+def text_numbers(text: str) -> tuple[dict, list[str]]:
+    """The printed number of each structured path, and the lines that match no pattern."""
+    printed, rest = {}, []
+    for line in text.splitlines():
+        matches = [(pattern, m) for pattern in TEXT_NUMBERS if (m := re.fullmatch(pattern, line))]
+        assert len(matches) <= 1, line
+        if not matches:
+            rest.append(line)
+        for pattern, m in matches:
+            for (path, rounding), number in zip(TEXT_NUMBERS[pattern], m.groups()):
+                assert (path, rounding) not in printed, line
+                printed[path, rounding] = number
+    return printed, rest
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=near_default_documents())
+def test_text_report_prints_the_structured_values(tmp_path_factory, doc):
+    # each number the text report prints rounds, as its line rounds it, from the structured value under its key
+    path = tmp_path_factory.getbasetemp() / "near_default_text.json"
+    path.write_text(json.dumps(doc))
+    argv = ["analyze", "--config", str(path), *([] if doc["collapse"]["g_n"] is None else ["--predict"])]
+    code, text, err = run_in_process(*argv)
+    structured_code, structured, structured_err = run_in_process(*argv, "--format", "structured")
+    assert (code, err) == (structured_code, structured_err)
+    if code != 0:
+        return
+    data = json.loads(structured)
+    printed, rest = text_numbers(text)
+    # every pattern matched once; the predicted count's only with --predict
+    assert set(printed) == {number for numbers in TEXT_NUMBERS.values() for number in numbers if number[0][0] in data}
+    for (path, rounding), number in printed.items():
+        value = functools.reduce(dict.__getitem__, path, data)
+        assert rounds_from(number, value, rounding), (path, number, value)
+    assert rest == [
+        "collapse-coupling constraint analysis",
+        "counts (efficiency-corrected)",
+        "model",
+        "bounds at lambda/a^2 = 1e-6 1/(s cm^2)",
+        "exclusion curve",
+        f"  {data['floor_regime']}",
+        "warnings",
+        *(f"  {w}" for w in data["warnings"] or ["none"]),
+    ]
+
+
+# n_sigma 0 and an observed count equal to the prediction: the count limit and the neutron bound are 0
+ZERO_NEUTRON_BOUND = {
+    "n_sigma": 0.0,
+    "experiment": {
+        "efficiency": 1.0,
+        "live_time_days": 100.0,
+        "observed": {"value": 1000.0},
+        "ssm_rate_per_day": {"value": 10.0},
+    },
+}
+
+
+def test_unbounded_strength_ratio_is_null_an_empty_cell_and_inf(capsys, tmp_path):
+    path = write_config(tmp_path, ZERO_NEUTRON_BOUND)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, err = run_cli(capsys, "analyze", "--config", path, "--format", "structured")
+    assert code == 0 and err == ""
+    bounds = json.loads(out, parse_constant=reject)["bounds"]
+    assert bounds["gn_bound_at_grw"] == 0.0 and bounds["strength_ratio"] is None
+    code, out, err = run_cli(capsys, "analyze", "--config", path, "--format", "csv")
+    assert code == 0 and err == ""
+    assert ["strength_ratio", "", "", ""] in parse_csv(out)[2]
+    code, out, err = run_cli(capsys, "analyze", "--config", path)
+    assert code == 0 and err == ""
+    assert "  electron/neutron fractional-width ratio = inf\n" in out
+
+
+@given(st.floats() | st.sampled_from([1e-5, 1e7, 1e100, 5e-324, -0.0]))
+def test_fmt_is_g_format_without_zero_padded_exponents(x):
+    assert cli._fmt(x) == re.sub(r"e([+-])0(\d)", r"e\1\2", f"{x:g}")
+
+
+def test_ratio_prints_one_decimal_from_five_hundredths():
+    assert cli._fmt_ratio(0.05) == "0.1"
+    assert cli._fmt_ratio(math.nextafter(0.05, 0)) == "0.05"
+
+
+@pytest.mark.parametrize(
+    "diameter_cm, regime",
+    [
+        (1e-5, "large-a visibility constraint dominates at a=1e-05 cm (a > d/2)"),
+        (2e-5, "large-a visibility constraint dominates at a=1e-05 cm (a = d/2)"),
+        (4e-5, "small-a visibility constraint dominates at a=1e-05 cm (a < d/2)"),   # the default
+    ],
+)
+def test_floor_regime_names_each_branch(capsys, tmp_path, diameter_cm, regime):
+    path = write_config(tmp_path, {"sphere": {"diameter_cm": diameter_cm}})
+    code, out, err = run_cli(capsys, "analyze", "--config", path, "--format", "structured")
+    assert code == 0 and err == ""
+    assert json.loads(out)["floor_regime"] == regime
+    code, out, err = run_cli(capsys, "analyze", "--config", path)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[lines.index("warnings") - 1] == f"  {regime}"
+
+
+def test_report_table_reads_every_report_number():
+    # a float or count field missing from REPORT would be dropped from every output; a name with no value would fail
+    report = default_report()
+    numbers = {name for name in report._fields if isinstance(getattr(report, name), (float, AsymmetricValue))}
+    names = {csv_name or key for _, key, csv_name, _ in cli.REPORT}
+    assert numbers <= names
+    assert names <= {*report._fields, *cli._curve_block(report.curve), "predicted_csl_counts"}
+    assert {section for section, *_ in cli.REPORT} <= set(cli.TEXT_SECTIONS)
 
 
 def test_analyze_hulthen_override_warns(capsys):
@@ -696,7 +863,7 @@ def record_fields(record):
 @given(curve_args)
 @with_curve_examples
 def test_analyze_json_matches_encoder(args):
-    data = cli._analyze_report(default_report().replace(curve=curve_of(args)), None)
+    data = cli._report_structured(cli._report_rows(default_report().replace(curve=curve_of(args)), None))
     expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns_of(args))}}
     assert "".join(cli._json(data)) == json.dumps(expected, indent=2, default=record_fields) + "\n"
 
