@@ -49,7 +49,7 @@ EXIT_NUMERIC = 2
 FORMATS = ("text", "csv", "structured")
 # a curve point's columns, in output column order
 CURVE_COLUMNS = ("lambda_over_a2", "gn_bound", "ge_bound")
-# written by the JSON encoder where a curve's points go, then replaced by them
+# put where a curve's points go in structured output, then replaced by them
 _POINTS_MARK = "\0points"
 _BATCH = 512   # pieces joined per write call; 512 curve points are about 70 kB
 
@@ -172,26 +172,11 @@ def _write(args, pieces: Iterable[str]) -> None:
         raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from None
 
 
-def _json(data: dict) -> Iterator[str]:
-    """`json.dumps(data, indent=2)` in pieces, an AsymmetricValue written as an object of its
-    three fields. All but a curve's points are encoded before the first piece; `_points_json`
-    writes them into the place the encoder leaves, so it never walks one dict per point."""
-    curves = []
-
-    def encode(obj):
-        if isinstance(obj, ExclusionCurve):
-            curves.append(obj)
-            return _POINTS_MARK
-        if isinstance(obj, AsymmetricValue):
-            return {"central": obj.central, "err_up": obj.err_up, "err_down": obj.err_down}
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-    text = json.dumps(data, indent=2, default=encode)
-    # the indenting encoder's nested functions form a reference cycle that holds encode;
-    # emptied now, the list keeps no curve alive until the next garbage collection
-    pending = curves.copy()
-    curves.clear()
-    for curve in pending:
+def _json(data: dict, curve: ExclusionCurve | None = None) -> Iterator[str]:
+    """`json.dumps(data, indent=2)` in pieces, with curve's points where `_curve_block` marks them:
+    `_points_json` writes them after the rest is encoded, so it never walks one dict per point."""
+    text = json.dumps(data, indent=2)
+    if curve is not None:
         head, _, text = text.partition(json.dumps(_POINTS_MARK))
         line = head[head.rfind("\n") + 1 :]
         yield head
@@ -233,7 +218,7 @@ def _curve_block(curve: ExclusionCurve) -> dict:
     return {
         "theoretical_floor": curve.theoretical_floor,
         "experimental_ceiling": RADIATION_CEILING,
-        "points": curve,   # listed point by point only when written as JSON
+        "points": _POINTS_MARK,   # listed point by point only when written as JSON
     }
 
 
@@ -275,11 +260,15 @@ def _report_rows(report: AnalysisReport, predicted: float | None) -> list[tuple]
 
 
 def _report_structured(rows: list[tuple]) -> dict:
-    """The structured report; a number that is not finite is written null, as JSON has no inf."""
+    """The structured report: a count is an object of its three fields, and a number that is
+    not finite is written null, as JSON has no inf."""
     data = {}
     for section, key, _, _, value in rows:
-        finite = not isinstance(value, float) or math.isfinite(value)
-        (data.setdefault(section, {}) if section else data)[key] = value if finite else None
+        if isinstance(value, AsymmetricValue):
+            value = dict(zip(value._fields, value._values()))
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = None
+        (data.setdefault(section, {}) if section else data)[key] = value
     return data
 
 
@@ -332,7 +321,7 @@ def _cmd_analyze(args) -> int:
     elif args.format == "csv":
         _write(args, _csv(["quantity", "central", "err_up", "err_down"], _report_csv_rows(rows)))
     else:
-        _write(args, _json(_report_structured(rows)))
+        _write(args, _json(_report_structured(rows), report.curve))
     return EXIT_OK
 
 
@@ -348,7 +337,7 @@ def _cmd_scan(args) -> int:
     )
     block = _curve_block(curve)
     if args.format == "structured":
-        _write(args, _json(block))
+        _write(args, _json(block, curve))
         return EXIT_OK
     comments = "".join(f"# {name}_per_s_cm2 = {value!r}\n" for name, value in block.items() if isinstance(value, float))
     _write(args, _curve_csv(curve, comments))

@@ -5,8 +5,8 @@ Every key is optional; unknown keys are rejected with their full path so
 typos cannot silently fall back to defaults. The keys are the fields of
 the config records, so parsing, overriding and serializing all walk the
 records themselves; RENAMED holds the few keys that differ from their
-field's name. A key's domain is the one its record field declares, so a
-value outside it is reported with the key's path and the record's phrase.
+field's name. Each value is read by the Constraint its record field
+declares, and a value it refuses is reported with the key's path.
 The `model` object is deuteron.BoundStateModel itself, so a model that
 floats cannot hold raises its OverflowError as the config is read, but only
 once every other key, and every change set over the document (the CLI's
@@ -79,32 +79,14 @@ RENAMED = {
 }
 
 
-def _read(current: Any, check: Constraint | None, raw: Any, where: str) -> Any:
-    """The value raw gives a field that holds current and declares check: a JSON number in
-    the declared domain (null where the field's default is None), or else a flag or a model
-    kind, as current is."""
-    if check is not None:
-        if raw is None and check.default is None:
-            return None
-        if isinstance(raw, bool) or not isinstance(raw, (int, check.number)):
-            raise ConfigError(f"{where}: expected {check.kind} (got {raw!r})")
-        try:
-            value = check.number(raw)
-        except OverflowError:   # a JSON integer beyond the largest float
-            raise ConfigError(f"{where}: expected {check.kind} within the float range (got {raw!r})") from None
-        violated = check.violated_by(value)
-        if violated:
-            raise ConfigError(f"{where}: must be {violated} (got {raw!r})")
-        return value
-    if isinstance(current, bool):
-        if not isinstance(raw, bool):
-            raise ConfigError(f"{where}: expected true or false (got {raw!r})")
-        return raw
+def _read(check: Constraint, raw: Any, where: str) -> Any:
+    """The value raw gives a field that declares check, a value it refuses reported under where."""
     try:
-        return ModelKind(raw)
-    except ValueError:
-        choices = ", ".join(k.value for k in ModelKind)
-        raise ConfigError(f"{where}: must be one of {choices} (got {raw!r})") from None
+        return check.read(raw)
+    except (TypeError, OverflowError) as exc:   # of another kind, or an integer beyond the float range
+        raise ConfigError(f"{where}: expected {exc} (got {raw!r})") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}: must be {exc} (got {raw!r})") from None
 
 
 def _update(default: Record, nodes: list, where: str) -> Record:
@@ -124,13 +106,12 @@ def _update(default: Record, nodes: list, where: str) -> Record:
         given = [node[key] for node in nodes if key in node]
         if not given:
             continue
-        current, at = getattr(default, name), _join(where, key)
         try:
-            if isinstance(current, Record):
-                changes[name] = _update(current, given, at)
-            else:
+            if name in default._checks:
                 for raw in given:   # each checked, the last kept
-                    changes[name] = _read(current, default._checks.get(name), raw, at)
+                    changes[name] = _read(default._checks[name], raw, _join(where, key))
+            else:
+                changes[name] = _update(getattr(default, name), given, _join(where, key))
         except OverflowError as exc:   # a model floats cannot hold
             failure = failure or exc
     if failure:
@@ -167,7 +148,7 @@ def load_config(path: str | None, changes: dict | None = None) -> RunConfig:
     """Read a config file, or the defaults when no path is given, with changes set over it
     as parse_config sets them."""
     if path is None:
-        return _update(default_config(), [changes or {}], "")
+        return parse_config("{}", changes)
     try:
         with open(path, "rb") as fh:
             document = fh.read()

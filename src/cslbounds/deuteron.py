@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from .constants import CM2_PER_FM2, HBAR_C_MEV_FM, REDUCED_MASS_NP_MEV, in_float_range
 from .grids import logspace
 from .quadrature import integrate_radial
-from .records import Record, greater_than_one, positive
+from .records import Record, greater_than_one, one_of, positive
 
 # Hulthen short-range scale beta in units of kappa
 HULTHEN_BETA_OVER_KAPPA = 6.163
@@ -41,7 +41,7 @@ class BoundStateModel(Record):
     cannot hold raises an OverflowError naming it.
     """
 
-    kind: ModelKind = ModelKind.ZERO_RANGE
+    kind: ModelKind = one_of(ModelKind, ModelKind.ZERO_RANGE)
     binding_energy_mev: float = positive(2.224575)
     beta_over_kappa: float = greater_than_one(HULTHEN_BETA_OVER_KAPPA)   # read by Hulthen only
 

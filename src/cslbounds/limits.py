@@ -26,7 +26,7 @@ from .constants import (
 from .deuteron import BoundStateModel, mean_square_radius
 from .grids import linspace, logspace
 from .rates import count_coefficient
-from .records import Record, at_least_two, finite, in_unit_interval, non_negative, positive
+from .records import Record, at_least_two, finite, flag, in_unit_interval, non_negative, positive
 from .uncertainty import (
     AsymmetricValue,
     combine_quadrature,
@@ -109,7 +109,7 @@ class ScanSpec(Record):
     lo: float = positive(1e-10)
     hi: float = positive(RADIATION_CEILING)
     points: int = at_least_two(201)
-    log_spacing: bool = True
+    log_spacing: bool = flag(True)
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:

@@ -3,9 +3,10 @@
 A subclass lists its fields as annotations, in order, with class-level
 values as their defaults. A field may declare its domain there instead, as
 `live_time_days: float = positive()` or, with a default, `positive(4e-5)`.
-One generic __init__ binds the arguments, checks each declared domain and
-calls __post_init__, which may check invariants across fields or derive
-values from them, so no per-class method is compiled at import. Records are
+One generic __init__ binds the arguments, reads each declared field into the
+value it holds (an int given a float field is the float it equals) and calls
+__post_init__, which may check invariants across fields or derive values
+from them, so no per-class method is compiled at import. Records are
 immutable, compare equal to a record of the same type with equal fields,
 hash by their fields and print as `Name(field=value, ...)`.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable
+from typing import Any, Callable
 
 
 class ConstraintError(ValueError):
@@ -26,34 +27,59 @@ REQUIRED = object()   # the default of a field that has none
 
 
 class Constraint:
-    """A record field's domain: the finite numbers of one kind, float or int, for which
-    holds is true, named by phrase. A field whose default is None also admits None."""
+    """A record field's domain, named by phrase: the values that convert takes to the field's kind,
+    named by kind, for which holds is true. A field whose default is None also admits None."""
 
-    __slots__ = ("number", "phrase", "holds", "default")
-    kind = property(lambda self: "an integer" if self.number is int else "a number")
+    __slots__ = ("kind", "convert", "phrase", "holds", "default")
 
-    def __init__(self, number: type, phrase: str, holds: Callable[[float], bool], default: object = REQUIRED) -> None:
-        self.number, self.phrase, self.holds, self.default = number, phrase, holds, default
+    def __init__(self, kind: str, convert: Callable, phrase: str, holds: Callable, default: object = REQUIRED) -> None:
+        self.kind, self.convert, self.phrase, self.holds, self.default = kind, convert, phrase, holds, default
 
-    def violated_by(self, value: object) -> str | None:
-        """None if value lies in the domain, else its phrase, or its kind for a value of another kind."""
+    def read(self, value: object) -> Any:
+        """value as the field holds it, or a TypeError for a value of another kind, an OverflowError for
+        an integer beyond the float range, a ValueError outside the domain, each naming what it expects."""
         if value is None and self.default is None:
             return None
         try:
-            number = operator.index(value) if self.number is int else value
-            inside = self.holds(number) and (self.number is int or math.isfinite(number))
+            held = self.convert(value)
+            if self.holds(held):
+                return held
         except TypeError:
-            return self.kind
-        return None if inside else self.phrase
+            raise TypeError(self.kind) from None
+        except OverflowError:   # an integer beyond the largest float
+            raise OverflowError(f"{self.kind} within the float range") from None
+        except ValueError:   # a value that names no member of an enumeration is outside the domain too
+            pass
+        raise ValueError(self.phrase)
 
 
-# positive() declares a required positive field, positive(1.0) one that defaults to 1.0
-positive = functools.partial(Constraint, float, "positive", lambda v: v > 0)
-non_negative = functools.partial(Constraint, float, "non-negative", lambda v: v >= 0)
-finite = functools.partial(Constraint, float, "a finite number", lambda v: True)
-in_unit_interval = functools.partial(Constraint, float, "in (0,1]", lambda v: 0 < v <= 1)
-greater_than_one = functools.partial(Constraint, float, "greater than 1", lambda v: v > 1)
-at_least_two = functools.partial(Constraint, int, "at least 2", lambda v: v >= 2)
+def _as(kind: type, value: object) -> object:
+    """value as a float, int or bool field holds it: a bool only as a flag and a flag only a bool, as a float
+    any other number (an int or a numpy scalar is the float it equals), as an int what operator.index takes."""
+    if isinstance(value, bool) != (kind is bool) or isinstance(value, (str, bytes, bytearray)):
+        raise TypeError
+    return operator.index(value) if kind is int else kind(value)
+
+
+_float, _int, _flag = (functools.partial(_as, kind) for kind in (float, int, bool))
+
+
+# positive() declares a required positive field, positive(1.0) one that defaults to 1.0;
+# a float field's domain holds no infinity and no NaN
+_floats = functools.partial(functools.partial, Constraint, "a number", _float)
+positive = _floats("positive", lambda v: 0 < v < math.inf)
+non_negative = _floats("non-negative", lambda v: 0 <= v < math.inf)
+finite = _floats("a finite number", math.isfinite)
+in_unit_interval = _floats("in (0,1]", lambda v: 0 < v <= 1)
+greater_than_one = _floats("greater than 1", lambda v: 1 < v < math.inf)
+at_least_two = functools.partial(Constraint, "an integer", _int, "at least 2", lambda v: v >= 2)
+flag = functools.partial(Constraint, "true or false", _flag, "true or false", lambda v: True)
+
+
+def one_of(members: type, default: object = REQUIRED) -> Constraint:
+    """The domain of a field that holds a member of the enumeration members, given the member or its value."""
+    phrase = "one of " + ", ".join(member.value for member in members)
+    return Constraint(phrase, members, phrase, lambda v: True, default)
 
 
 class Record:
@@ -85,9 +111,10 @@ class Record:
         if missing:
             raise TypeError(f"{who}() missing required argument(s): {', '.join(map(repr, missing))}")
         for name, check in self._checks.items():
-            violated = check.violated_by(values[name])
-            if violated:
-                raise ConstraintError(f"{name} must be {violated} (got {values[name]!r})")
+            try:
+                values[name] = check.read(values[name])
+            except (TypeError, OverflowError, ValueError) as exc:
+                raise ConstraintError(f"{name} must be {exc} (got {values[name]!r})") from None
         self.__dict__.update((name, values[name]) for name in names)
         self.__post_init__()
 

@@ -819,8 +819,9 @@ def default_report():
 @given(curve_args)
 @with_curve_examples
 def test_scan_json_matches_encoder(args):
-    block = cli._curve_block(curve_of(args))
-    assert "".join(cli._json(block)) == json.dumps({**block, "points": point_dicts(columns_of(args))}, indent=2) + "\n"
+    curve = curve_of(args)
+    block = cli._curve_block(curve)
+    assert "".join(cli._json(block, curve)) == json.dumps({**block, "points": point_dicts(columns_of(args))}, indent=2) + "\n"
 
 
 def test_json_keeps_no_curve_alive():
@@ -844,7 +845,7 @@ def test_write_memory_does_not_grow_with_output(fmt):
     if fmt == "csv":
         pieces = functools.partial(cli._curve_csv, curve, "# note\n")
     else:
-        pieces = functools.partial(cli._json, cli._curve_block(curve))
+        pieces = functools.partial(cli._json, cli._curve_block(curve), curve)
     size = len("".join(pieces()).encode())
     args = argparse.Namespace(output=os.devnull)
     tracemalloc.start()
@@ -863,9 +864,10 @@ def record_fields(record):
 @given(curve_args)
 @with_curve_examples
 def test_analyze_json_matches_encoder(args):
-    data = cli._report_structured(cli._report_rows(default_report().replace(curve=curve_of(args)), None))
+    curve = curve_of(args)
+    data = cli._report_structured(cli._report_rows(default_report().replace(curve=curve), None))
     expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns_of(args))}}
-    assert "".join(cli._json(data)) == json.dumps(expected, indent=2, default=record_fields) + "\n"
+    assert "".join(cli._json(data, curve)) == json.dumps(expected, indent=2, default=record_fields) + "\n"
 
 
 @given(curve_args)

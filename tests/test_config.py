@@ -3,8 +3,9 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import cslbounds
@@ -25,6 +26,7 @@ from cslbounds import (
     load_config,
     net_csl_counts,
     parse_config,
+    run_full_analysis,
     serialize_config,
 )
 from cslbounds.config import RENAMED
@@ -107,6 +109,17 @@ VIOLATING = {
     "in (0,1]": [0.0, 1.5, math.nan],
     "greater than 1": [1.0, 0.5, math.inf],
     "at least 2": [1, 0, -5],
+    "one of zero-range, hulthen": ["square-well", "Hulthen", "", 1, True, None, []],
+    "true or false": [],   # a flag's domain is its kind; a value of another kind is refused below
+}
+
+# values of another kind than each field's, by the kind's name; a RunConfig holding n_sigma=True
+# would serialize to `"n_sigma": true`, which parse_config refuses
+WRONG_KIND = {
+    "a number": ["1.5", True, None, [1.0], {}],
+    "an integer": [2.0, 2.5, "2", True, None],
+    "true or false": [1, 0, 1.0, "true", None],
+    "one of zero-range, hulthen": [],   # a model kind is read by its value, so any other value is outside the domain
 }
 
 
@@ -136,11 +149,9 @@ def nested(where, value):
 
 @pytest.mark.parametrize("where, record, attr, held", DECLARED, ids=[w for w, _, _, _ in DECLARED])
 def test_declared_domain_is_checked_by_record_and_config(where, record, attr, held):
-    # a key is read by the domain its record declares, or else as a flag or a model kind
+    # a key is read by the domain its record declares
     check = type(record)._checks.get(attr)
-    assert check is not None or isinstance(held, (bool, ModelKind)), f"{where} has no declared domain and no reader"
-    if check is None:
-        return
+    assert check is not None, f"{where} has no declared domain"
     for bad in VIOLATING[check.phrase]:
         with pytest.raises(ConstraintError, match=re.escape(f"{attr} must be {check.phrase} (got {bad!r})")):
             record.replace(**{attr: bad})
@@ -148,7 +159,19 @@ def test_declared_domain_is_checked_by_record_and_config(where, record, attr, he
             parse_config(json.dumps(nested(where, bad)))
 
 
-@pytest.mark.parametrize("where", [w for w, r, a, _ in schema_fields() if getattr(r._checks.get(a), "number", None) is float])
+@pytest.mark.parametrize("where, record, attr, held", DECLARED, ids=[w for w, _, _, _ in DECLARED])
+def test_a_value_of_another_kind_is_refused_by_record_and_config(where, record, attr, held):
+    check = type(record)._checks[attr]
+    for bad in WRONG_KIND[check.kind]:
+        if bad is None and check.default is None:
+            continue   # None is the value of an unset coupling
+        with pytest.raises(ConstraintError, match=re.escape(f"{attr} must be {check.kind} (got {bad!r})")):
+            record.replace(**{attr: bad})
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: expected {check.kind} (got {bad!r})")):
+            parse_config(json.dumps(nested(where, bad)))
+
+
+@pytest.mark.parametrize("where", [w for w, r, a, _ in schema_fields() if r._checks[a].kind == "a number"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_integer_beyond_float_range_is_config_error(where, sign):
     # json reads such an integer exactly; it is user input that no float field can hold
@@ -280,6 +303,49 @@ run_configs = st.builds(
 @given(run_configs)
 def test_round_trip_generated(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def as_python_gives(value):
+    """The ways Python code may give a field of the default config a value: a float as itself, a numpy float
+    or, where it is at least 1, its floor as an int or a numpy int; an int as itself or a numpy int; a model
+    kind as either member or either value; a flag as either bool."""
+    if isinstance(value, ModelKind):
+        return st.sampled_from([*ModelKind, *(kind.value for kind in ModelKind)])
+    if isinstance(value, bool):
+        return st.booleans()
+    if value is None:
+        return st.none()
+    ints = [math.floor(value)] if value >= 1 else []
+    ints += [np.int64(i) for i in ints if i < 2**63]
+    return st.sampled_from([value, np.float64(value), np.float32(value), *ints] if isinstance(value, float) else ints)
+
+
+@st.composite
+def python_built(draw, record):
+    """record with each leaf field given as Python code may give it, each record built by its constructor."""
+    fields = {}
+    for name in record._fields:
+        value = getattr(record, name)
+        fields[name] = draw(python_built(value) if isinstance(value, Record) else as_python_gives(value))
+    return type(record)(**fields)
+
+
+def analyze(cfg):
+    e, s, m = cfg.experiment, cfg.sphere, cfg.model
+    return run_full_analysis(e, s, m, n_sigma=cfg.n_sigma, scan=cfg.scan, a_cm=cfg.collapse.a_length)
+
+
+@settings(max_examples=30, deadline=None)
+@given(python_built(default_config()))
+@example(default_config().replace(model=BoundStateModel(kind="hulthen")))
+def test_a_config_built_in_python_analyzes_as_its_json_does(cfg):
+    # a record holds a value as it reads it, so the JSON of a config built in Python reads back to the same config
+    twin = parse_config(serialize_config(cfg))
+    assert twin == cfg
+    report, twin_report = analyze(cfg), analyze(twin)
+    for name in ("model_r2_cm2", "n_limit", "gn_bound_at_grw", "ge_half_width_at_grw", "ge_upper_at_grw"):
+        assert getattr(report, name).hex() == getattr(twin_report, name).hex(), name
+    assert report == twin_report
 
 
 def _readme_schema() -> dict:

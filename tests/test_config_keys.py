@@ -1,7 +1,7 @@
 """The JSON keys of a config are the fields of its records, renamed by config.RENAMED;
 these tests keep that table and the records from drifting apart."""
 
-from cslbounds import ModelKind, default_config
+from cslbounds import default_config
 from cslbounds.config import RENAMED
 from cslbounds.records import Record
 
@@ -27,9 +27,9 @@ def test_no_two_fields_of_a_record_share_a_key():
         assert len(keys) == len(set(keys)), f"{type(record).__name__}: {keys}"
 
 
-def test_a_field_without_a_declared_domain_has_a_reader():
-    # the parser reads such a field as a nested object, a flag or a model kind
+def test_every_field_of_a_config_record_is_a_record_or_declares_its_domain():
+    # the parser reads a record as a nested object and any other field through its declared domain
     for record in config_records():
         for name in record._fields:
-            if name not in record._checks:
-                assert isinstance(getattr(record, name), (Record, bool, ModelKind)), f"{type(record).__name__}.{name}"
+            nested = isinstance(getattr(record, name), Record)
+            assert nested != (name in record._checks), f"{type(record).__name__}.{name}"

@@ -286,6 +286,14 @@ def test_hulthen_r2_closed_form():
     assert r2 == pytest.approx(1.48e-25, rel=5e-3, abs=0)
 
 
+def test_a_kind_given_by_its_value_is_its_member():
+    # the README's library example builds records in Python; a kind named by its value is the Hulthen model
+    model = BoundStateModel(kind="hulthen")
+    assert model.kind is ModelKind.HULTHEN and model.beta_per_fm is not None
+    assert mean_square_radius(model) == 1.4830500898934436e-25
+    assert mean_square_radius(BoundStateModel(kind="zero-range")) == 9.321124603819046e-26
+
+
 def test_r2_monotone_in_binding_energy():
     for kind in ModelKind:
         values = [mean_square_radius(BoundStateModel(kind, eb)) for eb in (0.8, 1.5, 2.2246, 4.0, 8.0)]

@@ -3,6 +3,7 @@ equality, hashing, immutability, repr and replace, checked on each exported reco
 
 import re
 
+import numpy as np
 import pytest
 
 import cslbounds
@@ -188,6 +189,14 @@ def test_declared_domains_are_checked_before_post_init():
             Probe(**kwargs)
     with pytest.raises(AssertionError, match="runs only once"):
         Probe(scale=1.0)   # weight is None, admitted because its default is None
+
+
+def test_a_field_holds_its_value_as_read():
+    # an int or a numpy scalar given a float field is the float it equals; what operator.index takes is an int
+    spec = ScanSpec(lo=1, hi=np.float32(2.5), points=np.int64(5))
+    assert spec == ScanSpec(1.0, 2.5, 5) and [type(v) for v in values(spec)] == [float, float, int, bool]
+    with pytest.raises(ConstraintError, match=re.escape("lo must be a number within the float range (got 1000")):
+        ScanSpec(lo=10**400)
 
 
 def test_exclusion_curves_compare_by_their_fields():
