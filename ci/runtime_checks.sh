@@ -67,8 +67,9 @@ expect 1 cslbounds analyze --config kind.json
 expect 1 cslbounds analyze --config bogus.json
 # a scan whose grid repeats a point, the one input error found after the config parses
 expect 1 cslbounds scan --config repeat.json
-# a model floats cannot hold fails as the config is parsed, but an input error in another key comes first
+# a model floats cannot hold fails as the config is parsed, but an input error in another key or a flag comes first
 expect 1 cslbounds analyze --config model_n_sigma.json
+expect 1 cslbounds analyze --config model.json --nsigma -1
 expect 2 cslbounds analyze --config model.json
 # <r^2> underflows to 0
 expect 2 cslbounds analyze --config binding.json

@@ -1,5 +1,5 @@
-"""JSON run configuration with defaults reproducing the reference
-heavy-water exposure (254.2 live days inside a 5.5 m fiducial radius).
+"""JSON run configuration; RunConfig declares the reference heavy-water
+exposure (254.2 live days inside a 5.5 m fiducial radius) as its defaults.
 
 Every key is optional; unknown keys are rejected with their full path so
 typos cannot silently fall back to defaults. The keys are the fields of
@@ -8,9 +8,10 @@ records themselves; RENAMED holds the few keys that differ from their
 field's name. Each value is read by the Constraint its record field
 declares, and a value it refuses is reported with the key's path.
 The `model` object is deuteron.BoundStateModel itself, so a model that
-floats cannot hold raises its OverflowError as the config is read, but only
-once every other key, and every change set over the document (the CLI's
---model and --nsigma), has been read: an input error anywhere comes first.
+floats cannot hold raises its OverflowError as it is built. RunConfig
+declares `model` last and the reader builds the fields in that order, so
+every other key, and every change set over the document (the CLI's
+--model and --nsigma), is read first: an input error anywhere comes first.
 """
 
 from __future__ import annotations
@@ -36,30 +37,26 @@ class ConfigError(ValueError):
 
 
 class RunConfig(Record):
-    collapse: CollapseParams
-    experiment: ExperimentConfig
-    sphere: SphereVisibilityConfig
-    scan: ScanSpec
-    model: BoundStateModel
+    """One run of the analysis, the reference exposure at GRW strength by default. The model
+    is declared last so that the config reader builds it after every other key."""
+
+    collapse: CollapseParams = grw_defaults()
+    experiment: ExperimentConfig = ExperimentConfig(
+        live_time_days=254.2,
+        fiducial_radius_m=5.5,
+        deuteron_density_per_cc=(2.0 / 3.0) * 1e23,
+        efficiency=0.40,
+        observed=ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8),
+        ssm_rate_per_day=AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08),
+    )
+    sphere: SphereVisibilityConfig = SphereVisibilityConfig()
+    scan: ScanSpec = ScanSpec()
     n_sigma: float = non_negative(1.0)
+    model: BoundStateModel = BoundStateModel()
 
 
 def default_config() -> RunConfig:
-    return RunConfig(
-        collapse=grw_defaults(),
-        experiment=ExperimentConfig(
-            live_time_days=254.2,
-            fiducial_radius_m=5.5,
-            deuteron_density_per_cc=(2.0 / 3.0) * 1e23,
-            efficiency=0.40,
-            observed=ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8),
-            ssm_rate_per_day=AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08),
-        ),
-        sphere=SphereVisibilityConfig(),
-        scan=ScanSpec(),
-        model=BoundStateModel(),
-        n_sigma=1.0,
-    )
+    return RunConfig()
 
 
 def _join(path: str, key: str) -> str:
@@ -92,8 +89,8 @@ def _read(check: Constraint, raw: Any, where: str) -> Any:
 def _update(default: Record, nodes: list, where: str) -> Record:
     """default with the keys each of nodes sets changed, a later node's value over an earlier's,
     each checked in turn; absent keys keep default's values. Each record is built once, from
-    every node, and a model floats cannot hold raises its OverflowError only once every other
-    key has been read."""
+    every node, its fields in declaration order, so a model floats cannot hold, declared last,
+    raises its OverflowError only once every other key has been read."""
     fields = {RENAMED.get(name, name): name for name in default._fields}
     for node in nodes:
         if not isinstance(node, dict):
@@ -101,21 +98,16 @@ def _update(default: Record, nodes: list, where: str) -> Record:
         for key in node:
             if key not in fields:
                 raise ConfigError(f"{_join(where, key)}: unknown key")
-    changes, failure = {}, None
+    changes = {}
     for key, name in fields.items():
         given = [node[key] for node in nodes if key in node]
         if not given:
             continue
-        try:
-            if name in default._checks:
-                for raw in given:   # each checked, the last kept
-                    changes[name] = _read(default._checks[name], raw, _join(where, key))
-            else:
-                changes[name] = _update(getattr(default, name), given, _join(where, key))
-        except OverflowError as exc:   # a model floats cannot hold
-            failure = failure or exc
-    if failure:
-        raise failure
+        if name in default._checks:
+            for raw in given:   # each checked, the last kept
+                changes[name] = _read(default._checks[name], raw, _join(where, key))
+        else:
+            changes[name] = _update(getattr(default, name), given, _join(where, key))
     try:
         return default.replace(**changes)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 Unit conventions used throughout the package: lengths in cm, times in s,
 energies in MeV. Nuclear-scale quantities (wavefunctions, momenta) are
-handled in fm and converted at module boundaries via the factors below.
+handled in fm and converted at module boundaries via the factor below.
 The collapse strength lambda/a^2 is a plain float in s^-1 cm^-2.
 """
 
@@ -13,8 +13,7 @@ from typing import Callable
 
 from .records import Record, non_negative, positive
 
-# Length conversions between the nuclear (fm) and collapse (cm) scales
-CM_PER_FM = 1e-13
+# Area conversion between the nuclear (fm^2) and collapse (cm^2) scales
 CM2_PER_FM2 = 1e-26
 
 # Canonical GRW parameter point

@@ -55,8 +55,10 @@ class Constraint:
 
 def _as(kind: type, value: object) -> object:
     """value as a float, int or bool field holds it: a bool only as a flag and a flag only a bool, as a float
-    any other number (an int or a numpy scalar is the float it equals), as an int what operator.index takes."""
-    if isinstance(value, bool) != (kind is bool) or isinstance(value, (str, bytes, bytearray)):
+    any other number (an int or a numpy scalar is the float it equals), as an int what operator.index takes.
+    A numpy bool is neither: it is known by its dtype, so numpy need not be imported."""
+    numpy_bool = getattr(getattr(value, "dtype", None), "kind", None) == "b"
+    if isinstance(value, bool) != (kind is bool) or numpy_bool or isinstance(value, (str, bytes, bytearray)):
         raise TypeError
     return operator.index(value) if kind is int else kind(value)
 

@@ -4,6 +4,7 @@ import csv
 import functools
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from cslbounds import (
     deuteron_rate,
     deuteron_spectra,
     expected_count,
+    grw_defaults,
     load_config,
     run_full_analysis,
     scan_exclusion,
@@ -262,6 +264,52 @@ def test_text_report_prints_the_structured_values(tmp_path_factory, doc):
         "warnings",
         *(f"  {w}" for w in data["warnings"] or ["none"]),
     ]
+
+
+def analyze_structured(path, doc, *argv):
+    """analyze's exit code and, when it exits 0, its structured report, for doc written to path."""
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_in_process("analyze", "--config", str(path), "--format", "structured", *argv)
+    return code, json.loads(out) if code == 0 else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=near_default_documents())
+def test_the_neutron_bound_inverts_to_the_count_limit(tmp_path_factory, doc):
+    # at GRW strength, g_n = m_n/m_p + bound predicts the count limit the bound was inverted from; rounding
+    # the sum moves the squared deviation by up to 2 (m_n/m_p / bound + 1) unit roundoffs, and the tolerance
+    # is twice that with 12 more for the products of the count and of the bound
+    path = tmp_path_factory.getbasetemp() / "near_default_inversion.json"
+    code, data = analyze_structured(path, doc)
+    if code != 0:
+        return
+    bound, n_limit = data["bounds"]["gn_bound_at_grw"], data["counts"]["n_limit"]
+    cfg = load_config(str(path))
+    e = cfg.experiment
+    collapse = grw_defaults().replace(g_n=M_N_OVER_M_P + bound)
+    predicted = expected_count(collapse, e.live_time_yr, e.fiducial_volume_kilotonne_m3, e.deuteron_density_per_cc, cfg.model)
+    assert predicted == pytest.approx(n_limit, rel=2**-51 * (M_N_OVER_M_P / bound + 4), abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=near_default_documents(), steps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+def test_the_neutron_bound_scales_exactly(tmp_path_factory, doc, steps):
+    # the bound is sqrt(n_limit / (coefficient T V)) and the coefficient is linear in the density, so four
+    # times the density halves it bit for bit; a larger n_sigma raises the count limit, never lowering the bound
+    path = tmp_path_factory.getbasetemp() / "near_default_scaling.json"
+    code, data = analyze_structured(path, doc)
+    if code != 0:
+        return
+    bound = data["bounds"]["gn_bound_at_grw"]
+    denser = {**doc, "experiment": {**doc["experiment"], "deuteron_density_per_cc": 4 * doc["experiment"]["deuteron_density_per_cc"]}}
+    code, data = analyze_structured(path, denser)
+    assert code == 0 and data["bounds"]["gn_bound_at_grw"] == bound / 2
+    bounds = [bound]
+    for n_sigma in itertools.accumulate(steps, initial=doc["n_sigma"]):
+        code, data = analyze_structured(path, doc, "--nsigma", repr(n_sigma))
+        assert code == 0
+        bounds.append(data["bounds"]["gn_bound_at_grw"])
+    assert bounds == sorted(bounds)
 
 
 # n_sigma 0 and an observed count equal to the prediction: the count limit and the neutron bound are 0
@@ -830,7 +878,7 @@ def test_json_keeps_no_curve_alive():
     ref = weakref.ref(curve)
     gc.disable()
     try:
-        "".join(cli._json(cli._curve_block(curve)))
+        "".join(cli._json(cli._curve_block(curve), curve))
         del curve
         assert ref() is None
     finally:

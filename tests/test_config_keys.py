@@ -2,7 +2,7 @@
 these tests keep that table and the records from drifting apart."""
 
 from cslbounds import default_config
-from cslbounds.config import RENAMED
+from cslbounds.config import RENAMED, RunConfig
 from cslbounds.records import Record
 
 
@@ -33,3 +33,9 @@ def test_every_field_of_a_config_record_is_a_record_or_declares_its_domain():
         for name in record._fields:
             nested = isinstance(getattr(record, name), Record)
             assert nested != (name in record._checks), f"{type(record).__name__}.{name}"
+
+
+def test_the_model_is_the_last_field_of_a_run():
+    # the reader builds a record's fields in declaration order, and a model that floats cannot hold fails as
+    # it is built; declared last, it fails only once every other key and change set has been read
+    assert RunConfig._fields[-1] == "model"

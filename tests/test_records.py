@@ -197,6 +197,10 @@ def test_a_field_holds_its_value_as_read():
     assert spec == ScanSpec(1.0, 2.5, 5) and [type(v) for v in values(spec)] == [float, float, int, bool]
     with pytest.raises(ConstraintError, match=re.escape("lo must be a number within the float range (got 1000")):
         ScanSpec(lo=10**400)
+    # a numpy bool is refused as a Python bool is, though float() takes it
+    for value in (True, np.True_):
+        with pytest.raises(ConstraintError, match=re.escape(f"lo must be a number (got {value!r})")):
+            ScanSpec(lo=value)
 
 
 def test_exclusion_curves_compare_by_their_fields():
