@@ -73,6 +73,8 @@ expect 1 cslbounds analyze --config model.json --nsigma -1
 expect 2 cslbounds analyze --config model.json
 # <r^2> underflows to 0
 expect 2 cslbounds analyze --config binding.json
+# --predict without g_n is an input error, found before the analysis fails
+expect 1 cslbounds analyze --predict --config binding.json
 expect 2 cslbounds analyze --predict --config predict.json
 # lambda/a^2 is finite, the predicted count is not
 expect 2 cslbounds analyze --predict --config count.json

@@ -296,18 +296,11 @@ def _report_text(rows: list[tuple]) -> Iterator[str]:
 
 def _cmd_analyze(args) -> int:
     cfg = _load(args)
-    report = run_full_analysis(
-        cfg.experiment,
-        cfg.sphere,
-        cfg.model,
-        n_sigma=cfg.n_sigma,
-        scan=cfg.scan,
-        a_cm=cfg.collapse.a_length,
-    )
+    if args.predict and cfg.collapse.g_n is None:
+        raise ConfigError("collapse.g_n must be set to use --predict")
+    report = run_full_analysis(cfg)
     predicted = None
     if args.predict:
-        if cfg.collapse.g_n is None:
-            raise ConfigError("collapse.g_n must be set to use --predict")
         predicted = expected_count(
             cfg.collapse,
             cfg.experiment.live_time_yr,
@@ -326,15 +319,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cfg = _load(args)
-    curve = scan_exclusion(
-        cfg.experiment,
-        cfg.sphere,
-        cfg.scan,
-        cfg.model,
-        n_sigma=cfg.n_sigma,
-        a_cm=cfg.collapse.a_length,
-    )
+    curve = scan_exclusion(_load(args))
     block = _curve_block(curve)
     if args.format == "structured":
         _write(args, _json(block, curve))

@@ -1,5 +1,6 @@
-"""JSON run configuration; RunConfig declares the reference heavy-water
-exposure (254.2 live days inside a 5.5 m fiducial radius) as its defaults.
+"""JSON run configuration: the reader and writer of limits.RunConfig, the record of one run,
+whose defaults are the reference heavy-water exposure (254.2 live days inside a 5.5 m
+fiducial radius) at GRW strength.
 
 Every key is optional; unknown keys are rejected with their full path so
 typos cannot silently fall back to defaults. The keys are the fields of
@@ -20,39 +21,13 @@ import json
 import re
 from typing import Any
 
-from .constants import CollapseParams, grw_defaults
-from .deuteron import BoundStateModel, ModelKind
-from .limits import (
-    ExperimentConfig,
-    ObservedCounts,
-    ScanSpec,
-    SphereVisibilityConfig,
-)
-from .records import Constraint, Record, non_negative
-from .uncertainty import AsymmetricValue
+from .deuteron import ModelKind
+from .limits import RunConfig
+from .records import Constraint, Record
 
 
 class ConfigError(ValueError):
     """Invalid configuration document."""
-
-
-class RunConfig(Record):
-    """One run of the analysis, the reference exposure at GRW strength by default. The model
-    is declared last so that the config reader builds it after every other key."""
-
-    collapse: CollapseParams = grw_defaults()
-    experiment: ExperimentConfig = ExperimentConfig(
-        live_time_days=254.2,
-        fiducial_radius_m=5.5,
-        deuteron_density_per_cc=(2.0 / 3.0) * 1e23,
-        efficiency=0.40,
-        observed=ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8),
-        ssm_rate_per_day=AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08),
-    )
-    sphere: SphereVisibilityConfig = SphereVisibilityConfig()
-    scan: ScanSpec = ScanSpec()
-    n_sigma: float = non_negative(1.0)
-    model: BoundStateModel = BoundStateModel()
 
 
 def default_config() -> RunConfig:
@@ -128,7 +103,10 @@ def parse_config(document: str | bytes, changes: dict | None = None) -> RunConfi
     """Parse and validate a JSON configuration document, with schema-shaped changes set over
     its keys; they are checked as its keys are, after them."""
     if isinstance(document, bytes):
-        document = document.decode("utf-8")
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
         root = json.loads(document)
     except json.JSONDecodeError as exc:

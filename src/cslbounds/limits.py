@@ -5,7 +5,8 @@ one-sided limit on excess dissociations, inverts that limit into coupling
 bounds across the lambda/a^2 parameter space, and attaches the theoretical
 (sphere-visibility) floor and the experimental (conduction-electron
 radiation) ceiling. Bounds and floors are plain floats: couplings relative
-to the proton's, collapse strengths lambda/a^2 in s^-1 cm^-2.
+to the proton's, collapse strengths lambda/a^2 in s^-1 cm^-2. RunConfig, the
+record of one run, holds every input; the pipeline reads nothing else.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from itertools import islice
 
 from .constants import (
     DAYS_PER_YEAR,
-    GRW_A_LENGTH,
     GRW_LAMBDA_OVER_A2,
     M_E_OVER_M_P,
     M_N_OVER_M_P,
+    CollapseParams,
+    grw_defaults,
     in_float_range,
 )
 from .deuteron import BoundStateModel, mean_square_radius
@@ -123,6 +125,25 @@ class ScanSpec(Record):
         if not all(map(operator.lt, grid, islice(grid, 1, None))):
             raise ScanGridError("points must be sorted ascending in lambda_over_a2")
         return grid
+
+
+class RunConfig(Record):
+    """One run of the analysis, the reference exposure at GRW strength by default. The model
+    is declared last so that the config reader builds it after every other key."""
+
+    collapse: CollapseParams = grw_defaults()
+    experiment: ExperimentConfig = ExperimentConfig(
+        live_time_days=254.2,
+        fiducial_radius_m=5.5,
+        deuteron_density_per_cc=(2.0 / 3.0) * 1e23,
+        efficiency=0.40,
+        observed=ObservedCounts(value=1344.2, stat_up=69.8, stat_down=69.0, syst_up=98.1, syst_down=96.8),
+        ssm_rate_per_day=AsymmetricValue(central=13.0, err_up=2.6, err_down=2.08),
+    )
+    sphere: SphereVisibilityConfig = SphereVisibilityConfig()
+    scan: ScanSpec = ScanSpec()
+    n_sigma: float = non_negative(1.0)
+    model: BoundStateModel = BoundStateModel()
 
 
 class ExclusionCurve(Record):
@@ -275,55 +296,43 @@ def visibility_floor_small_a(s: SphereVisibilityConfig, a_cm: float) -> float:
     return in_float_range(f"small-a visibility floor at a = {a_cm!r} cm", lambda: c / a_cm**5)
 
 
-def theoretical_floor(s: SphereVisibilityConfig, a_cm: float = GRW_A_LENGTH) -> float:
+def theoretical_floor(s: SphereVisibilityConfig, a_cm: float) -> float:
     """Max of the two visibility floors evaluated at localization length a."""
     return max(visibility_floor_large_a(s), visibility_floor_small_a(s, a_cm))
 
 
-def _floor_regime(s: SphereVisibilityConfig, a_cm: float) -> str:
+def _floor_regime(s: SphereVisibilityConfig, a_cm: float, floor: float) -> str:
+    """Which visibility floor is the theoretical floor at a; a tie is the large-a one, as in theoretical_floor."""
     half_d = 0.5 * s.diameter_cm
     side = "a > d/2" if a_cm > half_d else "a < d/2" if a_cm < half_d else "a = d/2"
-    large = visibility_floor_large_a(s)
-    small = visibility_floor_small_a(s, a_cm)
-    dominant = "small-a" if small > large else "large-a"
+    dominant = "small-a" if floor > visibility_floor_large_a(s) else "large-a"
     return f"{dominant} visibility constraint dominates at a={a_cm:g} cm ({side})"
 
 
-def scan_exclusion(
-    e: ExperimentConfig,
-    s: SphereVisibilityConfig,
-    scan: ScanSpec,
-    model: BoundStateModel,
-    n_sigma: float = 1.0,
-    a_cm: float = GRW_A_LENGTH,
-) -> ExclusionCurve:
-    """Coupling bounds on a lambda/a^2 grid with the floor attached; the ceiling is RADIATION_CEILING.
+def scan_exclusion(run: RunConfig) -> ExclusionCurve:
+    """Coupling bounds of run on its lambda/a^2 grid with the floor at its a attached; the ceiling is
+    RADIATION_CEILING.
 
     Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so they are
     evaluated once, at the GRW strength; the curve scales them to a point when read.
     """
+    e = run.experiment
     _, _, n_csl = net_csl_counts(e)
-    n_limit = one_sided_upper_limit(n_csl, n_sigma)
-    coefficient = count_coefficient(model, e.deuteron_density_per_cc)
+    n_limit = one_sided_upper_limit(n_csl, run.n_sigma)
+    coefficient = count_coefficient(run.model, e.deuteron_density_per_cc)
     return ExclusionCurve(
-        scan=scan,
+        scan=run.scan,
         gn_bound_at_grw=neutron_coupling_bound(
             n_limit, GRW_LAMBDA_OVER_A2, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3
         ),
         ge_bound_at_grw=electron_coupling_bound(GRW_LAMBDA_OVER_A2),
-        theoretical_floor=theoretical_floor(s, a_cm),
+        theoretical_floor=theoretical_floor(run.sphere, run.collapse.a_length),
     )
 
 
-def run_full_analysis(
-    e: ExperimentConfig,
-    s: SphereVisibilityConfig,
-    model: BoundStateModel,
-    n_sigma: float = 1.0,
-    scan: ScanSpec = ScanSpec(),
-    a_cm: float = GRW_A_LENGTH,
-) -> AnalysisReport:
-    """Compose the whole pipeline into a report at the GRW strength plus a scan."""
+def run_full_analysis(run: RunConfig) -> AnalysisReport:
+    """Compose the whole pipeline into a report on run at the GRW strength plus its scan."""
+    e, model, n_sigma = run.experiment, run.model, run.n_sigma
     n_expt, n_ssm, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
     coefficient = count_coefficient(model, e.deuteron_density_per_cc)
@@ -346,7 +355,7 @@ def run_full_analysis(
             " coefficients assume the reference"
         )
 
-    curve = scan_exclusion(e, s, scan, model, n_sigma, a_cm)
+    curve = scan_exclusion(run)
     return AnalysisReport(
         n_expt=n_expt,
         n_ssm=n_ssm,
@@ -360,6 +369,6 @@ def run_full_analysis(
         strength_ratio=strength_ratio,
         curve=curve,
         model_r2_cm2=r2_cm2,
-        floor_regime=_floor_regime(s, a_cm),
+        floor_regime=_floor_regime(run.sphere, run.collapse.a_length, curve.theoretical_floor),
         warnings=tuple(warnings),
     )

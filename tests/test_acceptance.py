@@ -87,7 +87,7 @@ def test_criterion_03_one_sided_upper_limit():
 
 def test_criterion_04_neutron_bound():
     def checks():
-        report = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=CFG.n_sigma)
+        report = run_full_analysis(CFG)
         assert 0.0073 <= report.gn_bound_at_grw <= 0.0077
         assert report.gn_bound_rounded == 0.008
 
@@ -97,7 +97,7 @@ def test_criterion_04_neutron_bound():
 def test_criterion_05_electron_bound():
     def checks():
         assert electron_coupling_bound(GRW_LAMBDA_OVER_A2) == pytest.approx(6.536e-3, rel=1e-3)
-        report = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=CFG.n_sigma)
+        report = run_full_analysis(CFG)
         assert report.ge_upper_at_grw == pytest.approx(13 * M_E_OVER_M_P, rel=1e-12, abs=0)
 
     _report(5, "electron bound 12 m_e/m_p within 0.1% of 6.536e-3, ceiling 13 m_e/m_p", checks)
@@ -133,7 +133,7 @@ def test_criterion_07_scan_endpoint():
 
 def test_criterion_08_strength_ratio():
     def checks():
-        report = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=CFG.n_sigma)
+        report = run_full_analysis(CFG)
         assert 1500 <= report.strength_ratio <= 1700
 
     _report(8, "electron-vs-neutron bound strength ratio in [1500, 1700]", checks)
@@ -192,16 +192,14 @@ def test_criterion_09_property_suite():
 
 def test_criterion_10_model_spread_warning():
     def checks():
-        report = run_full_analysis(
-            CFG.experiment, CFG.sphere, CFG.model.replace(kind=ModelKind.HULTHEN), n_sigma=1.0
-        )
+        report = run_full_analysis(CFG.replace(model=CFG.model.replace(kind=ModelKind.HULTHEN)))
         assert len(report.warnings) >= 1
         assert any("<r^2>" in w and "reference" in w for w in report.warnings)
         # the deviation reported is indeed beyond 10%
         r2 = mean_square_radius(CFG.model.replace(kind=ModelKind.HULTHEN))
         assert abs(r2 - 9e-26) / 9e-26 > 0.10
         # and the default model stays quiet
-        quiet = run_full_analysis(CFG.experiment, CFG.sphere, MODEL, n_sigma=1.0)
+        quiet = run_full_analysis(CFG)
         assert quiet.warnings == ()
 
     _report(10, "Hulthen model triggers the <r^2> model-spread warning", checks)

@@ -410,6 +410,15 @@ def test_analyze_predict_requires_gn(capsys):
     assert "error[config]" in err and "g_n" in err
 
 
+def test_analyze_predict_reports_a_missing_gn_before_the_analysis_fails(capsys, tmp_path):
+    # this model's <r^2> underflows to 0, so the analysis exits 2; the missing g_n is an input error and comes first
+    path = write_config(tmp_path, {"model": {"binding_energy_mev": 1e300}})
+    assert run_cli(capsys, "analyze", "--config", path)[0] == 2
+    code, out, err = run_cli(capsys, "analyze", "--predict", "--config", path)
+    assert (code, out) == (1, "")
+    assert err == "error[config]: collapse.g_n must be set to use --predict\n"
+
+
 def test_analyze_nsigma_override(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--nsigma", "0", "--format", "structured")
     assert code == 0
@@ -860,8 +869,7 @@ def point_dicts(columns) -> list[dict]:
 
 @functools.cache
 def default_report():
-    cfg = default_config()
-    return run_full_analysis(cfg.experiment, cfg.sphere, cfg.model, scan=cfg.scan)
+    return run_full_analysis(default_config())
 
 
 @given(curve_args)
@@ -889,7 +897,7 @@ def test_json_keeps_no_curve_alive():
 def test_write_memory_does_not_grow_with_output(fmt):
     # a 1.5e4-point curve is about 1 MB as csv and 2.1 MB as JSON; one batch of pieces is about 70 kB
     cfg = default_config()
-    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan.replace(points=15000), cfg.model)
+    curve = scan_exclusion(cfg.replace(scan=cfg.scan.replace(points=15000)))
     if fmt == "csv":
         pieces = functools.partial(cli._curve_csv, curve, "# note\n")
     else:

@@ -41,6 +41,11 @@ def test_bytes_input_accepted():
     assert parse_config(b"{}") == default_config()
 
 
+def test_bytes_that_are_not_utf8_are_a_config_error():
+    with pytest.raises(ConfigError, match=r"^invalid UTF-8 at byte 12: invalid start byte$"):
+        parse_config(b'{"n_sigma": \xff}')
+
+
 def test_default_experiment_reproduces_reference_counts():
     cfg = parse_config("{}")
     _, _, n_csl = net_csl_counts(cfg.experiment)
@@ -330,11 +335,6 @@ def python_built(draw, record):
     return type(record)(**fields)
 
 
-def analyze(cfg):
-    e, s, m = cfg.experiment, cfg.sphere, cfg.model
-    return run_full_analysis(e, s, m, n_sigma=cfg.n_sigma, scan=cfg.scan, a_cm=cfg.collapse.a_length)
-
-
 @settings(max_examples=30, deadline=None)
 @given(python_built(default_config()))
 @example(default_config().replace(model=BoundStateModel(kind="hulthen")))
@@ -342,7 +342,7 @@ def test_a_config_built_in_python_analyzes_as_its_json_does(cfg):
     # a record holds a value as it reads it, so the JSON of a config built in Python reads back to the same config
     twin = parse_config(serialize_config(cfg))
     assert twin == cfg
-    report, twin_report = analyze(cfg), analyze(twin)
+    report, twin_report = run_full_analysis(cfg), run_full_analysis(twin)
     for name in ("model_r2_cm2", "n_limit", "gn_bound_at_grw", "ge_half_width_at_grw", "ge_upper_at_grw"):
         assert getattr(report, name).hex() == getattr(twin_report, name).hex(), name
     assert report == twin_report
@@ -368,3 +368,11 @@ def _assert_documented(documented, actual, path):
 
 def test_readme_schema_lists_every_key_with_its_default():
     _assert_documented(_readme_schema(), config_to_dict(default_config()), "README schema")
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    exec(section.split("```python", 1)[1].split("```", 1)[0], {})
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"{run_full_analysis(default_config()).gn_bound_at_grw} 0.008"

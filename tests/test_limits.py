@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import re
 import tracemalloc
@@ -18,6 +19,7 @@ from cslbounds import (
     ExperimentConfig,
     ModelKind,
     ObservedCounts,
+    RunConfig,
     ScanSpec,
     SphereVisibilityConfig,
     count_coefficient,
@@ -35,7 +37,9 @@ from cslbounds import (
     visibility_floor_large_a,
     visibility_floor_small_a,
 )
+from cslbounds import cli
 from cslbounds.constants import M_E_OVER_M_P, M_N_OVER_M_P, CollapseParams
+from cslbounds.limits import _floor_regime
 
 EB_DEFAULT = 2.224575
 
@@ -55,6 +59,10 @@ def reference_experiment(**overrides):
 
 def reference_sphere():
     return SphereVisibilityConfig()
+
+
+def reference_run(**fields):
+    return RunConfig(experiment=reference_experiment(), sphere=reference_sphere(), **fields)
 
 
 def test_net_csl_counts_reference_pipeline():
@@ -175,7 +183,7 @@ def test_electron_bound_values():
     assert ge == pytest.approx(12 * M_E_OVER_M_P, rel=1e-12, abs=0)
     assert ge == pytest.approx(6.536e-3, rel=1e-3)
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    report = run_full_analysis(reference_experiment(), reference_sphere(), model)
+    report = run_full_analysis(reference_run(model=model))
     assert report.ge_half_width_at_grw == ge
     assert report.ge_upper_at_grw == pytest.approx(13 * M_E_OVER_M_P, rel=1e-12, abs=0)
 
@@ -301,8 +309,7 @@ def test_round_up_dominates_value():
 
 
 def test_scan_exclusion_defaults():
-    e = reference_experiment()
-    curve = scan_exclusion(e, reference_sphere(), ScanSpec(), BoundStateModel(binding_energy_mev=EB_DEFAULT))
+    curve = scan_exclusion(reference_run(model=BoundStateModel(binding_energy_mev=EB_DEFAULT)))
     lds, gns, ges = (np.asarray(c) for c in columns(curve))
 
     assert RADIATION_CEILING == 2.5
@@ -431,7 +438,7 @@ def test_scan_exclusion_matches_pointwise_bounds():
     e = reference_experiment()
     model = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     scan = ScanSpec(points=1001)
-    curve = scan_exclusion(e, reference_sphere(), scan, model, n_sigma=2.0)
+    curve = scan_exclusion(reference_run(scan=scan, model=model, n_sigma=2.0))
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, 2.0)
     coeff = count_coefficient(model, e.deuteron_density_per_cc)
@@ -446,21 +453,21 @@ def test_scan_exclusion_matches_pointwise_bounds():
 
 def test_scan_exclusion_holds_the_spec_it_scanned():
     cfg = default_config()
-    curve = scan_exclusion(cfg.experiment, cfg.sphere, cfg.scan, cfg.model)
+    curve = scan_exclusion(cfg)
     assert curve.scan is cfg.scan
-    assert curve == scan_exclusion(cfg.experiment, cfg.sphere, ScanSpec(), cfg.model)
+    assert curve == scan_exclusion(cfg.replace(scan=ScanSpec()))
 
 
 def test_scan_curve_holds_no_bound_columns():
     # a 1.5e4-point curve holds its grid, a tuple of floats of about 0.46 MiB, and two
     # scalars; each column of bounds would add as much again
-    args = (reference_experiment(), reference_sphere(), ScanSpec(points=15_000), BoundStateModel())
-    scan_exclusion(*args)   # first calls fill caches, which are not the curve's
+    run = reference_run(scan=ScanSpec(points=15_000), model=BoundStateModel())
+    scan_exclusion(run)   # first calls fill caches, which are not the curve's
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        curve = scan_exclusion(*args)
+        curve = scan_exclusion(run)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -469,9 +476,7 @@ def test_scan_curve_holds_no_bound_columns():
 
 
 def test_run_full_analysis_reference():
-    report = run_full_analysis(
-        reference_experiment(), reference_sphere(), BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    )
+    report = run_full_analysis(reference_run(model=BoundStateModel(binding_energy_mev=EB_DEFAULT)))
     assert 0.0073 <= report.gn_bound_at_grw <= 0.0077
     assert report.gn_bound_rounded == 0.008
     assert report.gn_bound_rounded >= report.gn_bound_at_grw
@@ -482,18 +487,35 @@ def test_run_full_analysis_reference():
     assert "a < d/2" in report.floor_regime
 
 
+def test_run_full_analysis_reads_every_field_of_the_run(capsys, tmp_path):
+    doc = {"n_sigma": 2.0, "collapse": {"a_cm": 1e-4}, "scan": {"points": 5}}
+    cfg = default_config()
+    run = cfg.replace(n_sigma=2.0, collapse=cfg.collapse.replace(a_length=1e-4), scan=ScanSpec(points=5))
+    report = run_full_analysis(run)
+    assert report.n_sigma == 2.0 and report.curve.scan.points == 5
+    assert report.curve.theoretical_floor == visibility_floor_large_a(run.sphere)
+    assert "large-a visibility constraint dominates at a=0.0001 cm (a > d/2)" in report.floor_regime
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--config", str(path), "--format", "structured"]) == 0
+    printed = json.loads(capsys.readouterr().out)["bounds"]["gn_bound_at_grw"]
+    assert printed.hex() == report.gn_bound_at_grw.hex()
+
+
+def test_floor_regime_names_the_large_a_floor_at_a_tie():
+    s = reference_sphere()
+    assert _floor_regime(s, 1e-5, visibility_floor_large_a(s)).startswith("large-a ")
+    assert _floor_regime(s, 1e-5, theoretical_floor(s, 1e-5)).startswith("small-a ")
+
+
 def test_run_full_analysis_zero_sigma():
-    report = run_full_analysis(
-        reference_experiment(), reference_sphere(), BoundStateModel(binding_energy_mev=EB_DEFAULT), n_sigma=0.0
-    )
+    report = run_full_analysis(reference_run(model=BoundStateModel(binding_energy_mev=EB_DEFAULT), n_sigma=0.0))
     assert report.n_limit == report.n_csl.central
     assert report.n_limit == pytest.approx(56, abs=3)
 
 
 def test_run_full_analysis_hulthen_warns_on_model_spread():
-    report = run_full_analysis(
-        reference_experiment(), reference_sphere(), BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
-    )
+    report = run_full_analysis(reference_run(model=BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)))
     assert len(report.warnings) == 1
     assert "<r^2>" in report.warnings[0]
     assert "reference" in report.warnings[0]

@@ -21,7 +21,7 @@ from cslbounds import (
 from cslbounds.records import ConstraintError, Record, at_least_two, non_negative, positive
 
 CFG = default_config()
-REPORT = run_full_analysis(CFG.experiment, CFG.sphere, CFG.model, scan=ScanSpec(points=3))
+REPORT = run_full_analysis(CFG.replace(scan=ScanSpec(points=3)))
 
 # one instance of every record
 EXAMPLES = [
