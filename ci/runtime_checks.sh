@@ -38,6 +38,10 @@ cslbounds scan --format structured --output "$RUNNER_TEMP/scan.json"
 cmp "$RUNNER_TEMP/scan.json" tests/golden/scan_default.json
 cslbounds analyze --format structured --output "$RUNNER_TEMP/analyze.json"
 cmp "$RUNNER_TEMP/analyze.json" tests/golden/analyze_default.json
+cslbounds constants --output "$RUNNER_TEMP/constants.txt"
+cmp "$RUNNER_TEMP/constants.txt" tests/golden/constants.txt
+cslbounds spectrum --quantity density --output "$RUNNER_TEMP/spectrum.csv"
+cmp "$RUNNER_TEMP/spectrum.csv" tests/golden/spectrum_density.csv
 
 # exit codes: a config value outside its declared domain exits 1; a computed value outside its domain exits 2
 expect() {
@@ -55,6 +59,7 @@ echo '{"scan": {"min": 1e-320, "max": 1.0, "points": 3}}' > scan.json
 echo '{"scan": {"log_spacing": 1}}' > log_spacing.json
 echo '{"model": {"kind": "square-well"}}' > kind.json
 echo '{"sphere": {"bogus": 1}}' > bogus.json
+echo '{"n_sigma": -1, "n_sigma": 2.0}' > twice.json
 echo '{"model": {"binding_energy_mev": 1e300}}' > binding.json
 echo '{"scan": {"points": 15000}}' > big.json
 echo '{"scan": {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": false}}' > repeat.json
@@ -65,6 +70,8 @@ expect 1 cslbounds analyze --config n_sigma.json
 expect 1 cslbounds analyze --config log_spacing.json
 expect 1 cslbounds analyze --config kind.json
 expect 1 cslbounds analyze --config bogus.json
+# a key given twice, whose first value is out of its domain
+expect 1 cslbounds analyze --config twice.json
 # a scan whose grid repeats a point, the one input error found after the config parses
 expect 1 cslbounds scan --config repeat.json
 # a model floats cannot hold fails as the config is parsed, but an input error in another key or a flag comes first

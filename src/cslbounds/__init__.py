@@ -32,6 +32,7 @@ from .deuteron import (
     spectrum_densities,
 )
 from .limits import (
+    GE_HALF_WIDTH_AT_GRW,
     RADIATION_CEILING,
     AnalysisReport,
     ExclusionCurve,
@@ -39,7 +40,6 @@ from .limits import (
     ObservedCounts,
     ScanSpec,
     SphereVisibilityConfig,
-    electron_coupling_bound,
     net_csl_counts,
     neutron_coupling_bound,
     round_up_one_significant,

@@ -36,7 +36,8 @@ from .constants import (
     lambda_over_a2,
 )
 from .deuteron import ModelKind, default_k_grid, spectrum_densities
-from .limits import RADIATION_CEILING, AnalysisReport, ExclusionCurve, ScanGridError, run_full_analysis, scan_exclusion
+from .limits import GE_HALF_WIDTH_AT_GRW, RADIATION_CEILING, AnalysisReport, ExclusionCurve, ScanGridError
+from .limits import run_full_analysis, scan_exclusion
 from .quadrature import QuadratureError
 from .records import ConstraintError
 from .rates import deuteron_spectra, expected_count
@@ -192,7 +193,7 @@ def _points_json(curve: ExclusionCurve, pad: str) -> Iterator[str]:
     item, key = pad + "  ", pad + "    "
     x_key, gn_key, ge_key = (f"\n{key}{json.dumps(c)}: " for c in CURVE_COLUMNS)
     head, end = f"\n{item}{{{x_key}", f"\n{item}}}"
-    gn, ge = curve.gn_bound_at_grw, curve.ge_bound_at_grw
+    gn, ge = curve.gn_bound_at_grw, GE_HALF_WIDTH_AT_GRW
     sep = "["
     for x, f in curve.scalings():
         yield f"{sep}{head}{x!r},{gn_key}{gn * f!r},{ge_key}{ge * f!r}{end}"
@@ -208,7 +209,7 @@ def _csv(header: Iterable[str], rows: Iterable[Iterable[str | float]]) -> Iterat
 
 def _curve_csv(curve: ExclusionCurve, preamble: str) -> Iterator[str]:
     """The points as csv.writer writes them, a piece per point: a finite float is its repr, never quoted."""
-    gn, ge = curve.gn_bound_at_grw, curve.ge_bound_at_grw
+    gn, ge = curve.gn_bound_at_grw, GE_HALF_WIDTH_AT_GRW
     yield preamble + ",".join(CURVE_COLUMNS) + "\n"
     yield from (f"{x!r},{gn * f!r},{ge * f!r}\n" for x, f in curve.scalings())
 

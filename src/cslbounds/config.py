@@ -2,8 +2,8 @@
 whose defaults are the reference heavy-water exposure (254.2 live days inside a 5.5 m
 fiducial radius) at GRW strength.
 
-Every key is optional; unknown keys are rejected with their full path so
-typos cannot silently fall back to defaults. The keys are the fields of
+Every key is optional; unknown keys, and keys an object gives twice, are rejected with
+their full path so typos cannot silently fall back to defaults. The keys are the fields of
 the config records, so parsing, overriding and serializing all walk the
 records themselves; RENAMED holds the few keys that differ from their
 field's name. Each value is read by the Constraint its record field
@@ -51,6 +51,20 @@ RENAMED = {
 }
 
 
+class _Repeats(dict):
+    """A JSON object that gives the keys in `repeated` more than once, the last value of each kept."""
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """An object as json.loads reads it: a _Repeats when it gives a key twice, for _update to name with its path."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Repeats(obj)
+        obj.repeated = {key for key in keys if keys.count(key) > 1}
+    return obj
+
+
 def _read(check: Constraint, raw: Any, where: str) -> Any:
     """The value raw gives a field that declares check, a value it refuses reported under where."""
     try:
@@ -71,6 +85,8 @@ def _update(default: Record, nodes: list, where: str) -> Record:
         if not isinstance(node, dict):
             raise ConfigError(f"{where or 'document root'}: expected an object (got {type(node).__name__})")
         for key in node:
+            if key in getattr(node, "repeated", ()):
+                raise ConfigError(f"{_join(where, key)}: duplicate key")
             if key not in fields:
                 raise ConfigError(f"{_join(where, key)}: unknown key")
     changes = {}
@@ -108,7 +124,7 @@ def parse_config(document: str | bytes, changes: dict | None = None) -> RunConfi
         except UnicodeDecodeError as exc:
             raise ConfigError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
-        root = json.loads(document)
+        root = json.loads(document, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return _update(default_config(), [root, changes or {}], "")

@@ -41,6 +41,10 @@ from .uncertainty import (
 # data; taken as an external input, not re-derived here.
 RADIATION_CEILING = 2.5
 
+# Half-width of |g_e - m_e/m_p| at GRW strength from low-background Ge ionization
+# data, the window 0 <= g_e < 13 m_e/m_p; an external input, as the ceiling is.
+GE_HALF_WIDTH_AT_GRW = 12.0 * M_E_OVER_M_P
+
 # Reference mean-square radius (3e-13 cm)^2 behind the quoted count
 # coefficient; models deviating beyond the tolerance trigger a warning.
 R2_REFERENCE_CM2 = 9e-26
@@ -147,7 +151,7 @@ class RunConfig(Record):
 
 
 class ExclusionCurve(Record):
-    """Coupling bounds on a lambda/a^2 grid, held as the ScanSpec scanned and both bounds at GRW strength.
+    """Coupling bounds on a lambda/a^2 grid, held as the ScanSpec scanned and the neutron bound at GRW strength.
 
     The grid is derived from the spec once, as the tuple `lambda_over_a2`, never compared, hashed
     or printed. Bounds at the grid points are computed when read, through `scalings`.
@@ -155,14 +159,13 @@ class ExclusionCurve(Record):
 
     scan: ScanSpec
     gn_bound_at_grw: float               # max |g_n - m_n/m_p| at GRW strength
-    ge_bound_at_grw: float               # max |g_e - m_e/m_p| at GRW strength
     theoretical_floor: float             # s^-1 cm^-2
 
     def __post_init__(self) -> None:
         grid = self.__dict__["lambda_over_a2"] = tuple(self.scan.grid())   # s^-1 cm^-2
-        # the scaling falls along the grid, so the first point has the largest bounds
+        # f falls along the grid, so the first point's bounds are the largest; GE_HALF_WIDTH_AT_GRW * f is finite
         _, f = next(self.scalings())
-        if not (math.isfinite(self.gn_bound_at_grw * f) and math.isfinite(self.ge_bound_at_grw * f)):
+        if not math.isfinite(self.gn_bound_at_grw * f):
             raise OverflowError(f"exclusion curve overflowed: non-finite value at lambda/a^2 = {grid[0]!r} s^-1 cm^-2")
         if self.theoretical_floor > RADIATION_CEILING:
             raise ValueError("theoretical floor exceeds experimental ceiling")
@@ -207,38 +210,25 @@ def net_csl_counts(
 
 
 def round_up_one_significant(x: float) -> float:
-    """Round a positive value up to one significant digit (0.0074 -> 0.008): the least float
-    of a one-digit decimal that is not below x, subnormal x included."""
+    """Round a positive value up to one significant digit (0.0074 -> 0.008): the least float of a one-digit
+    decimal that is not below x, subnormal x included; an OverflowError above 1e308, where there is none."""
     if x == 0.0:
         return 0.0
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"expected a non-negative finite value (got {x!r})")
     nearest = f"{x:.0e}"   # the one-digit decimal nearest to x, rounded exactly
     rounded = float(nearest)
-    if rounded >= x:
-        return rounded
-    digit, exponent = nearest.split("e")
-    return float(f"{int(digit) + 1}e{exponent}")
+    if rounded < x:
+        digit, exponent = nearest.split("e")
+        rounded = float(f"{int(digit) + 1}e{exponent}")
+    if rounded == math.inf:
+        raise OverflowError(f"{x!r} rounded up to one significant digit is outside the float range")
+    return rounded
 
 
-def _scaling_from_grw(ld: float) -> float:
-    """sqrt((lambda/a^2)_GRW / ld), the factor that takes a bound from GRW strength to ld."""
-    if not (math.isfinite(ld) and ld > 0):
-        raise ValueError(f"lambda/a^2 must be positive and finite (got {ld!r})")
-    return math.sqrt(GRW_LAMBDA_OVER_A2 / ld)
-
-
-def neutron_coupling_bound(
-    n_limit: float,
-    ld: float,
-    coefficient: float,
-    live_time_yr: float,
-    volume_kilotonne_m3: float,
-) -> float:
-    """Invert a count limit into |g_n - m_n/m_p| at collapse strength ld.
-
-    bound = sqrt(n_limit / (coefficient T V)) * sqrt((lambda/a^2)_GRW / ld).
-    """
+def neutron_coupling_bound(n_limit: float, coefficient: float, live_time_yr: float, volume_kilotonne_m3: float) -> float:
+    """Invert a count limit into |g_n - m_n/m_p| at GRW strength, sqrt(n_limit / (coefficient T V));
+    ExclusionCurve.scalings takes it to another lambda/a^2."""
     if n_limit < 0:
         raise ValueError(f"count limit must be non-negative (got {n_limit!r})")
     if coefficient <= 0:
@@ -249,19 +239,10 @@ def neutron_coupling_bound(
         f"exposure of {live_time_yr!r} yr x {volume_kilotonne_m3!r} x 10^3 m^3 at coefficient {coefficient!r}",
         lambda: coefficient * live_time_yr * volume_kilotonne_m3,
     )
-    bound = math.sqrt(n_limit / exposure) * _scaling_from_grw(ld)
+    bound = math.sqrt(n_limit / exposure)
     if not math.isfinite(bound):
         raise OverflowError(f"neutron coupling bound at count limit {n_limit!r}, exposure {exposure!r} overflowed")
     return bound
-
-
-def electron_coupling_bound(ld: float) -> float:
-    """The half-width 12 (m_e/m_p) sqrt((lambda/a^2)_GRW / ld) of |g_e - m_e/m_p|.
-
-    It comes from low-background Ge ionization data; at the GRW strength the
-    implied window is 0 <= g_e < 13 m_e/m_p.
-    """
-    return 12.0 * M_E_OVER_M_P * _scaling_from_grw(ld)
 
 
 def visibility_floor_large_a(s: SphereVisibilityConfig) -> float:
@@ -313,8 +294,8 @@ def scan_exclusion(run: RunConfig) -> ExclusionCurve:
     """Coupling bounds of run on its lambda/a^2 grid with the floor at its a attached; the ceiling is
     RADIATION_CEILING.
 
-    Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so they are
-    evaluated once, at the GRW strength; the curve scales them to a point when read.
+    Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so the neutron bound is
+    evaluated once, at the GRW strength; the curve scales it to a point when read.
     """
     e = run.experiment
     _, _, n_csl = net_csl_counts(e)
@@ -322,10 +303,7 @@ def scan_exclusion(run: RunConfig) -> ExclusionCurve:
     coefficient = count_coefficient(run.model, e.deuteron_density_per_cc)
     return ExclusionCurve(
         scan=run.scan,
-        gn_bound_at_grw=neutron_coupling_bound(
-            n_limit, GRW_LAMBDA_OVER_A2, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3
-        ),
-        ge_bound_at_grw=electron_coupling_bound(GRW_LAMBDA_OVER_A2),
+        gn_bound_at_grw=neutron_coupling_bound(n_limit, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3),
         theoretical_floor=theoretical_floor(run.sphere, run.collapse.a_length),
     )
 
@@ -338,11 +316,10 @@ def run_full_analysis(run: RunConfig) -> AnalysisReport:
     coefficient = count_coefficient(model, e.deuteron_density_per_cc)
     r2_cm2 = mean_square_radius(model)
 
-    gn = neutron_coupling_bound(n_limit, GRW_LAMBDA_OVER_A2, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
-    ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
+    gn = neutron_coupling_bound(n_limit, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
 
     # fractional widths relative to the mass-proportional point
-    ge_fraction = ge / M_E_OVER_M_P
+    ge_fraction = GE_HALF_WIDTH_AT_GRW / M_E_OVER_M_P
     gn_fraction = gn / M_N_OVER_M_P
     strength_ratio = ge_fraction / gn_fraction if gn_fraction > 0 else math.inf
 
@@ -364,8 +341,8 @@ def run_full_analysis(run: RunConfig) -> AnalysisReport:
         n_sigma=n_sigma,
         gn_bound_at_grw=gn,
         gn_bound_rounded=round_up_one_significant(gn),
-        ge_half_width_at_grw=ge,
-        ge_upper_at_grw=M_E_OVER_M_P + ge,
+        ge_half_width_at_grw=GE_HALF_WIDTH_AT_GRW,
+        ge_upper_at_grw=M_E_OVER_M_P + GE_HALF_WIDTH_AT_GRW,
         strength_ratio=strength_ratio,
         curve=curve,
         model_r2_cm2=r2_cm2,

@@ -11,6 +11,7 @@ import pytest
 import scipy.integrate as si
 
 from cslbounds import (
+    GE_HALF_WIDTH_AT_GRW,
     GRW_LAMBDA_OVER_A2,
     AsymmetricValue,
     BoundStateModel,
@@ -21,13 +22,13 @@ from cslbounds import (
     count_coefficient,
     default_config,
     deuteron_rate,
-    electron_coupling_bound,
     expected_count,
     mean_square_radius,
     net_csl_counts,
     neutron_coupling_bound,
     one_sided_upper_limit,
     run_full_analysis,
+    scan_exclusion,
     small_a_floor_coefficient,
     spectrum_densities,
     subtract,
@@ -96,7 +97,7 @@ def test_criterion_04_neutron_bound():
 
 def test_criterion_05_electron_bound():
     def checks():
-        assert electron_coupling_bound(GRW_LAMBDA_OVER_A2) == pytest.approx(6.536e-3, rel=1e-3)
+        assert GE_HALF_WIDTH_AT_GRW == pytest.approx(6.536e-3, rel=1e-3)
         report = run_full_analysis(CFG)
         assert report.ge_upper_at_grw == pytest.approx(13 * M_E_OVER_M_P, rel=1e-12, abs=0)
 
@@ -116,17 +117,11 @@ def test_criterion_06_visibility_floors():
 
 def test_criterion_07_scan_endpoint():
     def checks():
-        _, _, n_csl = net_csl_counts(CFG.experiment)
-        n_limit = one_sided_upper_limit(n_csl, 1.0)
-        coeff = count_coefficient(MODEL, CFG.experiment.deuteron_density_per_cc)
-        bound = neutron_coupling_bound(
-            n_limit,
-            1e-10,
-            coeff,
-            CFG.experiment.live_time_yr,
-            CFG.experiment.fiducial_volume_kilotonne_m3,
-        )
-        assert 0.74 <= bound <= 0.80
+        # the default curve's first point is lambda/a^2 = 1e-10 itself
+        curve = scan_exclusion(CFG)
+        ld, f = next(curve.scalings())
+        assert ld == 1e-10
+        assert 0.74 <= curve.gn_bound_at_grw * f <= 0.80
 
     _report(7, "neutron bound at lambda/a^2 = 1e-10 in [0.74, 0.80]", checks)
 
@@ -169,8 +164,9 @@ def test_criterion_09_property_suite():
         _, _, n_csl = net_csl_counts(e)
         n_limit = one_sided_upper_limit(n_csl, 1.0)
         coeff = count_coefficient(MODEL, e.deuteron_density_per_cc)
+        b_grw = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
         for ld in (1e-10, 1e-6, 2.5):
-            b = neutron_coupling_bound(n_limit, ld, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+            b = b_grw * math.sqrt(GRW_LAMBDA_OVER_A2 / ld)
             params = CollapseParams(ld * 1e-10, 1e-5, g_n=ratio + b)
             pred = expected_count(
                 params, e.live_time_yr, e.fiducial_volume_kilotonne_m3, e.deuteron_density_per_cc, MODEL

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import cslbounds.cli as cli
 from cslbounds import (
+    GE_HALF_WIDTH_AT_GRW,
     GRW_LAMBDA_OVER_A2,
     BoundStateModel,
     CollapseParams,
@@ -312,6 +313,24 @@ def test_the_neutron_bound_scales_exactly(tmp_path_factory, doc, steps):
     assert bounds == sorted(bounds)
 
 
+@settings(max_examples=40, deadline=None)
+@given(doc=near_default_documents())
+def test_the_bounds_at_grw_strength_agree_wherever_computed(tmp_path_factory, doc):
+    # run_full_analysis and scan_exclusion each compute the neutron bound; the electron half-width is one
+    # constant, which the curve writers scale to each point as the neutron bound is scaled
+    path = tmp_path_factory.getbasetemp() / "near_default_grw.json"
+    for kind in ModelKind:
+        code, data = analyze_structured(path, {**doc, "model": {**doc["model"], "kind": kind.value}})
+        if code != 0:
+            continue
+        run = load_config(str(path))
+        report = run_full_analysis(run)
+        assert report.gn_bound_at_grw.hex() == scan_exclusion(run).gn_bound_at_grw.hex()
+        assert report.ge_half_width_at_grw == data["bounds"]["ge_half_width_at_grw"] == GE_HALF_WIDTH_AT_GRW
+        for point in data["curve"]["points"]:
+            assert point["ge_bound"] == GE_HALF_WIDTH_AT_GRW * math.sqrt(GRW_LAMBDA_OVER_A2 / point["lambda_over_a2"])
+
+
 # n_sigma 0 and an observed count equal to the prediction: the count limit and the neutron bound are 0
 ZERO_NEUTRON_BOUND = {
     "n_sigma": 0.0,
@@ -548,6 +567,12 @@ def test_bad_config_file_exits_one(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error[config]:")
     assert "line" in err
+
+
+def test_duplicate_key_is_config_error(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text('{"scan": {"points": 3, "points": 5}}')
+    assert run_cli(capsys, "analyze", "--config", str(path)) == (1, "", "error[config]: scan.points: duplicate key\n")
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -813,8 +838,9 @@ def test_table_commands_print_csv_as_text(capsys, argv):
 
 
 # Curve points are written from templates; the oracle is what the json and csv
-# modules write for the same values. A curve is its ScanSpec and its two bounds at GRW
-# strength; the grid starts at 1e-300 so that bounds up to 1e150 stay finite.
+# modules write for the same values. A curve is its ScanSpec and its neutron bound at GRW
+# strength; the grid starts at 1e-300 so that bounds up to 1e150 stay finite. Both columns
+# go through the same template, so the float edge cases are drawn for the neutron bound.
 EDGE_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16)
 bound_floats = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(EDGE_VALUES)
 grid_floats = st.floats(min_value=1e-300, allow_infinity=False) | st.sampled_from([1e-300, 1e-6, 1.7976931348623157e308])
@@ -835,12 +861,15 @@ scan_specs = st.builds(
     st.integers(min_value=2, max_value=12),
     st.booleans(),
 ).filter(holds_a_grid)
-curve_args = st.tuples(scan_specs, bound_floats, bound_floats)
+curve_args = st.tuples(scan_specs, bound_floats)
 CURVE_EXAMPLES = (
-    (ScanSpec(1.0, 2.0, 2, log_spacing=False), -0.0, 5e-324),
-    (ScanSpec(1e-314, 1e-300, 2, log_spacing=False), 0.0, 1e-160),   # near the smallest grid point whose scaling stays finite
-    (ScanSpec(2.2250738585072014e-308, 1.7976931348623157e308, 2, log_spacing=False), 2.6e157, -0.0),
-    (ScanSpec(1e-6, 1.7976931348623157e308, 2, log_spacing=False), 1.7976931348623157e308, -1.7976931348623157e308),
+    (ScanSpec(1.0, 2.0, 2, log_spacing=False), -0.0),
+    (ScanSpec(1.0, 2.0, 2, log_spacing=False), 5e-324),
+    (ScanSpec(1e-314, 1e-300, 2, log_spacing=False), 0.0),   # near the smallest grid point whose scaling stays finite
+    (ScanSpec(1e-314, 1e-300, 2, log_spacing=False), 1e-160),
+    (ScanSpec(2.2250738585072014e-308, 1.7976931348623157e308, 2, log_spacing=False), 2.6e157),
+    (ScanSpec(1e-6, 1.7976931348623157e308, 2, log_spacing=False), 1.7976931348623157e308),
+    (ScanSpec(1e-6, 1.7976931348623157e308, 2, log_spacing=False), -1.7976931348623157e308),
 )
 
 
@@ -851,16 +880,16 @@ def with_curve_examples(test):
 
 
 def curve_of(args) -> ExclusionCurve:
-    scan, gn, ge = args
-    return ExclusionCurve(scan, gn, ge, theoretical_floor=1e-10)
+    scan, gn = args
+    return ExclusionCurve(scan, gn, theoretical_floor=1e-10)
 
 
 def columns_of(args) -> tuple[list[float], list[float], list[float]]:
     """The grid and the bounds at each of its points, each bound scaled from GRW strength."""
-    scan, gn, ge = args
+    scan, gn = args
     grid = scan.grid()
     scalings = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
-    return grid, [gn * f for f in scalings], [ge * f for f in scalings]
+    return grid, [gn * f for f in scalings], [GE_HALF_WIDTH_AT_GRW * f for f in scalings]
 
 
 def point_dicts(columns) -> list[dict]:
@@ -882,7 +911,7 @@ def test_scan_json_matches_encoder(args):
 
 def test_json_keeps_no_curve_alive():
     # a 1.5e4-point curve holds about 0.5 MB; it must not wait in a reference cycle for the collector
-    curve = curve_of(CURVE_EXAMPLES[2])
+    curve = curve_of(CURVE_EXAMPLES[4])
     ref = weakref.ref(curve)
     gc.disable()
     try:
@@ -937,7 +966,7 @@ def test_scan_csv_matches_csv_writer(args):
     assert "".join(cli._curve_csv(curve_of(args), "# note\n")) == "# note\n" + buf.getvalue()
     # analyze rows: [name, central, err_up, err_down] or [name, value, "", ""]; spectrum rows: (k, value)
     analyze_rows = [["n_csl", *row] for row in zip(*columns)] + [["model_r2_cm2", x, "", ""] for x in columns[1]]
-    spectrum_rows = list(zip(columns[0], columns[2]))
+    spectrum_rows = list(zip(columns[0], columns[1]))
     for header, rows in (
         (["quantity", "central", "err_up", "err_down"], analyze_rows),
         (["k_per_fm", "rate_density"], spectrum_rows),

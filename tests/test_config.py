@@ -72,6 +72,22 @@ def test_unknown_keys_rejected_with_path():
         parse_config('{"experiment":{"observed":{"value_typo":3}}}')
 
 
+@pytest.mark.parametrize(
+    "document, path",
+    [
+        # the first value is out of its domain; a parser that keeps the last would hide it
+        ('{"n_sigma": -1, "n_sigma": 2.0, "scan": {"points": 3}, "scan": {"points": 5}}', "n_sigma"),
+        ('{"experiment": {"efficiency": 0, "efficiency": 0.5}}', "experiment.efficiency"),
+        ('{"scan": {"points": 3, "points": 5}}', "scan.points"),
+        ('{"experiment": {"observed": {"value": 1, "stat_up": 2, "value": 1}}}', "experiment.observed.value"),
+        ('{"bogus": 1, "bogus": 1}', "bogus"),
+    ],
+)
+def test_duplicate_keys_rejected_with_path(document, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: duplicate key$"):
+        parse_config(document)
+
+
 def test_syntax_error_reports_line_and_column():
     with pytest.raises(ConfigError) as err:
         parse_config('{"experiment": \n  {"efficiency": }}')

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
+    GE_HALF_WIDTH_AT_GRW,
     GRW_LAMBDA_OVER_A2,
     RADIATION_CEILING,
     AsymmetricValue,
@@ -24,7 +25,6 @@ from cslbounds import (
     SphereVisibilityConfig,
     count_coefficient,
     default_config,
-    electron_coupling_bound,
     expected_count,
     net_csl_counts,
     neutron_coupling_bound,
@@ -126,45 +126,38 @@ def _reference_bound_inputs():
 
 def test_neutron_bound_at_grw():
     e, _, n_limit, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(n_limit, GRW_LAMBDA_OVER_A2, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    bound = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     assert 0.0074 <= bound <= 0.0076
     assert round_up_one_significant(bound) == 0.008
 
 
 def test_neutron_bound_zero_limit():
     e, _, _, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(0.0, GRW_LAMBDA_OVER_A2, coeff, 1.0, 1.0)
+    bound = neutron_coupling_bound(0.0, coeff, 1.0, 1.0)
     assert bound == 0.0
     assert round_up_one_significant(bound) == 0.0
 
 
 def test_neutron_bound_at_visibility_strength():
     e, _, n_limit, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(n_limit, 1e-10, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
-    assert 0.74 <= bound <= 0.80
+    bound = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    assert 0.74 <= bound * math.sqrt(GRW_LAMBDA_OVER_A2 / 1e-10) <= 0.80
 
 
 def test_neutron_bound_validation():
     with pytest.raises(ValueError):
-        neutron_coupling_bound(-1.0, 1e-6, 1e7, 1.0, 1.0)
+        neutron_coupling_bound(-1.0, 1e7, 1.0, 1.0)
     with pytest.raises(ValueError):
-        neutron_coupling_bound(100.0, 1e-6, 0.0, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("ld", [0.0, -1e-6, math.nan, math.inf])
-def test_coupling_bounds_reject_a_strength_that_is_not_positive_and_finite(ld):
-    with pytest.raises(ValueError, match=re.escape(f"lambda/a^2 must be positive and finite (got {ld!r})")):
-        neutron_coupling_bound(100.0, ld, 1e7, 1.0, 1.0)
-    with pytest.raises(ValueError, match=re.escape(f"lambda/a^2 must be positive and finite (got {ld!r})")):
-        electron_coupling_bound(ld)
+        neutron_coupling_bound(100.0, 0.0, 1.0, 1.0)
 
 
 def test_bound_count_round_trip():
-    # inverting the bound through expected_count must reproduce the count limit
+    # inverting the bound, scaled from GRW strength, through expected_count must reproduce the count limit
     e, model, n_limit, coeff = _reference_bound_inputs()
+    at_grw = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     rng = np.random.default_rng(3)
     for ld in 10.0 ** rng.uniform(-10, 0.4, size=8):
-        b = neutron_coupling_bound(n_limit, float(ld), coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+        b = at_grw * math.sqrt(GRW_LAMBDA_OVER_A2 / float(ld))
         params = CollapseParams(
             lambda_rate=float(ld) * 1e-10, a_length=1e-5, g_n=M_N_OVER_M_P + b
         )
@@ -179,7 +172,7 @@ def test_bound_count_round_trip():
 
 
 def test_electron_bound_values():
-    ge = electron_coupling_bound(GRW_LAMBDA_OVER_A2)
+    ge = GE_HALF_WIDTH_AT_GRW
     assert ge == pytest.approx(12 * M_E_OVER_M_P, rel=1e-12, abs=0)
     assert ge == pytest.approx(6.536e-3, rel=1e-3)
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
@@ -189,8 +182,7 @@ def test_electron_bound_values():
 
 
 def test_electron_bound_inverse_sqrt_scaling():
-    b1 = electron_coupling_bound(1e-6)
-    b4 = electron_coupling_bound(4e-6)
+    _, _, (b1, b4) = columns(curve_of(linear(1e-6, 4e-6)))
     assert b4 == pytest.approx(b1 / 2, rel=1e-15, abs=0)
 
 
@@ -262,6 +254,11 @@ def test_round_up_one_significant():
     assert round_up_one_significant(0.0) == 0.0
     with pytest.raises(ValueError):
         round_up_one_significant(-1.0)
+    # above 1e308 no one-digit decimal float is at or above x
+    assert round_up_one_significant(1e308) == 1e308
+    for x in (math.nextafter(1e308, math.inf), 1.5e308, 1.7976931348623157e308):
+        with pytest.raises(OverflowError, match=re.escape(f"{x!r} rounded up to one significant digit is outside")):
+            round_up_one_significant(x)
 
 
 def test_round_up_just_above_a_digit_takes_the_next_digit():
@@ -355,14 +352,14 @@ def linear(lo, hi, points=2):
     return ScanSpec(lo, hi, points, log_spacing=False)
 
 
-def curve_of(scan, gn=0.1, ge=0.2, floor=1e-10):
-    return ExclusionCurve(scan, gn, ge, theoretical_floor=floor)
+def curve_of(scan, gn=0.1, floor=1e-10):
+    return ExclusionCurve(scan, gn, theoretical_floor=floor)
 
 
 def columns(curve):
-    """The grid and both bounds at each of its points."""
+    """The grid and both bounds at each of its points, as the curve writers print them."""
     grid, scalings = zip(*curve.scalings())
-    return grid, tuple(curve.gn_bound_at_grw * f for f in scalings), tuple(curve.ge_bound_at_grw * f for f in scalings)
+    return grid, tuple(curve.gn_bound_at_grw * f for f in scalings), tuple(GE_HALF_WIDTH_AT_GRW * f for f in scalings)
 
 
 def test_scan_grid_that_repeats_a_point_is_an_order_error():
@@ -381,13 +378,13 @@ def test_exclusion_curve_validation():
     assert curve_of(linear(1e-8, 1e-7), floor=RADIATION_CEILING).theoretical_floor == RADIATION_CEILING
     # the ceiling is the constant RADIATION_CEILING, which no argument sets
     with pytest.raises(TypeError, match="unexpected keyword argument 'experimental_ceiling'"):
-        ExclusionCurve(linear(1e-8, 1e-7), 0.01, 0.006, theoretical_floor=1e-10, experimental_ceiling=99.0)
+        ExclusionCurve(linear(1e-8, 1e-7), 0.01, theoretical_floor=1e-10, experimental_ceiling=99.0)
     # the bounds are largest at the first point, which the overflow names
     with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-320 s"):
         curve_of(linear(1e-320, 1e-7))
-    for gn, ge in ((math.inf, 0.1), (0.1, math.nan), (1e308, 0.1), (0.0, 1e308)):
+    for gn in (math.inf, math.nan, 1e308):
         with pytest.raises(OverflowError, match=r"non-finite value at lambda/a\^2 = 1e-08 s"):
-            curve_of(linear(1e-8, 1e-7), gn, ge)
+            curve_of(linear(1e-8, 1e-7), gn)
     # the last point is hi itself on a linear grid; on a log grid a power of ten that overflows is named
     assert curve_of(linear(1e-6, 1.7976931348623157e308)).lambda_over_a2[-1] == 1.7976931348623157e308
     with pytest.raises(OverflowError, match=r"log grid overflowed: 10\*\*308\.2547"):
@@ -402,7 +399,7 @@ def holds_a_grid(spec):
     return True
 
 
-# specs of 2 to 12 points from any positive lo, the bounds at GRW strength any finite floats
+# specs of 2 to 12 points from any positive lo, the neutron bound at GRW strength any finite float
 positive_floats = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
     [5e-324, 2.2250738585072014e-308, 1e-6, 1.7976931348623157e308]
 )
@@ -415,26 +412,28 @@ specs = st.builds(
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(specs, finite_floats, finite_floats)
-@example(linear(5e-324, 1e-300), 0.0, 0.0)                         # f = inf, 0 * inf = nan
-@example(linear(2.2250738585072014e-308, 1.7976931348623157e308), 2.6e157, -0.0)
-@example(linear(2.2250738585072014e-308, 1.7976931348623157e308), 2.7e157, 1.0)
-@example(linear(1e-6, 1.0), 1.7976931348623157e308, 5e-324)         # f = 1 at GRW strength
-@example(linear(1e-7, 1e-6), 1.7976931348623157e308, 5e-324)
-def test_exclusion_curve_overflows_exactly_when_a_bound_does(scan, gn, ge):
+@given(specs, finite_floats)
+@example(linear(5e-324, 1e-300), 0.0)                              # f = inf, 0 * inf = nan
+@example(linear(5e-324, 1e-300), 5e-324)
+@example(linear(2.2250738585072014e-308, 1.7976931348623157e308), 2.6e157)
+@example(linear(2.2250738585072014e-308, 1.7976931348623157e308), 2.7e157)
+@example(linear(1e-6, 1.0), 1.7976931348623157e308)                # f = 1 at GRW strength
+@example(linear(1e-7, 1e-6), 1.7976931348623157e308)
+def test_exclusion_curve_overflows_exactly_when_a_bound_does(scan, gn):
     grid = scan.grid()
-    points = [(x, gn * math.sqrt(GRW_LAMBDA_OVER_A2 / x), ge * math.sqrt(GRW_LAMBDA_OVER_A2 / x)) for x in grid]
+    scalings = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
+    points = [(x, gn * f, GE_HALF_WIDTH_AT_GRW * f) for x, f in zip(grid, scalings)]
     if all(map(math.isfinite, (v for point in points for v in point))):
-        c = curve_of(scan, gn, ge)
+        c = curve_of(scan, gn)
         assert list(zip(*columns(c))) == points
     else:
         with pytest.raises(OverflowError, match=re.escape(f"at lambda/a^2 = {grid[0]!r} s")):
-            curve_of(scan, gn, ge)
+            curve_of(scan, gn)
 
 
 def test_scan_exclusion_matches_pointwise_bounds():
-    # the scan scales the GRW bounds over the grid; it must equal inverting
-    # the count limit at each grid point, to the last bit
+    # the scan scales the bounds at GRW strength over the grid; each point must equal the
+    # bound at GRW strength times sqrt((lambda/a^2)_GRW / x), to the last bit
     e = reference_experiment()
     model = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     scan = ScanSpec(points=1001)
@@ -444,11 +443,11 @@ def test_scan_exclusion_matches_pointwise_bounds():
     coeff = count_coefficient(model, e.deuteron_density_per_cc)
     exposure = (coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     assert curve.lambda_over_a2 == tuple(scan.grid())
-    assert curve.gn_bound_at_grw == neutron_coupling_bound(n_limit, GRW_LAMBDA_OVER_A2, *exposure)
-    assert curve.ge_bound_at_grw == electron_coupling_bound(GRW_LAMBDA_OVER_A2)
-    for ld, gn, ge in zip(*columns(curve)):
-        assert gn == neutron_coupling_bound(n_limit, ld, *exposure)
-        assert ge == electron_coupling_bound(ld)
+    at_grw = neutron_coupling_bound(n_limit, *exposure)
+    assert curve.gn_bound_at_grw == at_grw
+    for x, gn, ge in zip(*columns(curve)):
+        assert gn == at_grw * math.sqrt(GRW_LAMBDA_OVER_A2 / x)
+        assert ge == GE_HALF_WIDTH_AT_GRW * math.sqrt(GRW_LAMBDA_OVER_A2 / x)
 
 
 def test_scan_exclusion_holds_the_spec_it_scanned():
