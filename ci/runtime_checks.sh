@@ -29,6 +29,7 @@ cslbounds constants | cmp - tests/golden/constants.txt
 cslbounds spectrum --quantity density | cmp - tests/golden/spectrum_density.csv
 cslbounds spectrum --quantity density --model hulthen | cmp - tests/golden/spectrum_density_hulthen.csv
 cslbounds spectrum --quantity rate --config tests/golden/config_gn05.json --format structured | cmp - tests/golden/spectrum_rate.json
+cslbounds spectrum --quantity rate --model hulthen --config tests/golden/config_gn05.json | cmp - tests/golden/spectrum_rate_hulthen.csv
 
 # outputs written with --output match the golden files; the file sink is a separate write path from stdout.
 # Each command is a line of its own: set -e ignores a failure left of `&&`.

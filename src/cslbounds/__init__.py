@@ -13,7 +13,6 @@ from .config import (
     default_config,
     load_config,
     parse_config,
-    serialize_config,
 )
 from .constants import (
     GRW_A_LENGTH,
@@ -52,12 +51,10 @@ from .limits import (
 )
 from .quadrature import QuadratureError, integrate_radial
 from .rates import (
-    com_reduction_coefficients,
     count_coefficient,
     deuteron_rate,
     deuteron_spectra,
     expected_count,
-    relative_coupling_weight,
 )
 from .records import ConstraintError
 from .uncertainty import (

@@ -146,7 +146,3 @@ def load_config(path: str | None, changes: dict | None = None) -> RunConfig:
 def config_to_dict(rc: RunConfig) -> dict:
     """Schema-shaped dict; round-trips through parse_config."""
     return _dump(rc)
-
-
-def serialize_config(rc: RunConfig) -> str:
-    return json.dumps(config_to_dict(rc), indent=2)

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 from .constants import CM2_PER_FM2, HBAR_C_MEV_FM, REDUCED_MASS_NP_MEV, in_float_range
 from .grids import logspace
-from .quadrature import integrate_radial
+from .quadrature import QuadratureError, integrate_radial
 from .records import Record, greater_than_one, one_of, positive
 
 # Hulthen short-range scale beta in units of kappa
@@ -70,8 +70,12 @@ class BoundStateModel(Record):
 
 
 def mean_square_radius(model: BoundStateModel) -> float:
-    """<r^2> = int_0^inf r^2 u(r)^2 dr by adaptive quadrature, converted to cm^2."""
+    """<r^2> = int_0^inf r^2 u(r)^2 dr by adaptive quadrature, converted to cm^2. A QuadratureError where
+    the integral comes out non-positive, as it does when every sample of u rounds to 0."""
     value, _ = integrate_radial(lambda r: r * r * model.u(r) ** 2)
+    if not value > 0:
+        e_b = model.binding_energy_mev
+        raise QuadratureError(f"<r^2> at binding energy {e_b!r} MeV came out {value!r} fm^2, not positive")
     return value * CM2_PER_FM2
 
 

@@ -4,8 +4,10 @@ The general rate is (lambda / 2 a^2) |<phi| sum g_alpha r_alpha |psi>|^2,
 to first order in (bound-state size / a). For the deuteron the
 fixed-center-of-mass constraint reduces the operator to the relative
 coordinate with squared weight w = ((g_n - m_n/m_p) / (1 + m_n/m_p))^2,
-which vanishes identically for mass-proportional coupling, so the rate is
-(lambda / 2 a^2) w <r^2>. The electron contribution is neglected.
+so the rate is (lambda / 2 a^2) w <r^2>, the law _rate_law states once.
+w is zero at mass-proportional coupling, and so is this first-order rate;
+the rate to all orders is not zero there but of order lambda x^4, with
+x = sqrt(<r^2>) / a. The electron contribution is neglected.
 
 Rates and counts are plain floats; one that floats cannot hold raises an
 OverflowError naming the coupling it was computed at.
@@ -31,36 +33,25 @@ from .deuteron import BoundStateModel, mean_square_radius, spectrum_densities
 CC_PER_KILOTONNE_M3 = 1e9
 
 
-def com_reduction_coefficients() -> tuple[float, float]:
-    """(c_p, c_n) such that r_p = c_p r and r_n = c_n r for the deuteron.
-
-    Follows from fixing the mass-weighted center of mass at the origin,
-    which ties r_p = -(m_n/m_p) r_n, with r = r_p - r_n the relative
-    coordinate.
-    """
-    ratio = M_N_OVER_M_P
-    return ratio / (1.0 + ratio), -1.0 / (1.0 + ratio)
-
-
-def relative_coupling_weight(g_n: float) -> float:
-    """Squared relative-coordinate weight ((g_n - m_n/m_p)/(1 + m_n/m_p))^2."""
-    return ((g_n - M_N_OVER_M_P) / (1.0 + M_N_OVER_M_P)) ** 2
-
-
 def _require_gn(p: CollapseParams) -> float:
     if p.g_n is None:
         raise ValueError("collapse parameters must have g_n set for deuteron rates")
     return p.g_n
 
 
-def _rate_prefactor(p: CollapseParams) -> float:
-    """(lambda / 2 a^2) w(g_n) in s^-1 cm^-2, the rate per cm^2 of squared dipole; inf where w overflows."""
-    g_n = _require_gn(p)
-    strength = lambda_over_a2(p)
+def _rate_law(strength: float, deviation: float) -> float:
+    """(lambda / 2 a^2) w at collapse strength lambda/a^2 (s^-1 cm^-2) and deviation g_n - m_n/m_p: the
+    rate per deuteron per cm^2 of <r^2> or of squared dipole, in s^-1 cm^-2; inf where w overflows."""
     try:
-        return 0.5 * strength * relative_coupling_weight(g_n)
+        return 0.5 * strength * (deviation / (1.0 + M_N_OVER_M_P)) ** 2
     except OverflowError:   # the weight's square
         return math.inf
+
+
+def _rate_prefactor(p: CollapseParams) -> float:
+    """The law at p's strength and coupling."""
+    g_n = _require_gn(p)
+    return _rate_law(lambda_over_a2(p), g_n - M_N_OVER_M_P)
 
 
 def _finite_rates(p: CollapseParams, rates: list[float]) -> list[float]:
@@ -79,7 +70,8 @@ def deuteron_spectra(p: CollapseParams, model: BoundStateModel, ks_per_fm: Itera
     """Differential dissociation rate dR/dk in s^-1 per fm^-1 at each k.
 
     Integrating over k reproduces deuteron_rate by the completeness sum rule. Every rate
-    is zero for mass-proportional g_n.
+    is zero for mass-proportional g_n, where the first-order law vanishes; the rate to all
+    orders does not (see the module docstring).
     """
     prefactor = _rate_prefactor(p)
     return _finite_rates(p, [prefactor * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)])
@@ -90,16 +82,10 @@ def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) ->
     if not (math.isfinite(deuteron_density_per_cc) and deuteron_density_per_cc > 0):
         raise ValueError(f"deuteron density must be finite and positive (got {deuteron_density_per_cc!r})")
     r2_cm2 = mean_square_radius(model)
-    unit_weight = com_reduction_coefficients()[1] ** 2   # |c_n|^2 at unit coupling deviation
     deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3
     return in_float_range(
         f"count coefficient for <r^2> = {r2_cm2!r} cm^2",
-        lambda: 0.5
-        * GRW_LAMBDA_OVER_A2
-        * unit_weight
-        * r2_cm2
-        * deuterons_per_unit_volume
-        * SECONDS_PER_YEAR,
+        lambda: _rate_law(GRW_LAMBDA_OVER_A2, 1.0) * r2_cm2 * deuterons_per_unit_volume * SECONDS_PER_YEAR,
     )
 
 

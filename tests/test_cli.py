@@ -666,28 +666,31 @@ def test_too_wide_model_is_numeric_failure(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
 @pytest.mark.parametrize(
-    "config, named",
+    "config, message",
     [
         # a^5 underflows to 0
-        ({"collapse": {"a_cm": 1e-70}}, "small-a visibility floor at a = 1e-70 cm"),
+        ({"collapse": {"a_cm": 1e-70}}, "small-a visibility floor at a = 1e-70 cm is outside the float range"),
         # d^2 overflows
-        ({"sphere": {"diameter_cm": 1e200}}, "large-a visibility floor of the sphere"),
+        ({"sphere": {"diameter_cm": 1e200}}, "large-a visibility floor of the sphere is outside the float range"),
         # r^3 overflows
-        ({"experiment": {"fiducial_radius_m": 1e200}}, "fiducial volume of radius 1e+200 m"),
+        ({"experiment": {"fiducial_radius_m": 1e200}}, "fiducial volume of radius 1e+200 m is outside the float range"),
         # (beta - kappa)^2 underflows to 0
         (
             {"model": {"kind": "hulthen", "binding_energy_mev": 5e-324, "beta_over_kappa": 2.00001}},
-            "Hulthen normalization at binding energy 5e-324 MeV, beta/kappa 2.00001",
+            "Hulthen normalization at binding energy 5e-324 MeV, beta/kappa 2.00001 is outside the float range",
         ),
-        # <r^2> underflows to 0
-        ({"model": {"binding_energy_mev": 1e300}}, "count coefficient for <r^2> = 0.0 cm^2"),
-        ({"model": {"kind": "hulthen", "binding_energy_mev": 1e-40}}, "count coefficient for <r^2> = 0.0 cm^2"),
+        # every sample of u rounds to 0, so the quadrature's <r^2> is 0 fm^2; exact, 2.1e-299 fm^2 and 3.3e41 fm^2
+        ({"model": {"binding_energy_mev": 1e300}}, "<r^2> at binding energy 1e+300 MeV came out 0.0 fm^2, not positive"),
+        (
+            {"model": {"kind": "hulthen", "binding_energy_mev": 1e-40}},
+            "<r^2> at binding energy 1e-40 MeV came out 0.0 fm^2, not positive",
+        ),
     ],
     ids=["a_cm", "diameter_cm", "fiducial_radius_m", "hulthen", "r2_zero_range", "r2_hulthen"],
 )
-def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, command, config, named):
+def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, command, config, message):
     path = write_config(tmp_path, config)
-    assert run_cli(capsys, command, "--config", path) == (2, "", f"error[numeric]: {named} is outside the float range\n")
+    assert run_cli(capsys, command, "--config", path) == (2, "", f"error[numeric]: {message}\n")
 
 
 # beta (kappa + beta) overflows: a model floats cannot hold

@@ -28,6 +28,7 @@ CASES = {
     "spectrum_density.csv": ("spectrum", "--quantity", "density"),
     "spectrum_density_hulthen.csv": ("spectrum", "--quantity", "density", "--model", "hulthen"),
     "spectrum_rate.json": ("spectrum", "--quantity", "rate", "--config", GN_CONFIG, "--format", "structured"),
+    "spectrum_rate_hulthen.csv": ("spectrum", "--quantity", "rate", "--model", "hulthen", "--config", GN_CONFIG),
 }
 
 

@@ -149,6 +149,9 @@ def test_neutron_bound_validation():
         neutron_coupling_bound(-1.0, 1e7, 1.0, 1.0)
     with pytest.raises(ValueError):
         neutron_coupling_bound(100.0, 0.0, 1.0, 1.0)
+    for live_time_yr, volume in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)]:
+        with pytest.raises(ValueError, match="^live time and volume must be positive$"):
+            neutron_coupling_bound(100.0, 1e7, live_time_yr, volume)
 
 
 def test_bound_count_round_trip():

@@ -1,0 +1,104 @@
+"""An mpmath oracle of the first-order rate law, (lambda / 2 a^2) ((g_n - m_n/m_p) / (1 + m_n/m_p))^2 <r^2>,
+and of each number the package computes from it.
+
+Each number is recomputed at 50 digits from the exact binary values of its float inputs: the config's
+numbers, the constants.py floats, the package's own <r^2> and spectrum densities, and, for the bound, the
+package's count limit. So neither the quadrature's error nor the count algebra's enters a budget; pi is
+exact. Each number must lie within a declared budget of units in the last place (ulp) of the exact value.
+"""
+
+import json
+import math
+
+import mpmath
+from hypothesis import given, settings
+from test_cli import near_default_documents
+
+from cslbounds import (
+    GRW_LAMBDA_OVER_A2,
+    ModelKind,
+    count_coefficient,
+    default_k_grid,
+    deuteron_rate,
+    deuteron_spectra,
+    expected_count,
+    mean_square_radius,
+    parse_config,
+    run_full_analysis,
+    spectrum_densities,
+)
+from cslbounds.constants import CM2_PER_FM2, DAYS_PER_YEAR, M_N_OVER_M_P, SECONDS_PER_YEAR
+from cslbounds.rates import CC_PER_KILOTONNE_M3
+
+MP = mpmath.MPContext()
+MP.dps = 50
+
+# The most ulp each number may lie from exact. A number that rounds n times, counting a rounding once per
+# power it enters with, can lie n ulp away; the worst seen, over 2000 documents under each model kind, lies
+# well inside that, and each budget is about 1.5 times it: (worst seen, roundings).
+BUDGETS = {
+    "count_coefficient": 4.0,      # (2.4, 10)
+    "gn_bound_at_grw": 3.0,        # (1.9, about 10)
+    "predicted_csl_counts": 6.0,   # (3.8, about 26)
+    "deuteron_rate": 4.0,          # (2.8, 11)
+    "deuteron_spectra": 6.0,       # (4.1, 12)
+}
+
+
+def ulps(value, exact):
+    """Signed distance of the float value from exact, in ulp of the float nearest exact."""
+    return float((MP.mpf(value) - exact) / MP.mpf(math.ulp(float(exact))))
+
+
+def law(strength, deviation):
+    """(lambda / 2 a^2) w at strength lambda/a^2 and deviation g_n - m_n/m_p, exactly."""
+    return strength / 2 * (deviation / (1 + MP.mpf(M_N_OVER_M_P))) ** 2
+
+
+def oracle_ulps(run):
+    """(quantity, ulp from exact) for each number of the law the package computes for run."""
+    e, model, collapse = run.experiment, run.model, run.collapse
+    x = MP.mpf
+    r2_cm2 = mean_square_radius(model)
+    deuterons_per_unit_volume = x(e.deuteron_density_per_cc) * x(CC_PER_KILOTONNE_M3)
+    coefficient = law(x(GRW_LAMBDA_OVER_A2), 1) * x(r2_cm2) * deuterons_per_unit_volume * x(SECONDS_PER_YEAR)
+    live_time_yr = x(e.live_time_days) / x(DAYS_PER_YEAR)
+    volume = 4 * MP.pi / 3 * x(e.fiducial_radius_m) ** 3 / 1000
+    yield "count_coefficient", ulps(count_coefficient(model, e.deuteron_density_per_cc), coefficient)
+    try:
+        report = run_full_analysis(run)
+    except ValueError:   # a downward fluctuation, or a floor above the ceiling: no bound to check
+        pass
+    else:
+        exact = MP.sqrt(x(report.n_limit) / (coefficient * live_time_yr * volume))
+        yield "gn_bound_at_grw", ulps(report.gn_bound_at_grw, exact)
+    if collapse.g_n is None:
+        return
+    strength = x(collapse.lambda_rate) / x(collapse.a_length) ** 2
+    deviation = x(collapse.g_n) - x(M_N_OVER_M_P)
+    exposure = (e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    predicted = expected_count(collapse, *exposure, e.deuteron_density_per_cc, model)
+    exact = coefficient * strength / x(GRW_LAMBDA_OVER_A2) * deviation**2 * live_time_yr * volume
+    yield "predicted_csl_counts", ulps(predicted, exact)
+    yield "deuteron_rate", ulps(deuteron_rate(collapse, model), law(strength, deviation) * x(r2_cm2))
+    ks = default_k_grid(model)
+    for rate, density in zip(deuteron_spectra(collapse, model, ks), spectrum_densities(model, ks)):
+        yield "deuteron_spectra", ulps(rate, law(strength, deviation) * x(density) * x(CM2_PER_FM2))
+
+
+def runs_of(doc):
+    """The run of doc under each model kind whose model floats can hold."""
+    for kind in ModelKind:
+        try:
+            yield parse_config(json.dumps({**doc, "model": {**doc["model"], "kind": kind.value}}))
+        except (ValueError, OverflowError):   # beta/kappa moved to 1 or below, say
+            continue
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=near_default_documents())
+def test_each_number_of_the_rate_law_is_within_its_ulp_budget(doc):
+    for run in runs_of(doc):
+        for name, distance in oracle_ulps(run):
+            assert abs(distance) <= BUDGETS[name], (name, distance, run.model.kind)
+

@@ -7,14 +7,12 @@ import scipy.integrate as si
 from cslbounds import (
     BoundStateModel,
     CollapseParams,
-    com_reduction_coefficients,
     count_coefficient,
     deuteron_rate,
     deuteron_spectra,
     expected_count,
     grw_defaults,
     mean_square_radius,
-    relative_coupling_weight,
 )
 from cslbounds.constants import HBAR_C_MEV_FM, M_N_OVER_M_P, REDUCED_MASS_NP_MEV
 
@@ -48,7 +46,7 @@ def test_general_rate_grw_value():
     # which is (0.5e-6) * (9e-26) at unit weight and <r^2> = 9e-26
     model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     g_n = 0.75
-    oracle = 0.5e-6 * relative_coupling_weight(g_n) * mean_square_radius(model)
+    oracle = 0.5e-6 * ((g_n - M_N_OVER_M_P) / (1.0 + M_N_OVER_M_P)) ** 2 * mean_square_radius(model)
     assert deuteron_rate(_grw(g_n), model) == pytest.approx(oracle, rel=1e-12, abs=0)
     unit_weight = _grw(1.0 + 2.0 * M_N_OVER_M_P)
     assert deuteron_rate(unit_weight, _model_with_r2(9e-26)) == pytest.approx(4.5e-32, rel=1e-8, abs=0)
@@ -101,13 +99,16 @@ def test_deuteron_rate_overflow_is_named():
 
 
 def test_com_reduction_matches_relative_weight():
-    # c_p, c_n from the fixed-center-of-mass constraint must reproduce the
-    # relative-coordinate weight |g_p c_p + g_n c_n|^2 with g_p = 1
-    c_p, c_n = com_reduction_coefficients()
+    # fixing the mass-weighted center of mass at the origin ties r_p = -(m_n/m_p) r_n, so with the relative
+    # coordinate r = r_p - r_n, r_p = c_p r and r_n = c_n r; the rate's weight is |g_p c_p + g_n c_n|^2 with
+    # g_p = 1, which the law gives as the rate per <r^2> at lambda/a^2 = 2
+    c_p, c_n = M_N_OVER_M_P / (1.0 + M_N_OVER_M_P), -1.0 / (1.0 + M_N_OVER_M_P)
+    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     rng = np.random.default_rng(11)
     for g_n in rng.uniform(0.0, 3.0, size=10):
         composed = (1.0 * c_p + g_n * c_n) ** 2
-        assert composed == pytest.approx(relative_coupling_weight(float(g_n)), rel=1e-12, abs=0)
+        weight = deuteron_rate(CollapseParams(2.0, 1.0, g_n=float(g_n)), model) / mean_square_radius(model)
+        assert composed == pytest.approx(weight, rel=1e-12, abs=0)
 
 
 def test_spectrum_integrates_to_total_rate():
