@@ -1,48 +1,20 @@
 #!/usr/bin/env bash
-# Checks of an installed `cslbounds` that need nothing but the package: every subcommand runs,
-# outputs match the files under tests/golden/ byte for byte, to stdout and through --output, and
-# each failure class exits with its code. Scratch files go to $RUNNER_TEMP.
+# Checks of an installed `cslbounds` that need nothing but the package: every output declared in
+# tests/golden/cases.txt matches its file byte for byte, to stdout and through --output, and each
+# failure class exits with its code. Scratch files go to $RUNNER_TEMP.
 #
 #   RUNNER_TEMP=$(mktemp -d) ci/runtime_checks.sh
 set -e
 : "${RUNNER_TEMP:?must name a scratch directory}"
 cd "$(dirname "$0")/.."
 
-# every subcommand runs
-cslbounds analyze
-cslbounds scan > /dev/null
-cslbounds spectrum --quantity density > /dev/null
-cslbounds constants
-
-# outputs match the golden files; csv rows and curve points are formatted by hand rather than by
-# the csv and json modules
-cslbounds scan | cmp - tests/golden/scan_default.csv
-cslbounds scan --format structured | cmp - tests/golden/scan_default.json
-cslbounds analyze | cmp - tests/golden/analyze_default.txt
-cslbounds analyze --format csv | cmp - tests/golden/analyze_default.csv
-cslbounds analyze --format structured | cmp - tests/golden/analyze_default.json
-set -- --config tests/golden/config_gn05.json --model hulthen --predict
-cslbounds analyze "$@" | cmp - tests/golden/analyze_hulthen_predict.txt
-cslbounds analyze "$@" --format csv | cmp - tests/golden/analyze_hulthen_predict.csv
-cslbounds analyze "$@" --format structured | cmp - tests/golden/analyze_hulthen_predict.json
-cslbounds constants | cmp - tests/golden/constants.txt
-cslbounds spectrum --quantity density | cmp - tests/golden/spectrum_density.csv
-cslbounds spectrum --quantity density --model hulthen | cmp - tests/golden/spectrum_density_hulthen.csv
-cslbounds spectrum --quantity rate --config tests/golden/config_gn05.json --format structured | cmp - tests/golden/spectrum_rate.json
-cslbounds spectrum --quantity rate --model hulthen --config tests/golden/config_gn05.json | cmp - tests/golden/spectrum_rate_hulthen.csv
-
-# outputs written with --output match the golden files; the file sink is a separate write path from stdout.
-# Each command is a line of its own: set -e ignores a failure left of `&&`.
-cslbounds scan --output "$RUNNER_TEMP/scan.csv"
-cmp "$RUNNER_TEMP/scan.csv" tests/golden/scan_default.csv
-cslbounds scan --format structured --output "$RUNNER_TEMP/scan.json"
-cmp "$RUNNER_TEMP/scan.json" tests/golden/scan_default.json
-cslbounds analyze --format structured --output "$RUNNER_TEMP/analyze.json"
-cmp "$RUNNER_TEMP/analyze.json" tests/golden/analyze_default.json
-cslbounds constants --output "$RUNNER_TEMP/constants.txt"
-cmp "$RUNNER_TEMP/constants.txt" tests/golden/constants.txt
-cslbounds spectrum --quantity density --output "$RUNNER_TEMP/spectrum.csv"
-cmp "$RUNNER_TEMP/spectrum.csv" tests/golden/spectrum_density.csv
+# every golden output matches its file, to stdout and through --output, a separate write path;
+# tests/golden/cases.txt declares each golden's argv, and the goldens run every subcommand
+grep '^[^#]' tests/golden/cases.txt | while read -r name argv; do
+  cslbounds $argv | cmp - "tests/golden/$name"
+  cslbounds $argv --output "$RUNNER_TEMP/$name"
+  cmp "$RUNNER_TEMP/$name" "tests/golden/$name"
+done
 
 # exit codes: a config value outside its declared domain exits 1; a computed value outside its domain exits 2
 expect() {
@@ -95,3 +67,8 @@ expect 2 cslbounds scan --config scan.json --output failed.csv
 cslbounds scan --config big.json 2> pipe.err | head -c 10 > /dev/null
 code=${PIPESTATUS[0]}
 [ "$code" -eq 1 ] && [ ! -s pipe.err ] || { echo "closed pipe: exit $code"; cat pipe.err; exit 1; }
+# an output that cannot be written ends the run with exit 1 and one error line, buffered or not
+for unbuffered in "" 1; do
+  code=0; PYTHONUNBUFFERED=$unbuffered cslbounds constants > /dev/full 2> full.err || code=$?
+  [ "$code" -eq 1 ] && [ "$(wc -l < full.err)" -eq 1 ] || { echo "full disk: exit $code"; cat full.err; exit 1; }
+done

@@ -2,8 +2,8 @@
 
 Subcommands: analyze (full constraint report), scan (exclusion curve over
 lambda/a^2), spectrum (dissociation spectrum over relative momentum), and
-constants. Exit codes: 0 success, 1 usage or configuration error or a
-stdout closed by its reader, 2 numerical failure.
+constants. Exit codes: 0 success, 1 usage or configuration error, an output
+that cannot be written or a stdout closed by its reader, 2 numerical failure.
 
 analyze's text, csv and structured outputs are views of one table, REPORT: a new number
 is an AnalysisReport field, its run_full_analysis keyword and one REPORT row. A number that is
@@ -140,11 +140,17 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     try:
         code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; point it at devnull so the flush at exit prints nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:   # the reader closed stdout early, which is no error
         code = EXIT_CONFIG
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # main has reported a write that failed, and a closed pipe is no error
+        if code == EXIT_OK and not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"error[config]: {_cannot_write(None, exc)}\n")
+        code = EXIT_CONFIG
+        # point stdout at devnull, so that the flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)
 
 
@@ -168,9 +174,13 @@ def _write(args, pieces: Iterable[str]) -> None:
                 out.write("".join(batch))
                 batch = list(islice(pieces, _BATCH))
     except OSError as exc:
-        if not path:
-            raise
-        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}") from None
+        if isinstance(exc, BrokenPipeError) and not path:
+            raise   # the reader closed stdout early: entrypoint ends the run quietly
+        raise ConfigError(_cannot_write(path, exc)) from None
+
+
+def _cannot_write(path: str | None, exc: OSError) -> str:
+    return f"cannot write {f'output file {path!r}' if path else 'standard output'}: {exc.strerror}"
 
 
 def _json(data: dict, curve: ExclusionCurve | None = None) -> Iterator[str]:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import gc
 import io
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import CASES as GOLDEN_CASES, GOLDEN, ROOT
 
 import cslbounds.cli as cli
 from cslbounds import (
@@ -1003,15 +1005,61 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
         assert child.stderr.read() == b""
 
 
+class FailingStdout(io.StringIO):
+    """A stdout whose every write raises error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+FULL_DISK = f"error[config]: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("command", ["scan", "constants"])
+def test_unwritable_stdout_is_one_config_error(command):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(FailingStdout(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))):
+        with contextlib.redirect_stderr(err):
+            assert cli.main([command]) == 1
+    assert err.getvalue() == FULL_DISK
+
+
+def test_closed_stdout_is_left_to_the_entrypoint():
+    # main reports no closed pipe: entrypoint ends the process quietly, exit 1
+    with contextlib.redirect_stdout(FailingStdout(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))):
+        with pytest.raises(BrokenPipeError):
+            cli.main(["scan"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["scan", "constants"])
+def test_full_stdout_exits_one_with_one_error_line(command, unbuffered):
+    # buffered, the constants fail only as entrypoint flushes stdout; no write after the first failure reports again
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "cslbounds.cli", command],
+            env={**package_env(), "PYTHONUNBUFFERED": unbuffered},
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert (result.returncode, result.stderr) == (1, FULL_DISK)
+
+
 def test_nsigma_override_checked_like_config_key(capsys):
     code, _, err = run_cli(capsys, "analyze", "--nsigma", "-1")
     assert code == 1
     assert err == "error[config]: n_sigma: must be non-negative (got -1.0)\n"
 
 
-def test_repeated_main_calls_match_fresh_calls(capsys):
+def test_repeated_main_calls_match_fresh_calls(capsys, monkeypatch):
     # one parser serves every main() call in a process; a usage error must leave no state behind
-    golden = Path(__file__).parent / "golden"
     expected = []
     for argv in [(), ("analyze", "--format", "xml")]:   # no subcommand also prints the usage line
         fresh = subprocess.run(
@@ -1023,13 +1071,8 @@ def test_repeated_main_calls_match_fresh_calls(capsys):
         )
         assert fresh.returncode == 1 and "error[usage]" in fresh.stderr
         expected.append((argv, (fresh.returncode, fresh.stdout, fresh.stderr)))
-    predict = ("--config", str(golden / "config_gn05.json"), "--model", "hulthen", "--predict")
-    for argv, name in [
-        (("analyze", *predict, "--format", "structured"), "analyze_hulthen_predict.json"),
-        (("analyze",), "analyze_default.txt"),
-        (("scan",), "scan_default.csv"),
-    ]:
-        expected.append((argv, (0, (golden / name).read_text(encoding="utf-8"), "")))
+    monkeypatch.chdir(ROOT)   # where the golden manifest's paths start
+    expected += [(argv, (0, (GOLDEN / name).read_text(encoding="utf-8"), "")) for name, argv in GOLDEN_CASES.items()]
     for _ in range(2):
         for argv, output in expected:
             assert run_cli(capsys, *argv) == output

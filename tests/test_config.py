@@ -388,6 +388,14 @@ def test_readme_schema_lists_every_key_with_its_default():
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]
-    exec(section.split("```python", 1)[1].split("```", 1)[0], {})
-    first = capsys.readouterr().out.splitlines()[0]
-    assert first == f"{run_full_analysis(default_config()).gn_bound_at_grw} 0.008"
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"{run_full_analysis(default_config()).gn_bound_at_grw} 0.008"
+    # each printed line shows the numbers of its print's comment, where `...` stands for further digits
+    comments = [line.partition("#")[2] for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 3
+    for line, comment in zip(printed, comments):
+        numbers = re.findall(r"\d+\.\d+(?:\.\.\.)?(?:e[+-]?\d+)?", comment)
+        patterns = [re.escape(number).replace(re.escape("..."), r"\d+") for number in numbers]
+        assert len(patterns) == len(line.split()) and all(map(re.fullmatch, patterns, line.split())), (line, comment)

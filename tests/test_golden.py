@@ -1,8 +1,12 @@
-"""CLI outputs compared with fixtures under tests/golden/.
+"""CLI outputs compared with the golden files under tests/golden/.
 
-Each fixture is the output of one CASES entry, written by running the
-entry's argv with `--output tests/golden/<name>`. Refactors must reproduce
-them byte for byte.
+Each golden is declared once, as a line of tests/golden/cases.txt: its file name, then the argv after
+`cslbounds`, with paths relative to the repository root. Refactors must reproduce every golden byte for
+byte, to stdout and through --output.
+
+A golden may change only in a change that re-captures it with the loop in the header of cases.txt. That
+change lists every number that moved with its distance in ulp from the mpmath oracle (tests/test_oracle.py)
+before and after, and no number may move farther from the oracle.
 """
 
 from pathlib import Path
@@ -11,30 +15,22 @@ import pytest
 
 import cslbounds.cli as cli
 
-GOLDEN = Path(__file__).parent / "golden"
-GN_CONFIG = str(GOLDEN / "config_gn05.json")   # {"collapse": {"g_n": 0.5}}
-HULTHEN_PREDICT = ("--config", GN_CONFIG, "--model", "hulthen", "--predict")
-
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+# file name -> argv, from each line of the manifest that is not a comment
 CASES = {
-    "analyze_default.txt": ("analyze",),
-    "analyze_default.csv": ("analyze", "--format", "csv"),
-    "analyze_default.json": ("analyze", "--format", "structured"),
-    "analyze_hulthen_predict.txt": ("analyze", *HULTHEN_PREDICT),
-    "analyze_hulthen_predict.csv": ("analyze", *HULTHEN_PREDICT, "--format", "csv"),
-    "analyze_hulthen_predict.json": ("analyze", *HULTHEN_PREDICT, "--format", "structured"),
-    "scan_default.csv": ("scan",),
-    "scan_default.json": ("scan", "--format", "structured"),
-    "constants.txt": ("constants",),
-    "spectrum_density.csv": ("spectrum", "--quantity", "density"),
-    "spectrum_density_hulthen.csv": ("spectrum", "--quantity", "density", "--model", "hulthen"),
-    "spectrum_rate.json": ("spectrum", "--quantity", "rate", "--config", GN_CONFIG, "--format", "structured"),
-    "spectrum_rate_hulthen.csv": ("spectrum", "--quantity", "rate", "--model", "hulthen", "--config", GN_CONFIG),
+    name: argv
+    for name, *argv in (
+        line.split() for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    )
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden_bytes(capsys, tmp_path, name):
-    code = cli.main(list(CASES[name]))
+def test_output_matches_golden_bytes(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(ROOT)   # where the manifest's paths start
+    code = cli.main(CASES[name])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -1,10 +1,11 @@
-"""An mpmath oracle of the first-order rate law, (lambda / 2 a^2) ((g_n - m_n/m_p) / (1 + m_n/m_p))^2 <r^2>,
-and of each number the package computes from it.
+"""An mpmath oracle of the counts, of the first-order rate law, (lambda / 2 a^2) ((g_n - m_n/m_p) /
+(1 + m_n/m_p))^2 <r^2>, and of each number the package computes from them.
 
 Each number is recomputed at 50 digits from the exact binary values of its float inputs: the config's
 numbers, the constants.py floats, the package's own <r^2> and spectrum densities, and, for the bound, the
-package's count limit. So neither the quadrature's error nor the count algebra's enters a budget; pi is
-exact. Each number must lie within a declared budget of units in the last place (ulp) of the exact value.
+package's count limit. So the quadrature's error enters no budget, and the count algebra's only those of
+the counts and the count limit; pi is exact. Each number must lie within a declared budget of units in the last place
+(ulp) of the exact value. A difference, whose terms can cancel, is measured in ulp of its largest term.
 """
 
 import json
@@ -23,6 +24,8 @@ from cslbounds import (
     deuteron_spectra,
     expected_count,
     mean_square_radius,
+    net_csl_counts,
+    one_sided_upper_limit,
     parse_config,
     run_full_analysis,
     spectrum_densities,
@@ -37,6 +40,16 @@ MP.dps = 50
 # power it enters with, can lie n ulp away; the worst seen, over 2000 documents under each model kind, lies
 # well inside that, and each budget is about 1.5 times it: (worst seen, roundings).
 BUDGETS = {
+    "n_expt.central": 1.6,         # (1.09, 2)
+    "n_expt.err_up": 2.2,          # (1.46, 3)
+    "n_expt.err_down": 2.4,        # (1.59, 3)
+    "n_ssm.central": 0.75,         # (0.50, 1)
+    "n_ssm.err_up": 0.75,          # (0.50, 1)
+    "n_ssm.err_down": 0.75,        # (0.50, 1)
+    "n_csl.central": 2.1,          # (1.42, 4), in ulp of its largest term
+    "n_csl.err_up": 2.4,           # (1.60, 5)
+    "n_csl.err_down": 2.2,         # (1.48, 5)
+    "n_limit": 3.0,                # (2.01, 11), in ulp of its largest term
     "count_coefficient": 4.0,      # (2.4, 10)
     "gn_bound_at_grw": 3.0,        # (1.9, about 10)
     "predicted_csl_counts": 6.0,   # (3.8, about 26)
@@ -45,9 +58,9 @@ BUDGETS = {
 }
 
 
-def ulps(value, exact):
-    """Signed distance of the float value from exact, in ulp of the float nearest exact."""
-    return float((MP.mpf(value) - exact) / MP.mpf(math.ulp(float(exact))))
+def ulps(value, exact, largest=None):
+    """Signed distance of the float value from exact, in ulp of the float nearest exact, or nearest largest."""
+    return float((MP.mpf(value) - exact) / MP.mpf(math.ulp(float(exact if largest is None else largest))))
 
 
 def law(strength, deviation):
@@ -86,6 +99,25 @@ def oracle_ulps(run):
         yield "deuteron_spectra", ulps(rate, law(strength, deviation) * x(density) * x(CM2_PER_FM2))
 
 
+def count_ulps(run):
+    """(quantity, ulp from exact) for each count of the analysis, with both its errors, and the count limit."""
+    e, x = run.experiment, MP.mpf
+    obs, ssm, days = e.observed, e.ssm_rate_per_day, x(e.live_time_days)
+    expt = [x(obs.value), MP.hypot(x(obs.stat_up), x(obs.syst_up)), MP.hypot(x(obs.stat_down), x(obs.syst_down))]
+    expt = [count / x(e.efficiency) for count in expt]
+    ssm = [x(count) * days for count in ssm._values()]
+    # n_ssm enters n_csl negatively, so its error sides swap
+    csl = [expt[0] - ssm[0], MP.hypot(expt[1], ssm[2]), MP.hypot(expt[2], ssm[1])]
+    limit_terms = [expt[0], -ssm[0], x(run.n_sigma) * csl[1]]
+    largest = {"n_csl.central": max(abs(expt[0]), abs(ssm[0]))}   # of each difference
+    n_expt, n_ssm, n_csl = net_csl_counts(e)
+    for name, value, exact in [("n_expt", n_expt, expt), ("n_ssm", n_ssm, ssm), ("n_csl", n_csl, csl)]:
+        for field, got, want in zip(value._fields, value._values(), exact):
+            yield f"{name}.{field}", ulps(got, want, largest.get(f"{name}.{field}"))
+    n_limit = one_sided_upper_limit(n_csl, run.n_sigma)
+    yield "n_limit", ulps(n_limit, MP.fsum(limit_terms), max(map(abs, limit_terms)))
+
+
 def runs_of(doc):
     """The run of doc under each model kind whose model floats can hold."""
     for kind in ModelKind:
@@ -102,3 +134,10 @@ def test_each_number_of_the_rate_law_is_within_its_ulp_budget(doc):
         for name, distance in oracle_ulps(run):
             assert abs(distance) <= BUDGETS[name], (name, distance, run.model.kind)
 
+
+@settings(max_examples=100, deadline=None)
+@given(doc=near_default_documents())
+def test_each_count_and_the_count_limit_are_within_their_ulp_budgets(doc):
+    for run in runs_of(doc):
+        for name, distance in count_ulps(run):
+            assert abs(distance) <= BUDGETS[name], (name, distance)
