@@ -69,6 +69,8 @@ code=${PIPESTATUS[0]}
 [ "$code" -eq 1 ] && [ ! -s pipe.err ] || { echo "closed pipe: exit $code"; cat pipe.err; exit 1; }
 # an output that cannot be written ends the run with exit 1 and one error line, buffered or not
 for unbuffered in "" 1; do
-  code=0; PYTHONUNBUFFERED=$unbuffered cslbounds constants > /dev/full 2> full.err || code=$?
-  [ "$code" -eq 1 ] && [ "$(wc -l < full.err)" -eq 1 ] || { echo "full disk: exit $code"; cat full.err; exit 1; }
+  for argv in constants --help; do
+    code=0; PYTHONUNBUFFERED=$unbuffered cslbounds $argv > /dev/full 2> full.err || code=$?
+    [ "$code" -eq 1 ] && [ "$(wc -l < full.err)" -eq 1 ] || { echo "full disk, $argv: exit $code"; cat full.err; exit 1; }
+  done
 done

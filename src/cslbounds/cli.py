@@ -70,6 +70,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_CONFIG, f"error[usage]: {message}\n")
 
+    def _print_message(self, message, file=None):
+        if file is sys.stdout and message:   # argparse drops a write that fails; main reports one to stdout
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _add_common_options(sub: argparse.ArgumentParser, text_is_csv: bool = False) -> None:
     format_help = "output format (default: text)"
@@ -119,6 +125,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    except BrokenPipeError:
+        raise   # the reader closed stdout early: entrypoint ends the run quietly
+    except OSError as exc:   # help that stdout cannot take
+        sys.stderr.write(f"error[config]: {_cannot_write(None, exc)}\n")
+        return EXIT_CONFIG
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)
         sys.stderr.write("error[usage]: a subcommand is required\n")
@@ -310,16 +321,7 @@ def _cmd_analyze(args) -> int:
     if args.predict and cfg.collapse.g_n is None:
         raise ConfigError("collapse.g_n must be set to use --predict")
     report = run_full_analysis(cfg)
-    predicted = None
-    if args.predict:
-        predicted = expected_count(
-            cfg.collapse,
-            cfg.experiment.live_time_yr,
-            cfg.experiment.fiducial_volume_kilotonne_m3,
-            cfg.experiment.deuteron_density_per_cc,
-            cfg.model,
-        )
-    rows = _report_rows(report, predicted)
+    rows = _report_rows(report, expected_count(cfg) if args.predict else None)
     if args.format == "text":
         _write(args, _report_text(rows))
     elif args.format == "csv":

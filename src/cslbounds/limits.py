@@ -226,15 +226,14 @@ def round_up_one_significant(x: float) -> float:
     return rounded
 
 
-def neutron_coupling_bound(n_limit: float, coefficient: float, live_time_yr: float, volume_kilotonne_m3: float) -> float:
-    """Invert a count limit into |g_n - m_n/m_p| at GRW strength, sqrt(n_limit / (coefficient T V));
+def neutron_coupling_bound(n_limit: float, run: RunConfig) -> float:
+    """Invert a count limit into |g_n - m_n/m_p| at GRW strength over run's exposure, sqrt(n_limit / (coefficient T V));
     ExclusionCurve.scalings takes it to another lambda/a^2."""
+    coefficient = count_coefficient(run)   # its OverflowError is reported before a negative count limit
     if n_limit < 0:
         raise ValueError(f"count limit must be non-negative (got {n_limit!r})")
-    if coefficient <= 0:
-        raise ValueError(f"coefficient must be positive (got {coefficient!r})")
-    if live_time_yr <= 0 or volume_kilotonne_m3 <= 0:
-        raise ValueError("live time and volume must be positive")
+    e = run.experiment
+    live_time_yr, volume_kilotonne_m3 = e.live_time_yr, e.fiducial_volume_kilotonne_m3
     exposure = in_float_range(
         f"exposure of {live_time_yr!r} yr x {volume_kilotonne_m3!r} x 10^3 m^3 at coefficient {coefficient!r}",
         lambda: coefficient * live_time_yr * volume_kilotonne_m3,
@@ -297,26 +296,22 @@ def scan_exclusion(run: RunConfig) -> ExclusionCurve:
     Both bounds scale exactly as sqrt((lambda/a^2)_GRW / ld), so the neutron bound is
     evaluated once, at the GRW strength; the curve scales it to a point when read.
     """
-    e = run.experiment
-    _, _, n_csl = net_csl_counts(e)
+    _, _, n_csl = net_csl_counts(run.experiment)
     n_limit = one_sided_upper_limit(n_csl, run.n_sigma)
-    coefficient = count_coefficient(run.model, e.deuteron_density_per_cc)
     return ExclusionCurve(
         scan=run.scan,
-        gn_bound_at_grw=neutron_coupling_bound(n_limit, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3),
+        gn_bound_at_grw=neutron_coupling_bound(n_limit, run),
         theoretical_floor=theoretical_floor(run.sphere, run.collapse.a_length),
     )
 
 
 def run_full_analysis(run: RunConfig) -> AnalysisReport:
     """Compose the whole pipeline into a report on run at the GRW strength plus its scan."""
-    e, model, n_sigma = run.experiment, run.model, run.n_sigma
-    n_expt, n_ssm, n_csl = net_csl_counts(e)
+    n_sigma = run.n_sigma
+    n_expt, n_ssm, n_csl = net_csl_counts(run.experiment)
     n_limit = one_sided_upper_limit(n_csl, n_sigma)
-    coefficient = count_coefficient(model, e.deuteron_density_per_cc)
-    r2_cm2 = mean_square_radius(model)
-
-    gn = neutron_coupling_bound(n_limit, coefficient, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    r2_cm2 = mean_square_radius(run.model)
+    gn = neutron_coupling_bound(n_limit, run)
 
     # fractional widths relative to the mass-proportional point
     ge_fraction = GE_HALF_WIDTH_AT_GRW / M_E_OVER_M_P

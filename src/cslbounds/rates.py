@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 from .constants import (
     CM2_PER_FM2,
@@ -28,6 +29,9 @@ from .constants import (
     lambda_over_a2,
 )
 from .deuteron import BoundStateModel, mean_square_radius, spectrum_densities
+
+if TYPE_CHECKING:   # limits imports this module
+    from .limits import RunConfig
 
 # 10^3 m^3 expressed in cm^3
 CC_PER_KILOTONNE_M3 = 1e9
@@ -77,37 +81,28 @@ def deuteron_spectra(p: CollapseParams, model: BoundStateModel, ks_per_fm: Itera
     return _finite_rates(p, [prefactor * density * CM2_PER_FM2 for density in spectrum_densities(model, ks_per_fm)])
 
 
-def count_coefficient(model: BoundStateModel, deuteron_density_per_cc: float) -> float:
-    """Counts per unit coupling deviation squared per (yr x 10^3 m^3) at GRW strength."""
-    if not (math.isfinite(deuteron_density_per_cc) and deuteron_density_per_cc > 0):
-        raise ValueError(f"deuteron density must be finite and positive (got {deuteron_density_per_cc!r})")
-    r2_cm2 = mean_square_radius(model)
-    deuterons_per_unit_volume = deuteron_density_per_cc * CC_PER_KILOTONNE_M3
+def count_coefficient(run: RunConfig) -> float:
+    """Counts per unit coupling deviation squared per (yr x 10^3 m^3) at GRW strength, for run's model and density."""
+    r2_cm2 = mean_square_radius(run.model)
+    deuterons_per_unit_volume = run.experiment.deuteron_density_per_cc * CC_PER_KILOTONNE_M3
     return in_float_range(
         f"count coefficient for <r^2> = {r2_cm2!r} cm^2",
         lambda: _rate_law(GRW_LAMBDA_OVER_A2, 1.0) * r2_cm2 * deuterons_per_unit_volume * SECONDS_PER_YEAR,
     )
 
 
-def expected_count(
-    p: CollapseParams,
-    live_time_yr: float,
-    volume_kilotonne_m3: float,
-    deuteron_density_per_cc: float,
-    model: BoundStateModel,
-) -> float:
-    """Expected number of collapse-induced dissociations over a live exposure.
+def expected_count(run: RunConfig) -> float:
+    """Expected number of collapse-induced dissociations over run's live exposure at its collapse parameters.
 
     N = coefficient * (lambda/a^2)/(lambda/a^2)_GRW * (g_n - m_n/m_p)^2 * T * V
     with T in years and V in 10^3 m^3.
     """
-    if live_time_yr <= 0 or volume_kilotonne_m3 <= 0:
-        raise ValueError("live time and volume must be positive")
+    p, e = run.collapse, run.experiment
     g_n = _require_gn(p)
-    coefficient = count_coefficient(model, deuteron_density_per_cc)
+    coefficient = count_coefficient(run)
     strength_ratio = lambda_over_a2(p) / GRW_LAMBDA_OVER_A2
     deviation = g_n - M_N_OVER_M_P
-    expected = coefficient * strength_ratio * deviation * deviation * live_time_yr * volume_kilotonne_m3
+    expected = coefficient * strength_ratio * deviation * deviation * e.live_time_yr * e.fiducial_volume_kilotonne_m3
     if not math.isfinite(expected):   # 0 is a valid count, so not in_float_range
         raise OverflowError(f"expected count at g_n = {g_n!r} overflowed")
     return expected

@@ -56,7 +56,7 @@ MODEL = CFG.model
 
 def test_criterion_01_count_coefficient_window():
     def checks():
-        coeff = count_coefficient(MODEL, CFG.experiment.deuteron_density_per_cc)
+        coeff = count_coefficient(CFG)
         assert 2.3e7 <= coeff <= 2.45e7
 
     _report(1, "first-principles count coefficient in [2.3e7, 2.45e7]", checks)
@@ -163,14 +163,11 @@ def test_criterion_09_property_suite():
         e = CFG.experiment
         _, _, n_csl = net_csl_counts(e)
         n_limit = one_sided_upper_limit(n_csl, 1.0)
-        coeff = count_coefficient(MODEL, e.deuteron_density_per_cc)
-        b_grw = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+        b_grw = neutron_coupling_bound(n_limit, CFG)
         for ld in (1e-10, 1e-6, 2.5):
             b = b_grw * math.sqrt(GRW_LAMBDA_OVER_A2 / ld)
             params = CollapseParams(ld * 1e-10, 1e-5, g_n=ratio + b)
-            pred = expected_count(
-                params, e.live_time_yr, e.fiducial_volume_kilotonne_m3, e.deuteron_density_per_cc, MODEL
-            )
+            pred = expected_count(CFG.replace(collapse=params))
             assert pred == pytest.approx(n_limit, rel=1e-9)
 
         # uncertainty algebra: commutativity and antisymmetry

@@ -251,6 +251,8 @@ def test_text_report_prints_the_structured_values(tmp_path_factory, doc):
     if code != 0:
         return
     data = json.loads(structured)
+    if "predicted_csl_counts" in data:   # the library's count for the same config, bit for bit
+        assert data["predicted_csl_counts"].hex() == expected_count(load_config(str(path))).hex()
     printed, rest = text_numbers(text)
     # every pattern matched once; the predicted count's only with --predict
     assert set(printed) == {number for numbers in TEXT_NUMBERS.values() for number in numbers if number[0][0] in data}
@@ -288,9 +290,7 @@ def test_the_neutron_bound_inverts_to_the_count_limit(tmp_path_factory, doc):
         return
     bound, n_limit = data["bounds"]["gn_bound_at_grw"], data["counts"]["n_limit"]
     cfg = load_config(str(path))
-    e = cfg.experiment
-    collapse = grw_defaults().replace(g_n=M_N_OVER_M_P + bound)
-    predicted = expected_count(collapse, e.live_time_yr, e.fiducial_volume_kilotonne_m3, e.deuteron_density_per_cc, cfg.model)
+    predicted = expected_count(cfg.replace(collapse=grw_defaults().replace(g_n=M_N_OVER_M_P + bound)))
     assert predicted == pytest.approx(n_limit, rel=2**-51 * (M_N_OVER_M_P / bound + 4), abs=0)
 
 
@@ -414,14 +414,10 @@ def test_analyze_predict(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", "--config", path, "--predict", "--format", "structured")
     assert code == 0
     data = json.loads(out)
-    cfg_collapse = CollapseParams(1e-16, 1e-5, g_n=0.5)
-    expected = expected_count(
-        cfg_collapse,
-        254.2 / 365.0,
-        (4 * np.pi / 3) * 5.5**3 / 1e3,
-        (2.0 / 3.0) * 1e23,
-        BoundStateModel(binding_energy_mev=2.224575),
-    )
+    # the rate per deuteron times the deuterons in the fiducial sphere times the live time in seconds
+    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.5), BoundStateModel(binding_energy_mev=2.224575))
+    deuterons = (2.0 / 3.0) * 1e23 * (4 * np.pi / 3) * 550.0**3
+    expected = rate * deuterons * 254.2 * 86400.0
     assert data["predicted_csl_counts"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -1019,7 +1015,7 @@ class FailingStdout(io.StringIO):
 FULL_DISK = f"error[config]: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
-@pytest.mark.parametrize("command", ["scan", "constants"])
+@pytest.mark.parametrize("command", ["scan", "constants", "--help"])
 def test_unwritable_stdout_is_one_config_error(command):
     err = io.StringIO()
     with contextlib.redirect_stdout(FailingStdout(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))):
@@ -1035,11 +1031,18 @@ def test_closed_stdout_is_left_to_the_entrypoint():
             cli.main(["scan"])
 
 
+def test_closed_stdout_during_help_is_left_to_the_entrypoint():
+    with contextlib.redirect_stdout(FailingStdout(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))):
+        with pytest.raises(BrokenPipeError):
+            cli.main(["--help"])
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["scan", "constants"])
+@pytest.mark.parametrize("command", ["scan", "constants", "--help"])
 def test_full_stdout_exits_one_with_one_error_line(command, unbuffered):
-    # buffered, the constants fail only as entrypoint flushes stdout; no write after the first failure reports again
+    # buffered, the constants and the help fail only as entrypoint flushes stdout; no write after the first
+    # failure reports again
     with open("/dev/full", "w") as full:
         result = subprocess.run(
             [sys.executable, "-m", "cslbounds.cli", command],

@@ -394,7 +394,7 @@ def test_readme_library_example_runs(capsys):
     assert printed[0] == f"{run_full_analysis(default_config()).gn_bound_at_grw} 0.008"
     # each printed line shows the numbers of its print's comment, where `...` stands for further digits
     comments = [line.partition("#")[2] for line in code.splitlines() if line.startswith("print(")]
-    assert len(printed) == len(comments) == 3
+    assert len(printed) == len(comments) == 4
     for line, comment in zip(printed, comments):
         numbers = re.findall(r"\d+\.\d+(?:\.\.\.)?(?:e[+-]?\d+)?", comment)
         patterns = [re.escape(number).replace(re.escape("..."), r"\d+") for number in numbers]

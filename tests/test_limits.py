@@ -23,7 +23,6 @@ from cslbounds import (
     RunConfig,
     ScanSpec,
     SphereVisibilityConfig,
-    count_coefficient,
     default_config,
     expected_count,
     net_csl_counts,
@@ -116,61 +115,48 @@ def test_fiducial_volume():
 
 
 def _reference_bound_inputs():
-    e = reference_experiment()
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    _, _, n_csl = net_csl_counts(e)
-    n_limit = one_sided_upper_limit(n_csl, 1.0)
-    coeff = count_coefficient(model, e.deuteron_density_per_cc)
-    return e, model, n_limit, coeff
+    run = reference_run(model=BoundStateModel(binding_energy_mev=EB_DEFAULT))
+    _, _, n_csl = net_csl_counts(run.experiment)
+    return run, one_sided_upper_limit(n_csl, 1.0)
 
 
 def test_neutron_bound_at_grw():
-    e, _, n_limit, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    run, n_limit = _reference_bound_inputs()
+    bound = neutron_coupling_bound(n_limit, run)
     assert 0.0074 <= bound <= 0.0076
     assert round_up_one_significant(bound) == 0.008
 
 
 def test_neutron_bound_zero_limit():
-    e, _, _, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(0.0, coeff, 1.0, 1.0)
+    run, _ = _reference_bound_inputs()
+    bound = neutron_coupling_bound(0.0, run)
     assert bound == 0.0
     assert round_up_one_significant(bound) == 0.0
 
 
 def test_neutron_bound_at_visibility_strength():
-    e, _, n_limit, coeff = _reference_bound_inputs()
-    bound = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    run, n_limit = _reference_bound_inputs()
+    bound = neutron_coupling_bound(n_limit, run)
     assert 0.74 <= bound * math.sqrt(GRW_LAMBDA_OVER_A2 / 1e-10) <= 0.80
 
 
 def test_neutron_bound_validation():
+    run, _ = _reference_bound_inputs()
     with pytest.raises(ValueError):
-        neutron_coupling_bound(-1.0, 1e7, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        neutron_coupling_bound(100.0, 0.0, 1.0, 1.0)
-    for live_time_yr, volume in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)]:
-        with pytest.raises(ValueError, match="^live time and volume must be positive$"):
-            neutron_coupling_bound(100.0, 1e7, live_time_yr, volume)
+        neutron_coupling_bound(-1.0, run)
 
 
 def test_bound_count_round_trip():
     # inverting the bound, scaled from GRW strength, through expected_count must reproduce the count limit
-    e, model, n_limit, coeff = _reference_bound_inputs()
-    at_grw = neutron_coupling_bound(n_limit, coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
+    run, n_limit = _reference_bound_inputs()
+    at_grw = neutron_coupling_bound(n_limit, run)
     rng = np.random.default_rng(3)
     for ld in 10.0 ** rng.uniform(-10, 0.4, size=8):
         b = at_grw * math.sqrt(GRW_LAMBDA_OVER_A2 / float(ld))
         params = CollapseParams(
             lambda_rate=float(ld) * 1e-10, a_length=1e-5, g_n=M_N_OVER_M_P + b
         )
-        pred = expected_count(
-            params,
-            e.live_time_yr,
-            e.fiducial_volume_kilotonne_m3,
-            e.deuteron_density_per_cc,
-            model,
-        )
+        pred = expected_count(run.replace(collapse=params))
         assert pred == pytest.approx(n_limit, rel=1e-9)
 
 
@@ -440,13 +426,12 @@ def test_scan_exclusion_matches_pointwise_bounds():
     e = reference_experiment()
     model = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT)
     scan = ScanSpec(points=1001)
-    curve = scan_exclusion(reference_run(scan=scan, model=model, n_sigma=2.0))
+    run = reference_run(scan=scan, model=model, n_sigma=2.0)
+    curve = scan_exclusion(run)
     _, _, n_csl = net_csl_counts(e)
     n_limit = one_sided_upper_limit(n_csl, 2.0)
-    coeff = count_coefficient(model, e.deuteron_density_per_cc)
-    exposure = (coeff, e.live_time_yr, e.fiducial_volume_kilotonne_m3)
     assert curve.lambda_over_a2 == tuple(scan.grid())
-    at_grw = neutron_coupling_bound(n_limit, *exposure)
+    at_grw = neutron_coupling_bound(n_limit, run)
     assert curve.gn_bound_at_grw == at_grw
     for x, gn, ge in zip(*columns(curve)):
         assert gn == at_grw * math.sqrt(GRW_LAMBDA_OVER_A2 / x)

@@ -77,7 +77,7 @@ def oracle_ulps(run):
     coefficient = law(x(GRW_LAMBDA_OVER_A2), 1) * x(r2_cm2) * deuterons_per_unit_volume * x(SECONDS_PER_YEAR)
     live_time_yr = x(e.live_time_days) / x(DAYS_PER_YEAR)
     volume = 4 * MP.pi / 3 * x(e.fiducial_radius_m) ** 3 / 1000
-    yield "count_coefficient", ulps(count_coefficient(model, e.deuteron_density_per_cc), coefficient)
+    yield "count_coefficient", ulps(count_coefficient(run), coefficient)
     try:
         report = run_full_analysis(run)
     except ValueError:   # a downward fluctuation, or a floor above the ceiling: no bound to check
@@ -89,8 +89,7 @@ def oracle_ulps(run):
         return
     strength = x(collapse.lambda_rate) / x(collapse.a_length) ** 2
     deviation = x(collapse.g_n) - x(M_N_OVER_M_P)
-    exposure = (e.live_time_yr, e.fiducial_volume_kilotonne_m3)
-    predicted = expected_count(collapse, *exposure, e.deuteron_density_per_cc, model)
+    predicted = expected_count(run)
     exact = coefficient * strength / x(GRW_LAMBDA_OVER_A2) * deviation**2 * live_time_yr * volume
     yield "predicted_csl_counts", ulps(predicted, exact)
     yield "deuteron_rate", ulps(deuteron_rate(collapse, model), law(strength, deviation) * x(r2_cm2))

@@ -8,6 +8,7 @@ from cslbounds import (
     BoundStateModel,
     CollapseParams,
     count_coefficient,
+    default_config,
     deuteron_rate,
     deuteron_spectra,
     expected_count,
@@ -22,6 +23,15 @@ PAPER_DENSITY = (2.0 / 3.0) * 1e23
 
 def _grw(g_n):
     return CollapseParams(lambda_rate=1e-16, a_length=1e-5, g_n=g_n)
+
+
+# the reference run, its deuteron density PAPER_DENSITY and its model at EB_DEFAULT
+REFERENCE = default_config().replace(model=BoundStateModel(binding_energy_mev=EB_DEFAULT))
+
+
+def _run(g_n=None, model=REFERENCE.model, **experiment):
+    """The reference run at GRW strength and g_n, with model and the experiment's fields changed."""
+    return REFERENCE.replace(collapse=_grw(g_n), experiment=REFERENCE.experiment.replace(**experiment), model=model)
 
 
 def _model_with_r2(r2_cm2):
@@ -131,71 +141,58 @@ def test_spectrum_vanishes_at_zero_k_and_mass_proportional_point():
 
 def test_count_coefficient_against_quoted_value():
     # with the (3e-13 cm)^2 reference <r^2> the coefficient reproduces 2.4e7
-    model = _model_with_r2(9e-26)
-    coeff = count_coefficient(model, PAPER_DENSITY)
+    coeff = count_coefficient(_run(model=_model_with_r2(9e-26)))
     assert coeff == pytest.approx(2.4e7, rel=0.03)
 
 
 def test_count_coefficient_default_model_window():
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    coeff = count_coefficient(model, PAPER_DENSITY)
+    coeff = count_coefficient(_run())
     assert 2.3e7 <= coeff <= 2.45e7
 
 
 def test_expected_count_reference_exposure():
     # T = 0.70 yr, V = 0.697 (10^3 m^3) turns the coefficient into ~1.2e7 per
     # unit coupling deviation squared
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    pred = expected_count(_grw(M_N_OVER_M_P + 1.0), 0.70, 0.697, PAPER_DENSITY, model)
-    assert pred == pytest.approx(1.2e7, rel=0.03)
+    run = _run(M_N_OVER_M_P + 1.0, live_time_days=0.70 * 365.0)
+    assert run.experiment.fiducial_volume_kilotonne_m3 == pytest.approx(0.697, abs=1e-3)
+    assert expected_count(run) == pytest.approx(1.2e7, rel=0.03)
 
 
 def test_expected_count_zero_at_mass_proportional():
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    pred = expected_count(_grw(M_N_OVER_M_P), 1.0, 1.0, PAPER_DENSITY, model)
-    assert pred == 0.0
-    assert count_coefficient(model, PAPER_DENSITY) > 0
+    run = _run(M_N_OVER_M_P)
+    assert expected_count(run) == 0.0
+    assert count_coefficient(run) > 0
 
 
 def test_expected_count_homogeneity():
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     ratio = M_N_OVER_M_P
-    base = expected_count(_grw(ratio + 0.5), 1.0, 1.0, PAPER_DENSITY, model)
+    days, radius = REFERENCE.experiment.live_time_days, REFERENCE.experiment.fiducial_radius_m
+    base = expected_count(_run(ratio + 0.5))
 
-    # doubling each extensive input doubles the count exactly
-    assert expected_count(_grw(ratio + 0.5), 2.0, 1.0, PAPER_DENSITY, model) == 2 * base
-    assert expected_count(_grw(ratio + 0.5), 1.0, 2.0, PAPER_DENSITY, model) == 2 * base
-    assert expected_count(_grw(ratio + 0.5), 1.0, 1.0, 2 * PAPER_DENSITY, model) == 2 * base
-    doubled_strength = CollapseParams(2e-16, 1e-5, g_n=ratio + 0.5)
-    assert expected_count(doubled_strength, 1.0, 1.0, PAPER_DENSITY, model) == 2 * base
+    # doubling the live time doubles T, doubling the radius multiplies V by 8, and doubling
+    # the density doubles the coefficient; the count follows each exactly
+    assert expected_count(_run(ratio + 0.5, live_time_days=2 * days)) == 2 * base
+    assert expected_count(_run(ratio + 0.5, fiducial_radius_m=2 * radius)) == 8 * base
+    assert expected_count(_run(ratio + 0.5, deuteron_density_per_cc=2 * PAPER_DENSITY)) == 2 * base
+    doubled_strength = REFERENCE.replace(collapse=CollapseParams(2e-16, 1e-5, g_n=ratio + 0.5))
+    assert expected_count(doubled_strength) == 2 * base
     # quadratic in the coupling deviation
-    assert expected_count(_grw(ratio + 1.0), 1.0, 1.0, PAPER_DENSITY, model) == 4 * base
+    assert expected_count(_run(ratio + 1.0)) == 4 * base
 
     rng = np.random.default_rng(5)
     for _ in range(10):
         t, v, c = rng.uniform(0.2, 4.0, size=3)
-        scaled = expected_count(_grw(ratio + 0.5), t, v, c * PAPER_DENSITY, model)
-        assert scaled == pytest.approx(base * t * v * c, rel=1e-12)
+        run = _run(ratio + 0.5, live_time_days=t * days, fiducial_radius_m=radius * v ** (1 / 3),
+                   deuteron_density_per_cc=c * PAPER_DENSITY)
+        assert expected_count(run) == pytest.approx(base * t * v * c, rel=1e-12)
 
 
 def test_expected_count_validates_inputs():
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     with pytest.raises(ValueError):
-        expected_count(_grw(0.0), 0.0, 1.0, PAPER_DENSITY, model)
-    with pytest.raises(ValueError):
-        expected_count(_grw(0.0), 1.0, -1.0, PAPER_DENSITY, model)
-    with pytest.raises(ValueError):
-        expected_count(grw_defaults(), 1.0, 1.0, PAPER_DENSITY, model)
+        expected_count(REFERENCE.replace(collapse=grw_defaults()))
 
 
 def test_expected_count_overflow_is_named():
     # the deviation squared overflows where lambda/a^2 and the coefficient are finite
-    model = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     with pytest.raises(OverflowError, match=r"^expected count at g_n = 1e\+200 overflowed$"):
-        expected_count(_grw(1e200), 1.0, 1.0, PAPER_DENSITY, model)
-
-
-@pytest.mark.parametrize("density", [math.nan, math.inf, 0.0])
-def test_count_coefficient_rejects_non_finite_density(density):
-    with pytest.raises(ValueError, match="deuteron density must be finite and positive"):
-        count_coefficient(BoundStateModel(binding_energy_mev=EB_DEFAULT), density)
+        expected_count(_run(1e200))
