@@ -16,11 +16,14 @@ grep '^[^#]' tests/golden/cases.txt | while read -r name argv; do
   cmp "$RUNNER_TEMP/$name" "tests/golden/$name"
 done
 
-# exit codes: a config value outside its declared domain exits 1; a computed value outside its domain exits 2
+# exit codes: a config value outside its declared domain exits 1; a computed value outside its domain exits 2;
+# a failure writes one line to stderr, `error[<class>]: ...`, where a traceback would exit 1 too
 expect() {
   want=$1; shift
-  code=0; "$@" > /dev/null || code=$?
-  [ "$code" -eq "$want" ] || { echo "exit $code, expected $want: $*"; exit 1; }
+  code=0; "$@" > /dev/null 2> expect.err || code=$?
+  [ "$code" -eq "$want" ] || { echo "exit $code, expected $want: $*"; cat expect.err; exit 1; }
+  [ "$want" -eq 0 ] || { [ "$(wc -l < expect.err)" -eq 1 ] && grep -q '^error\[' expect.err; } ||
+    { echo "not one error line: $*"; cat expect.err; exit 1; }
 }
 cd "$RUNNER_TEMP"
 echo '{"n_sigma": -1}' > n_sigma.json
@@ -38,11 +41,14 @@ echo '{"scan": {"points": 15000}}' > big.json
 echo '{"scan": {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": false}}' > repeat.json
 echo '{"model": {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}}' > model.json
 echo '{"model": {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}, "n_sigma": -1}' > model_n_sigma.json
+{ printf '{"sphere": '; head -c 100000 /dev/zero | tr '\0' '['; head -c 100000 /dev/zero | tr '\0' ']'; echo '}'; } > deep.json
 expect 1 cslbounds analyze --config n_sigma.json
 # the three ways a key is read: a flag, a model kind, a nested object's keys
 expect 1 cslbounds analyze --config log_spacing.json
 expect 1 cslbounds analyze --config kind.json
 expect 1 cslbounds analyze --config bogus.json
+# a document json refuses: nested past the recursion limit
+expect 1 cslbounds analyze --config deep.json
 # a key given twice, whose first value is out of its domain
 expect 1 cslbounds analyze --config twice.json
 # a scan whose grid repeats a point, the one input error found after the config parses

@@ -71,8 +71,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error[usage]: {message}\n")
 
     def _print_message(self, message, file=None):
-        if file is sys.stdout and message:   # argparse drops a write that fails; main reports one to stdout
-            file.write(message)
+        if file is sys.stdout:   # argparse drops a write that fails; help goes out as any output does
+            _write(None, [message])
         else:
             super()._print_message(message, file)
 
@@ -123,19 +123,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    except BrokenPipeError:
-        raise   # the reader closed stdout early: entrypoint ends the run quietly
-    except OSError as exc:   # help that stdout cannot take
-        sys.stderr.write(f"error[config]: {_cannot_write(None, exc)}\n")
-        return EXIT_CONFIG
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("error[usage]: a subcommand is required\n")
-        return EXIT_CONFIG
-    try:
+        if getattr(args, "handler", None) is None:
+            parser.print_usage(sys.stderr)
+            sys.stderr.write("error[usage]: a subcommand is required\n")
+            return EXIT_CONFIG
         return args.handler(args)
+    except SystemExit as exc:   # a usage error, or the help printed
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     # inputs were checked as config, so a record's ConstraintError is on a computed value
     except (QuadratureError, OverflowError, ConstraintError) as exc:
         sys.stderr.write(f"error[numeric]: {exc}\n")
@@ -172,13 +166,12 @@ def _load(args) -> RunConfig:
     return load_config(args.config, changes)
 
 
-def _write(args, pieces: Iterable[str]) -> None:
-    """The one output path: pieces go to stdout or the --output file, _BATCH per write, so
+def _write(path: str | None, pieces: Iterable[str]) -> None:
+    """The one output path: pieces go to stdout, or the file at path, _BATCH per write, so
     memory does not grow with the output. The first batch is drawn before the file is
     opened, so a writer that fails before its first piece creates no file."""
     pieces = iter(pieces)
     batch = list(islice(pieces, _BATCH))
-    path = args.output
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
             while batch:
@@ -323,11 +316,11 @@ def _cmd_analyze(args) -> int:
     report = run_full_analysis(cfg)
     rows = _report_rows(report, expected_count(cfg) if args.predict else None)
     if args.format == "text":
-        _write(args, _report_text(rows))
+        _write(args.output, _report_text(rows))
     elif args.format == "csv":
-        _write(args, _csv(["quantity", "central", "err_up", "err_down"], _report_csv_rows(rows)))
+        _write(args.output, _csv(["quantity", "central", "err_up", "err_down"], _report_csv_rows(rows)))
     else:
-        _write(args, _json(_report_structured(rows), report.curve))
+        _write(args.output, _json(_report_structured(rows), report.curve))
     return EXIT_OK
 
 
@@ -335,10 +328,10 @@ def _cmd_scan(args) -> int:
     curve = scan_exclusion(_load(args))
     block = _curve_block(curve)
     if args.format == "structured":
-        _write(args, _json(block, curve))
+        _write(args.output, _json(block, curve))
         return EXIT_OK
     comments = "".join(f"# {name}_per_s_cm2 = {value!r}\n" for name, value in block.items() if isinstance(value, float))
-    _write(args, _curve_csv(curve, comments))
+    _write(args.output, _curve_csv(curve, comments))
     return EXIT_OK
 
 
@@ -356,9 +349,9 @@ def _cmd_spectrum(args) -> int:
     rows = list(zip(ks, values))
     header = ["k_per_fm", column]
     if args.format == "structured":
-        _write(args, _json({"columns": header, "rows": rows}))
+        _write(args.output, _json({"columns": header, "rows": rows}))
     else:
-        _write(args, _csv(header, rows))
+        _write(args.output, _csv(header, rows))
     return EXIT_OK
 
 
@@ -377,7 +370,7 @@ def _cmd_constants(args) -> int:
         f"  seconds_per_day  = {_fmt(SECONDS_PER_DAY)} s",
         f"  seconds_per_year = {_fmt(SECONDS_PER_YEAR)} s",
     ]
-    _write(args, (line + "\n" for line in lines))
+    _write(args.output, (line + "\n" for line in lines))
     return EXIT_OK
 
 

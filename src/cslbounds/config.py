@@ -23,7 +23,7 @@ from typing import Any
 
 from .deuteron import ModelKind
 from .limits import RunConfig
-from .records import Constraint, Record
+from .records import ConstraintError, Record
 
 
 class ConfigError(ValueError):
@@ -65,16 +65,6 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _read(check: Constraint, raw: Any, where: str) -> Any:
-    """The value raw gives a field that declares check, a value it refuses reported under where."""
-    try:
-        return check.read(raw)
-    except (TypeError, OverflowError) as exc:   # of another kind, or an integer beyond the float range
-        raise ConfigError(f"{where}: expected {exc} (got {raw!r})") from None
-    except ValueError as exc:
-        raise ConfigError(f"{where}: must be {exc} (got {raw!r})") from None
-
-
 def _update(default: Record, nodes: list, where: str) -> Record:
     """default with the keys each of nodes sets changed, a later node's value over an earlier's,
     each checked in turn; absent keys keep default's values. Each record is built once, from
@@ -95,8 +85,11 @@ def _update(default: Record, nodes: list, where: str) -> Record:
         if not given:
             continue
         if name in default._checks:
-            for raw in given:   # each checked, the last kept
-                changes[name] = _read(default._checks[name], raw, _join(where, key))
+            try:
+                for raw in given:   # each checked, the last kept
+                    changes[name] = default._checks[name].read(raw)
+            except ConstraintError as exc:
+                raise ConfigError(f"{_join(where, key)}: {exc}") from None
         else:
             changes[name] = _update(getattr(default, name), given, _join(where, key))
     try:
@@ -127,6 +120,8 @@ def parse_config(document: str | bytes, changes: dict | None = None) -> RunConfi
         root = json.loads(document, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:   # an integer past the digit limit, nesting past the recursion limit
+        raise ConfigError(f"invalid JSON: {exc}") from None
     return _update(default_config(), [root, changes or {}], "")
 
 

@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 
 class ConstraintError(ValueError):
-    """A record field given a value outside the domain its record declares."""
+    """A value outside the domain a record field declares, worded by its Constraint; a record prefixes the field's name."""
 
 
 REQUIRED = object()   # the default of a field that has none
@@ -36,8 +36,8 @@ class Constraint:
         self.kind, self.convert, self.phrase, self.holds, self.default = kind, convert, phrase, holds, default
 
     def read(self, value: object) -> Any:
-        """value as the field holds it, or a TypeError for a value of another kind, an OverflowError for
-        an integer beyond the float range, a ValueError outside the domain, each naming what it expects."""
+        """value as the field holds it, or a ConstraintError that says what the field expects: a value
+        of another kind, an integer beyond the float range or a value outside the domain."""
         if value is None and self.default is None:
             return None
         try:
@@ -45,12 +45,12 @@ class Constraint:
             if self.holds(held):
                 return held
         except TypeError:
-            raise TypeError(self.kind) from None
+            raise ConstraintError(f"expected {self.kind} (got {value!r})") from None
         except OverflowError:   # an integer beyond the largest float
-            raise OverflowError(f"{self.kind} within the float range") from None
+            raise ConstraintError(f"expected {self.kind} within the float range (got {value!r})") from None
         except ValueError:   # a value that names no member of an enumeration is outside the domain too
             pass
-        raise ValueError(self.phrase)
+        raise ConstraintError(f"must be {self.phrase} (got {value!r})")
 
 
 def _as(kind: type, value: object) -> object:
@@ -115,8 +115,8 @@ class Record:
         for name, check in self._checks.items():
             try:
                 values[name] = check.read(values[name])
-            except (TypeError, OverflowError, ValueError) as exc:
-                raise ConstraintError(f"{name} must be {exc} (got {values[name]!r})") from None
+            except ConstraintError as exc:
+                raise ConstraintError(f"{name}: {exc}") from None
         self.__dict__.update((name, values[name]) for name in names)
         self.__post_init__()
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import errno
@@ -16,6 +15,7 @@ import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,6 +623,28 @@ def test_integer_beyond_float_range_is_config_error(capsys, tmp_path):
     assert err.startswith("error[config]: n_sigma: expected a number within the float range (got 1000")
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: integers have no digit limit
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"sphere": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        pytest.param(
+            '{"n_sigma": 1' + "0" * DIGIT_LIMIT + "}",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="integers have no digit limit"),
+        ),
+    ],
+    ids=["nested-past-recursion-limit", "integer-past-digit-limit"],
+)
+def test_a_document_json_refuses_is_one_config_error(capsys, tmp_path, document):
+    path = tmp_path / "config.json"
+    path.write_text(document)
+    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error[config]: invalid JSON: ") and err.count("\n") == 1
+
+
 def test_infinite_config_value_stays_config_error(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"experiment": {"observed": {"value": Infinity}}}')
@@ -933,14 +955,23 @@ def test_write_memory_does_not_grow_with_output(fmt):
     else:
         pieces = functools.partial(cli._json, cli._curve_block(curve), curve)
     size = len("".join(pieces()).encode())
-    args = argparse.Namespace(output=os.devnull)
     tracemalloc.start()
     try:
-        cli._write(args, pieces())
+        cli._write(os.devnull, pieces())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * size
+
+
+@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+def test_pieces_reach_the_stream_512_per_write(count):
+    writes = []
+    pieces = [f"{i}\n" for i in range(count)]
+    with contextlib.redirect_stdout(SimpleNamespace(write=writes.append)):
+        cli._write(None, iter(pieces))
+    assert len(writes) == math.ceil(count / 512)
+    assert "".join(writes) == "".join(pieces)
 
 
 def record_fields(record):

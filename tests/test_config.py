@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,19 @@ def test_syntax_error_reports_line_and_column():
     assert "column" in message
 
 
+def test_a_document_nested_past_the_recursion_limit_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^invalid JSON: \S") as err:
+        parse_config('{"sphere": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="integers have no digit limit")
+def test_an_integer_past_the_digit_limit_is_a_config_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ConfigError, match="^" + re.escape(f"invalid JSON: Exceeds the limit ({limit} digits)")):
+        parse_config('{"n_sigma": 1' + "0" * limit + "}")
+
+
 def test_type_errors_rejected():
     with pytest.raises(ConfigError, match="expected a number"):
         parse_config('{"experiment":{"efficiency":"high"}}')
@@ -173,7 +187,7 @@ def test_declared_domain_is_checked_by_record_and_config(where, record, attr, he
     check = type(record)._checks.get(attr)
     assert check is not None, f"{where} has no declared domain"
     for bad in VIOLATING[check.phrase]:
-        with pytest.raises(ConstraintError, match=re.escape(f"{attr} must be {check.phrase} (got {bad!r})")):
+        with pytest.raises(ConstraintError, match=re.escape(f"{attr}: must be {check.phrase} (got {bad!r})")):
             record.replace(**{attr: bad})
         with pytest.raises(ConfigError, match=re.escape(f"{where}: must be {check.phrase} (got {bad!r})")):
             parse_config(json.dumps(nested(where, bad)))
@@ -185,7 +199,7 @@ def test_a_value_of_another_kind_is_refused_by_record_and_config(where, record, 
     for bad in WRONG_KIND[check.kind]:
         if bad is None and check.default is None:
             continue   # None is the value of an unset coupling
-        with pytest.raises(ConstraintError, match=re.escape(f"{attr} must be {check.kind} (got {bad!r})")):
+        with pytest.raises(ConstraintError, match=re.escape(f"{attr}: expected {check.kind} (got {bad!r})")):
             record.replace(**{attr: bad})
         with pytest.raises(ConfigError, match=re.escape(f"{where}: expected {check.kind} (got {bad!r})")):
             parse_config(json.dumps(nested(where, bad)))
@@ -198,6 +212,23 @@ def test_integer_beyond_float_range_is_config_error(where, sign):
     raw = sign * 10**400
     with pytest.raises(ConfigError, match=re.escape(f"{where}: expected a number within the float range (got {raw!r})")):
         parse_config(json.dumps(nested(where, raw)))
+
+
+@pytest.mark.parametrize("where, record, attr, held", DECLARED, ids=[w for w, _, _, _ in DECLARED])
+def test_record_and_config_word_a_refused_value_alike(where, record, attr, held):
+    # one Constraint words the refusal; the record prefixes the field's name, the config the key's path
+    check = type(record)._checks[attr]
+    beyond_float_range = [10**400, -(10**400)] if check.kind == "a number" else []
+    for bad in [*VIOLATING[check.phrase], *WRONG_KIND[check.kind], *beyond_float_range]:
+        if bad is None and check.default is None:
+            continue
+        with pytest.raises(ConstraintError) as by_record:
+            record.replace(**{attr: bad})
+        with pytest.raises(ConfigError) as by_config:
+            parse_config(json.dumps(nested(where, bad)))
+        record_says, config_says = str(by_record.value), str(by_config.value)
+        assert record_says.startswith(f"{attr}: ") and config_says.startswith(f"{where}: ")
+        assert record_says[len(attr) + 2 :] == config_says[len(where) + 2 :]
 
 
 def test_every_record_that_declares_a_domain_is_walked():

@@ -148,7 +148,7 @@ def test_hulthen_vanishes_at_origin_and_positive():
 
 def test_hulthen_rejects_beta_at_or_below_kappa():
     for ratio in (1.0, 0.5):
-        with pytest.raises(ConstraintError, match=re.escape(f"beta_over_kappa must be greater than 1 (got {ratio!r})")):
+        with pytest.raises(ConstraintError, match=re.escape(f"beta_over_kappa: must be greater than 1 (got {ratio!r})")):
             BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, beta_over_kappa=ratio)
 
 
@@ -171,7 +171,7 @@ def test_hulthen_norm_outside_float_range_is_overflow(eb, beta_over_kappa):
 def test_model_rejects_non_finite_kappa(kappa):
     # kappa is derived; the binding energy E_B = (hbar c kappa)^2 / (2 mu) that would give it is refused
     eb = (kappa * HBAR_C_MEV_FM) ** 2 / (2.0 * REDUCED_MASS_NP_MEV)
-    with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev must be positive (got {eb!r})")):
+    with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev: must be positive (got {eb!r})")):
         BoundStateModel(binding_energy_mev=eb)
 
 
@@ -186,9 +186,9 @@ def test_kappa_outside_float_range_is_overflow(eb):
 
 @pytest.mark.parametrize("eb", ["abc", -1, math.nan])
 def test_binding_energy_outside_its_domain_is_constraint_error(eb):
-    phrase = "a number" if isinstance(eb, str) else "positive"
+    refusal = "expected a number" if isinstance(eb, str) else "must be positive"
     for kind in ModelKind:
-        with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev must be {phrase} (got {eb!r})")):
+        with pytest.raises(ConstraintError, match=re.escape(f"binding_energy_mev: {refusal} (got {eb!r})")):
             BoundStateModel(kind, eb)
 
 
@@ -232,7 +232,7 @@ def test_derived_values_are_the_closed_forms_bit_for_bit(eb, ratio):
 def test_hulthen_model_rejects_non_finite_beta(beta):
     # beta is derived as beta/kappa times kappa, so it is non-finite only where beta/kappa is or
     # where the product overflows, which test_hulthen_norm_outside_float_range_is_overflow covers
-    with pytest.raises(ConstraintError, match=re.escape(f"beta_over_kappa must be greater than 1 (got {beta!r})")):
+    with pytest.raises(ConstraintError, match=re.escape(f"beta_over_kappa: must be greater than 1 (got {beta!r})")):
         BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, beta)
 
 
@@ -245,7 +245,7 @@ def test_spectrum_density_rejects_nan():
 def test_non_positive_binding_energy_rejected():
     for eb in (0.0, -2.2):
         for kind in ModelKind:
-            with pytest.raises(ConstraintError, match="binding_energy_mev must be positive"):
+            with pytest.raises(ConstraintError, match="binding_energy_mev: must be positive"):
                 BoundStateModel(kind, eb)
 
 

@@ -320,9 +320,9 @@ def test_scan_spec_validation():
     with pytest.raises(ValueError):
         ScanSpec(points=1)
     for lo, hi, message in (
-        (1.0, math.inf, "hi must be positive (got inf)"),
-        (math.nan, 1.0, "lo must be positive (got nan)"),
-        (1.0, math.nan, "hi must be positive (got nan)"),
+        (1.0, math.inf, "hi: must be positive (got inf)"),
+        (math.nan, 1.0, "lo: must be positive (got nan)"),
+        (1.0, math.nan, "hi: must be positive (got nan)"),
     ):
         with pytest.raises(ConstraintError, match=re.escape(message)):
             ScanSpec(lo=lo, hi=hi)
@@ -332,7 +332,7 @@ def test_scan_spec_validation():
 
 def test_scan_spec_rejects_fractional_points():
     for points in (2.5, 201.0, math.nan):
-        with pytest.raises(ConstraintError, match=re.escape(f"points must be an integer (got {points!r})")):
+        with pytest.raises(ConstraintError, match=re.escape(f"points: expected an integer (got {points!r})")):
             ScanSpec(points=points)
     assert ScanSpec(points=np.int64(5)).grid() == ScanSpec(points=5).grid()
 

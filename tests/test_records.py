@@ -179,11 +179,11 @@ def test_declared_domains_are_checked_before_post_init():
     assert Probe._fields == ("count", "weight", "scale")
     assert Probe._defaults == {"count": 2, "weight": None}
     for kwargs, message in [
-        ({"scale": "x"}, "scale must be a number (got 'x')"),
-        ({"scale": None}, "scale must be a number (got None)"),
-        ({"scale": 1.0, "count": 2.0}, "count must be an integer (got 2.0)"),
-        ({"scale": 1.0, "count": 1}, "count must be at least 2 (got 1)"),
-        ({"scale": 1.0, "weight": -1.0}, "weight must be non-negative (got -1.0)"),
+        ({"scale": "x"}, "scale: expected a number (got 'x')"),
+        ({"scale": None}, "scale: expected a number (got None)"),
+        ({"scale": 1.0, "count": 2.0}, "count: expected an integer (got 2.0)"),
+        ({"scale": 1.0, "count": 1}, "count: must be at least 2 (got 1)"),
+        ({"scale": 1.0, "weight": -1.0}, "weight: must be non-negative (got -1.0)"),
     ]:
         with pytest.raises(ConstraintError, match=re.escape(message)):
             Probe(**kwargs)
@@ -195,11 +195,11 @@ def test_a_field_holds_its_value_as_read():
     # an int or a numpy scalar given a float field is the float it equals; what operator.index takes is an int
     spec = ScanSpec(lo=1, hi=np.float32(2.5), points=np.int64(5))
     assert spec == ScanSpec(1.0, 2.5, 5) and [type(v) for v in values(spec)] == [float, float, int, bool]
-    with pytest.raises(ConstraintError, match=re.escape("lo must be a number within the float range (got 1000")):
+    with pytest.raises(ConstraintError, match=re.escape("lo: expected a number within the float range (got 1000")):
         ScanSpec(lo=10**400)
     # a numpy bool is refused as a Python bool is, though float() takes it
     for value in (True, np.True_):
-        with pytest.raises(ConstraintError, match=re.escape(f"lo must be a number (got {value!r})")):
+        with pytest.raises(ConstraintError, match=re.escape(f"lo: expected a number (got {value!r})")):
             ScanSpec(lo=value)
 
 
