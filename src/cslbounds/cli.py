@@ -173,18 +173,18 @@ def _write(path: str | None, pieces: Iterable[str]) -> None:
     pieces = iter(pieces)
     batch = list(islice(pieces, _BATCH))
     try:
-        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as out:
             while batch:
                 out.write("".join(batch))
                 batch = list(islice(pieces, _BATCH))
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError) and not path:
+        if isinstance(exc, BrokenPipeError) and path is None:
             raise   # the reader closed stdout early: entrypoint ends the run quietly
         raise ConfigError(_cannot_write(path, exc)) from None
 
 
 def _cannot_write(path: str | None, exc: OSError) -> str:
-    return f"cannot write {f'output file {path!r}' if path else 'standard output'}: {exc.strerror}"
+    return f"cannot write {f'output file {path!r}' if path is not None else 'standard output'}: {exc.strerror}"
 
 
 def _json(data: dict, curve: ExclusionCurve | None = None) -> Iterator[str]:

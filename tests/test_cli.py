@@ -19,8 +19,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from test_config import physical_configs
 from test_golden import CASES as GOLDEN_CASES, GOLDEN, ROOT
 
 import cslbounds.cli as cli
@@ -33,7 +34,6 @@ from cslbounds import (
     ModelKind,
     QuadratureError,
     ScanSpec,
-    config_to_dict,
     default_config,
     default_k_grid,
     deuteron_rate,
@@ -104,24 +104,9 @@ def test_analyze_csv_format(capsys):
     assert "n_csl" in names and "gn_bound_at_grw" in names
 
 
-@st.composite
-def near_default_documents(draw):
-    """The default config with about half its numbers moved by a factor 10^U(-s, s), s 0.5 or 2,
-    a drawn model kind, g_n set or not, and the scan cut to at most 40 points."""
-
-    def move(node):
-        if isinstance(node, dict):
-            return {key: move(value) for key, value in node.items()}
-        if isinstance(node, float) and draw(st.booleans()):
-            s = draw(st.sampled_from([0.5, 2.0]))
-            return node * 10.0 ** draw(st.floats(-s, s))
-        return node
-
-    doc = move(config_to_dict(default_config()))
-    doc["scan"]["points"] = draw(st.integers(2, 40))
-    doc["model"]["kind"] = draw(st.sampled_from([kind.value for kind in ModelKind]))
-    doc["collapse"]["g_n"] = draw(st.none() | st.floats(0.0, 3.0))
-    return doc
+def near_default_documents():
+    """physical_configs nearer the defaults: s 0.5 or 2, no observed count scaled, and at most 40 scan points."""
+    return physical_configs(scales=(0.5, 2.0), scaled_counts=0.0, max_points=40)
 
 
 def structured_numbers(data):
@@ -421,21 +406,6 @@ def test_analyze_predict(capsys, tmp_path):
     assert data["predicted_csl_counts"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_analyze_predict_requires_gn(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--predict")
-    assert code == 1
-    assert "error[config]" in err and "g_n" in err
-
-
-def test_analyze_predict_reports_a_missing_gn_before_the_analysis_fails(capsys, tmp_path):
-    # this model's <r^2> underflows to 0, so the analysis exits 2; the missing g_n is an input error and comes first
-    path = write_config(tmp_path, {"model": {"binding_energy_mev": 1e300}})
-    assert run_cli(capsys, "analyze", "--config", path)[0] == 2
-    code, out, err = run_cli(capsys, "analyze", "--predict", "--config", path)
-    assert (code, out) == (1, "")
-    assert err == "error[config]: collapse.g_n must be set to use --predict\n"
-
-
 def test_analyze_nsigma_override(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--nsigma", "0", "--format", "structured")
     assert code == 0
@@ -474,13 +444,6 @@ def test_scan_output_file(capsys, tmp_path):
     assert target.read_text().startswith("#")
 
 
-def test_scan_invalid_range_exits_nonzero(capsys, tmp_path):
-    path = write_config(tmp_path, {"scan": {"min": 2.0, "max": 1.0}})
-    code, _, err = run_cli(capsys, "scan", "--config", path)
-    assert code == 1
-    assert err.startswith("error[config]:")
-
-
 def test_spectrum_rate_matches_total(capsys, tmp_path):
     path = write_config(tmp_path, {"collapse": {"g_n": 0}})
     code, out, _ = run_cli(capsys, "spectrum", "--config", path)
@@ -510,12 +473,6 @@ def test_spectrum_density_quantity_needs_no_coupling(capsys):
     _, header, rows = parse_csv(out)
     assert header == ["k_per_fm", "density_fm3"]
     assert len(rows) == 200
-
-
-def test_spectrum_rate_without_gn_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "spectrum")
-    assert code == 1
-    assert "error[config]" in err
 
 
 def test_spectrum_structured(capsys, tmp_path):
@@ -558,39 +515,6 @@ def test_constants_deterministic(capsys):
     assert first == second
 
 
-def test_bad_config_file_exits_one(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "analyze", "--config", str(path))
-    assert code == 1
-    assert err.startswith("error[config]:")
-    assert "line" in err
-
-
-def test_duplicate_key_is_config_error(capsys, tmp_path):
-    path = tmp_path / "twice.json"
-    path.write_text('{"scan": {"points": 3, "points": 5}}')
-    assert run_cli(capsys, "analyze", "--config", str(path)) == (1, "", "error[config]: scan.points: duplicate key\n")
-
-
-def test_unknown_subcommand_exits_one(capsys):
-    code, _, err = run_cli(capsys, "frobnicate")
-    assert code == 1
-    assert "error[usage]" in err
-
-
-def test_missing_subcommand_exits_one(capsys):
-    code, _, err = run_cli(capsys)
-    assert code == 1
-    assert "error[usage]" in err
-
-
-def test_bad_format_exits_one(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--format", "yaml")
-    assert code == 1
-    assert "error[usage]" in err
-
-
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -605,22 +529,6 @@ def test_numerical_failure_exits_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 2
     assert err.startswith("error[numeric]:")
-
-
-def test_overflowing_counts_are_numeric_failure(capsys, tmp_path):
-    # finite inputs whose efficiency-corrected total overflows to inf
-    path = write_config(tmp_path, {"experiment": {"observed": {"value": 1e308, "stat_up": 1e308}}})
-    code, out, err = run_cli(capsys, "analyze", "--config", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error[numeric]: scale overflowed")
-
-
-def test_integer_beyond_float_range_is_config_error(capsys, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text('{"n_sigma": 1' + "0" * 400 + "}")
-    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error[config]: n_sigma: expected a number within the float range (got 1000")
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: integers have no digit limit
@@ -645,158 +553,161 @@ def test_a_document_json_refuses_is_one_config_error(capsys, tmp_path, document)
     assert err.startswith("error[config]: invalid JSON: ") and err.count("\n") == 1
 
 
-def test_infinite_config_value_stays_config_error(capsys, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text('{"experiment": {"observed": {"value": Infinity}}}')
-    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error[config]:")
+@settings(max_examples=100, deadline=None)
+@given(doc=physical_configs())
+def test_every_config_ends_with_an_exit_code_and_a_failure_with_one_line(tmp_path_factory, doc):
+    # today's classes, which this records and does not judge: a downward fluctuation or an empty allowed window
+    # still exits 1. A document that does not parse exits 1, or 2 for a model floats cannot hold.
+    path = tmp_path_factory.getbasetemp() / "physical.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "scan"):
+        code, out, err = run_in_process(command, "--config", str(path))
+        event(f"{command} exits {code}")
+        if code:
+            assert out == "" and re.fullmatch(rf"error\[{'config' if code == 1 else 'numeric'}\]: [^\n]*\n", err), err
+        else:
+            assert out and err == ""
 
 
-@pytest.mark.parametrize("argv", [("scan",), ("scan", "--format", "structured"), ("analyze",)])
-@pytest.mark.parametrize(
-    "scan",
-    [
-        {"min": 1e-320, "max": 1.0, "points": 3},   # GRW/1e-320 overflows: inf bounds at the first point
-        {"min": 1.0, "max": 1.7976931348623157e308, "points": 3},   # the log grid's last point rounds to inf
-    ],
-)
-def test_overflowing_scan_is_numeric_failure(capsys, tmp_path, argv, scan):
-    path = write_config(tmp_path, {"scan": scan})
+SUBCOMMANDS = ("analyze", "scan", "spectrum", "constants")
+# name -> (exit code, config document or None, argv, stderr line), from each line of tests/golden/failures.txt
+FAILURES = {
+    name: (int(code), None if config == "-" else config, argv.split(), line)
+    for name, code, config, argv, line in (
+        row.split(" | ", 4) for row in (GOLDEN / "failures.txt").read_text(encoding="utf-8").splitlines()
+        if row and not row.startswith("#")
+    )
+}
+
+
+def check_failing_run(capsys, monkeypatch, tmp_path, name):
+    """Run the manifest line name with main in tmp_path, its config written there as config.json. It must end with
+    the declared exit code, no stdout, no new file and the declared stderr line: the whole line, or its start where
+    the declared line ends in `...`. Where its argv names a subcommand and gives no --output, it runs again with
+    --output and must end the same, as the failure comes before the first byte. Nothing may warn on the way."""
+    want, config, argv, line = FAILURES[name]
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("config.json").write_text(config + "\n", encoding="utf-8")
+        argv = [*argv, "--config", "config.json"]
+    runs = [argv, [*argv, "--output", "out"]] if argv[0] in SUBCOMMANDS and "--output" not in argv else [argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, *argv, "--config", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error[numeric]: ") and err.count("\n") == 1
+        for run in runs:
+            files = sorted(os.listdir())
+            code, out, err = run_cli(capsys, *run)
+            assert (code, out, sorted(os.listdir())) == (want, "", files), err
+            if line.endswith("..."):
+                assert err.startswith(line[:-3]) and err.count("\n") == 1 and err.endswith("\n"), err
+            else:
+                assert err == line + "\n"
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    # the failure comes before the first byte, so no output file is created either
-    target = tmp_path / "out"
-    assert run_cli(capsys, *argv, "--config", path, "--output", str(target)) == (2, "", err)
-    assert not target.exists()
+
+
+@pytest.fixture
+def failing_run(capsys, monkeypatch, tmp_path):
+    return functools.partial(check_failing_run, capsys, monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_a_failing_run_ends_as_declared(failing_run, name):
+    failing_run(name)
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("scan",), ("spectrum", "--quantity", "density"), ("constants",)])
+def test_an_empty_output_path_is_a_file_that_cannot_be_written(capsys, argv):
+    # as an empty --config path is a file that cannot be read; an empty argument cannot be a manifest line
+    expected = (1, "", "error[config]: cannot write output file '': No such file or directory\n")
+    assert run_cli(capsys, *argv, "--output", "") == expected
+
+
+def test_missing_subcommand_exits_one(capsys):
+    # two lines, argparse's usage line and the error, so not a manifest line
+    code, _, err = run_cli(capsys)
+    assert code == 1
+    assert "error[usage]" in err
+
+
+# The tests of failing runs that came before the manifest keep their ids. Each runs the manifest lines that now
+# hold its cases, which test_a_failing_run_ends_as_declared runs as well; the last two also check what no line can.
+def test_unknown_subcommand_exits_one(failing_run):
+    failing_run("unknown-subcommand")
+
+
+def test_bad_format_exits_one(failing_run):
+    failing_run("format-not-a-choice")
+
+
+def test_bad_config_file_exits_one(failing_run):
+    failing_run("invalid-json")
+
+
+def test_integer_beyond_float_range_is_config_error(failing_run):
+    failing_run("integer-past-float-range")
+
+
+def test_infinite_config_value_stays_config_error(failing_run):
+    failing_run("infinite-value")
+
+
+def test_duplicate_key_is_config_error(failing_run):
+    failing_run("duplicate-key")
+
+
+def test_nsigma_override_checked_like_config_key(failing_run):
+    failing_run("nsigma-flag-negative")
+
+
+def test_scan_invalid_range_exits_nonzero(failing_run):
+    failing_run("scan-range-reversed")
+
+
+def test_analyze_predict_requires_gn(failing_run):
+    failing_run("predict-without-gn")
+
+
+def test_analyze_predict_reports_a_missing_gn_before_the_analysis_fails(failing_run):
+    # this model's <r^2> underflows to 0, so the analysis exits 2; the missing g_n is an input error and comes first
+    failing_run("r2-zero-analyze")
+    failing_run("predict-without-gn-before-r2-fails")
+
+
+def test_spectrum_rate_without_gn_is_config_error(failing_run):
+    failing_run("rate-spectrum-without-gn")
+
+
+def test_unwritable_output_is_config_error(failing_run):
+    failing_run("output-dir-missing")
+
+
+def test_overflowing_counts_are_numeric_failure(failing_run):
+    failing_run("counts-overflow")
+
+
+@pytest.mark.parametrize("argv", ["scan", "scan-structured", "analyze"], ids=["argv0", "argv1", "argv2"])
+@pytest.mark.parametrize("scan", ["curve-overflows", "log-grid-overflows"], ids=["scan0", "scan1"])
+def test_overflowing_scan_is_numeric_failure(failing_run, argv, scan):
+    failing_run(f"{scan}-{argv}")
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
-def test_too_wide_model_is_numeric_failure(capsys, tmp_path, command):
-    # so small a binding energy puts <r^2>'s bisection at the far end of the half-line
-    path = write_config(tmp_path, {"model": {"binding_energy_mev": 1e-40}})
-    code, out, err = run_cli(capsys, command, "--config", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error[numeric]: ") and err.count("\n") == 1
+def test_too_wide_model_is_numeric_failure(failing_run, command):
+    failing_run(f"bisection-at-half-line-end-{command}")
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
 @pytest.mark.parametrize(
-    "config, message",
-    [
-        # a^5 underflows to 0
-        ({"collapse": {"a_cm": 1e-70}}, "small-a visibility floor at a = 1e-70 cm is outside the float range"),
-        # d^2 overflows
-        ({"sphere": {"diameter_cm": 1e200}}, "large-a visibility floor of the sphere is outside the float range"),
-        # r^3 overflows
-        ({"experiment": {"fiducial_radius_m": 1e200}}, "fiducial volume of radius 1e+200 m is outside the float range"),
-        # (beta - kappa)^2 underflows to 0
-        (
-            {"model": {"kind": "hulthen", "binding_energy_mev": 5e-324, "beta_over_kappa": 2.00001}},
-            "Hulthen normalization at binding energy 5e-324 MeV, beta/kappa 2.00001 is outside the float range",
-        ),
-        # every sample of u rounds to 0, so the quadrature's <r^2> is 0 fm^2; exact, 2.1e-299 fm^2 and 3.3e41 fm^2
-        ({"model": {"binding_energy_mev": 1e300}}, "<r^2> at binding energy 1e+300 MeV came out 0.0 fm^2, not positive"),
-        (
-            {"model": {"kind": "hulthen", "binding_energy_mev": 1e-40}},
-            "<r^2> at binding energy 1e-40 MeV came out 0.0 fm^2, not positive",
-        ),
-    ],
+    "line",
+    ["small-a-floor", "large-a-floor", "fiducial-volume", "hulthen-norm", "r2-zero", "r2-zero-hulthen"],
     ids=["a_cm", "diameter_cm", "fiducial_radius_m", "hulthen", "r2_zero_range", "r2_hulthen"],
 )
-def test_out_of_range_quantity_is_named_numeric_failure(capsys, tmp_path, command, config, message):
-    path = write_config(tmp_path, config)
-    assert run_cli(capsys, command, "--config", path) == (2, "", f"error[numeric]: {message}\n")
-
-
-# beta (kappa + beta) overflows: a model floats cannot hold
-HUGE_HULTHEN = {"kind": "hulthen", "binding_energy_mev": 1.0, "beta_over_kappa": 1e155}
-HUGE_HULTHEN_ERROR = (
-    "error[numeric]: Hulthen normalization at binding energy 1.0 MeV, beta/kappa 1e+155 is outside the float range\n"
-)
-N_SIGMA_ERROR = "error[config]: n_sigma: must be non-negative (got -1)\n"
-
-
-@pytest.mark.parametrize("command", ["analyze", "scan", "spectrum"])
-def test_model_floats_cannot_hold_fails_once_every_config_key_is_read(capsys, tmp_path, command):
-    # the model is built as the config is parsed, yet an input error in any key still exits 1
-    both = write_config(tmp_path, {"model": HUGE_HULTHEN, "n_sigma": -1})
-    assert run_cli(capsys, command, "--config", both) == (1, "", N_SIGMA_ERROR)
-    model_only = write_config(tmp_path, {"model": HUGE_HULTHEN})
-    assert run_cli(capsys, command, "--config", model_only) == (2, "", HUGE_HULTHEN_ERROR)
-    # the flags are read with the document, before the model is built
-    flag_error = N_SIGMA_ERROR.replace("-1)", "-1.0)")
-    assert run_cli(capsys, command, "--config", model_only, "--nsigma", "-1") == (1, "", flag_error)
-    # zero-range never reads beta/kappa, so the model fails exactly when Hulthen is selected
-    with_gn = write_config(tmp_path, {"model": HUGE_HULTHEN, "collapse": {"g_n": 0.5}})
-    assert run_cli(capsys, command, "--config", with_gn, "--model", "zero-range")[0] == 0
-    zero_range = write_config(tmp_path, {"model": {**HUGE_HULTHEN, "kind": "zero-range"}, "collapse": {"g_n": 0.5}})
-    assert run_cli(capsys, command, "--config", zero_range)[0] == 0
-    assert run_cli(capsys, command, "--config", zero_range, "--model", "hulthen") == (2, "", HUGE_HULTHEN_ERROR)
+def test_out_of_range_quantity_is_named_numeric_failure(failing_run, command, line):
+    failing_run(f"{line}-{command}")
 
 
 @pytest.mark.parametrize(
-    "argv, config, named",
+    "name",
     [
-        # lambda/a^2 overflows
-        (
-            ("analyze", "--predict"),
-            {"collapse": {"g_n": 1e150, "lambda_per_sec": 1e300}},
-            "lambda/a^2 for lambda = 1e+300 s^-1, a = 1e-05 cm is outside the float range",
-        ),
-        (
-            ("spectrum", "--quantity", "rate"),
-            {"collapse": {"g_n": 1e150, "lambda_per_sec": 1e300}},
-            "lambda/a^2 for lambda = 1e+300 s^-1, a = 1e-05 cm is outside the float range",
-        ),
-        # a^2 underflows to 0, or overflows
-        (
-            ("spectrum", "--quantity", "rate"),
-            {"collapse": {"a_cm": 1e-200, "g_n": 0.5}},
-            "lambda/a^2 for lambda = 1e-16 s^-1, a = 1e-200 cm is outside the float range",
-        ),
-        (
-            ("spectrum", "--quantity", "rate"),
-            {"collapse": {"a_cm": 1e200, "g_n": 0.5}},
-            "lambda/a^2 for lambda = 1e-16 s^-1, a = 1e+200 cm is outside the float range",
-        ),
-        # the coupling weight's square overflows
-        (("spectrum", "--quantity", "rate"), {"collapse": {"g_n": 1e200}}, "dissociation rate at g_n = 1e+200,"),
-        # (k^2 + a^2)^2 underflows to 0, or overflows
-        (
-            ("spectrum", "--quantity", "density"),
-            {"model": {"binding_energy_mev": 1e-300}},
-            "spectrum density at binding energy 1e-300 MeV is outside the float range",
-        ),
-        (
-            ("spectrum", "--quantity", "density"),
-            {"model": {"binding_energy_mev": 1e300}},
-            "spectrum density at binding energy 1e+300 MeV is outside the float range",
-        ),
-        # coefficient x live time x volume underflows to 0
-        (("analyze",), {"experiment": {"live_time_days": 1e-200, "fiducial_radius_m": 1e-100}}, "exposure of "),
-        # the live time in years underflows to 0
-        (
-            ("analyze",),
-            {"experiment": {"live_time_days": 1e-322}},
-            "live time of 1e-322 days in years is outside the float range",
-        ),
-        # the efficiency correction 1/efficiency overflows
-        (
-            ("analyze",),
-            {"experiment": {"efficiency": 5e-324}},
-            "efficiency correction 1/5e-324 is outside the float range",
-        ),
-        # the bound at GRW strength overflows
-        (("analyze",), {"experiment": {"deuteron_density_per_cc": 1e-300}}, "neutron coupling bound at count limit"),
-        # the predicted count overflows
-        (("analyze", "--predict"), {"collapse": {"g_n": 1e200}}, "expected count at g_n = 1e+200 overflowed"),
-    ],
-    ids=[
         "predict-lambda",
         "rate-lambda",
         "rate-small-a",
@@ -811,22 +722,31 @@ def test_model_floats_cannot_hold_fails_once_every_config_key_is_read(capsys, tm
         "predicted-count",
     ],
 )
-def test_computed_value_outside_its_domain_is_named_numeric_failure(capsys, tmp_path, argv, config, named):
-    code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, config))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error[numeric]: {named}") and err.count("\n") == 1
+def test_computed_value_outside_its_domain_is_named_numeric_failure(failing_run, name):
+    failing_run(name)
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "spectrum"])
+def test_model_floats_cannot_hold_fails_once_every_config_key_is_read(failing_run, capsys, tmp_path, command):
+    # the model is built as the config is parsed, yet an input error in any key, or in a flag, still exits 1
+    for line in ("huge-hulthen-and-nsigma", "huge-hulthen", "huge-hulthen-nsigma-flag", "huge-hulthen-by-flag"):
+        failing_run(f"{line}-{command}")
+    # zero-range never reads beta/kappa, so the model fails exactly when Hulthen is selected
+    model = json.loads(FAILURES[f"huge-hulthen-{command}"][1])["model"]
+    with_gn = write_config(tmp_path, {"model": model, "collapse": {"g_n": 0.5}})
+    assert run_cli(capsys, command, "--config", with_gn, "--model", "zero-range")[0] == 0
+    zero_range = write_config(tmp_path, {"model": {**model, "kind": "zero-range"}, "collapse": {"g_n": 0.5}})
+    assert run_cli(capsys, command, "--config", zero_range)[0] == 0
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
-def test_repeated_grid_points_are_config_error(capsys, tmp_path, monkeypatch, command):
-    expected = (1, "", "error[config]: scan.min, scan.max, scan.points: points must be sorted ascending in lambda_over_a2\n")
-    for scan in (
-        {"min": 1.0, "max": 1.0000000000000004, "points": 20, "log_spacing": False},   # step below half an ulp of min
-        {"min": 1.0, "max": 1.000000000000001, "points": 100},   # log step below half an ulp of 1
-    ):
+def test_repeated_grid_points_are_config_error(failing_run, capsys, tmp_path, monkeypatch, command):
+    for spacing in ("linear", "log"):
+        name = f"grid-repeats-{spacing}-{command}"
+        failing_run(name)
+        # the grid is built with the curve, not while the config is read, so spectrum, which draws no curve, runs
+        scan = json.loads(FAILURES[name][1])["scan"]
         path = write_config(tmp_path, {"scan": scan})
-        assert run_cli(capsys, command, "--config", path) == expected
-        # the grid is built with the curve, not while the config is read
         with monkeypatch.context() as patch:
             patch.setattr(ScanSpec, "grid", lambda spec: pytest.fail("grid built while the config is read"))
             assert load_config(path).scan.hi == scan["max"]
@@ -1010,13 +930,6 @@ def test_scan_csv_matches_csv_writer(args):
         assert "".join(cli._csv(header, rows)) == buf.getvalue()
 
 
-def test_unwritable_output_is_config_error(capsys, tmp_path):
-    target = tmp_path / "missing" / "curve.csv"
-    code, out, err = run_cli(capsys, "scan", "--output", str(target))
-    assert code == 1 and out == ""
-    assert err == f"error[config]: cannot write output file {str(target)!r}: No such file or directory\n"
-
-
 def test_closed_stdout_exits_one_without_traceback(tmp_path):
     # a reader that stops early, as `cslbounds scan | head -c 10` does; the curve outgrows the pipe's buffer
     path = write_config(tmp_path, {"scan": {"points": 15000}})
@@ -1086,14 +999,8 @@ def test_full_stdout_exits_one_with_one_error_line(command, unbuffered):
     assert (result.returncode, result.stderr) == (1, FULL_DISK)
 
 
-def test_nsigma_override_checked_like_config_key(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--nsigma", "-1")
-    assert code == 1
-    assert err == "error[config]: n_sigma: must be non-negative (got -1.0)\n"
-
-
-def test_repeated_main_calls_match_fresh_calls(capsys, monkeypatch):
-    # one parser serves every main() call in a process; a usage error must leave no state behind
+def test_repeated_main_calls_match_fresh_calls(capsys, monkeypatch, failing_run):
+    # one parser serves every main() call in a process; a usage error, or any failing run, must leave no state behind
     expected = []
     for argv in [(), ("analyze", "--format", "xml")]:   # no subcommand also prints the usage line
         fresh = subprocess.run(
@@ -1105,11 +1012,13 @@ def test_repeated_main_calls_match_fresh_calls(capsys, monkeypatch):
         )
         assert fresh.returncode == 1 and "error[usage]" in fresh.stderr
         expected.append((argv, (fresh.returncode, fresh.stdout, fresh.stderr)))
-    monkeypatch.chdir(ROOT)   # where the golden manifest's paths start
     expected += [(argv, (0, (GOLDEN / name).read_text(encoding="utf-8"), "")) for name, argv in GOLDEN_CASES.items()]
     for _ in range(2):
+        monkeypatch.chdir(ROOT)   # where the golden manifest's paths start
         for argv, output in expected:
             assert run_cli(capsys, *argv) == output
+        for name in FAILURES:
+            failing_run(name)
 
 
 @pytest.mark.parametrize("module", ["numpy", "scipy", "dataclasses", "inspect"])

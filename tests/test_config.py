@@ -351,6 +351,30 @@ run_configs = st.builds(
 )
 
 
+@st.composite
+def physical_configs(draw, scales=(0.5, 2.0, 6.0), scaled_counts=0.3, max_points=ScanSpec().points):
+    """Config documents around the defaults, not all of which parse: about half the numbers each moved by a
+    factor 10^U(-s, s), s drawn from scales, a share scaled_counts of the observed counts scaled by U(0.5, 1.2),
+    a drawn model kind, g_n set or not, and the scan cut to at most max_points, its default's by default, so no
+    run holds a large grid."""
+
+    def move(node):
+        if isinstance(node, dict):
+            return {key: move(value) for key, value in node.items()}
+        if isinstance(node, float) and draw(st.booleans()):
+            s = draw(st.sampled_from(scales))
+            return node * 10.0 ** draw(st.floats(-s, s))
+        return node
+
+    doc = move(config_to_dict(default_config()))
+    if scaled_counts and draw(st.floats(0.0, 1.0)) < scaled_counts:
+        doc["experiment"]["observed"]["value"] *= draw(st.floats(0.5, 1.2))
+    doc["scan"]["points"] = draw(st.integers(2, max_points))
+    doc["model"]["kind"] = draw(st.sampled_from([kind.value for kind in ModelKind]))
+    doc["collapse"]["g_n"] = draw(st.none() | st.floats(0.0, 3.0))
+    return doc
+
+
 @given(run_configs)
 def test_round_trip_generated(cfg):
     assert parse_config(json.dumps(config_to_dict(cfg), indent=2)) == cfg

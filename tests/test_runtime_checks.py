@@ -1,7 +1,7 @@
 """ci/runtime_checks.sh run against this source tree, through real processes.
 
 The script is what CI runs on a bare install: every subcommand, the golden outputs to stdout and
-through --output, and the exit codes. Here a `cslbounds` shim on PATH runs `python -m
+through --output, and every failing run of tests/golden/failures.txt with its exit code and stderr line. Here a `cslbounds` shim on PATH runs `python -m
 cslbounds.cli` with src/ first on PYTHONPATH, so a stale golden or exit code fails the tier-1 tests.
 """
 
