@@ -124,9 +124,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
-            parser.print_usage(sys.stderr)
-            sys.stderr.write("error[usage]: a subcommand is required\n")
-            return EXIT_CONFIG
+            parser.error("a subcommand is required")
         return args.handler(args)
     except SystemExit as exc:   # a usage error, or the help printed
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG

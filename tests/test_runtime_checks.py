@@ -1,8 +1,10 @@
 """ci/runtime_checks.sh run against this source tree, through real processes.
 
-The script is what CI runs on a bare install: every subcommand, the golden outputs to stdout and
-through --output, and every failing run of tests/golden/failures.txt with its exit code and stderr line. Here a `cslbounds` shim on PATH runs `python -m
-cslbounds.cli` with src/ first on PYTHONPATH, so a stale golden or exit code fails the tier-1 tests.
+The script is what CI runs on a bare install, and where the CLI's exits are checked as a process:
+every subcommand, the golden outputs to stdout and through --output, every failing run of
+tests/golden/failures.txt with its exit code and stderr line, a closed pipe and a full disk. Here a
+`cslbounds` shim on PATH runs `python -m cslbounds.cli` with src/ first on PYTHONPATH, so a stale golden or
+exit code fails the tier-1 tests.
 """
 
 import os
