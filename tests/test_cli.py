@@ -872,12 +872,15 @@ def test_repeated_main_calls_match_fresh_calls(capsys, monkeypatch, failing_run)
         assert fresh.returncode == 1 and "error[usage]" in fresh.stderr
         expected.append((argv, (fresh.returncode, fresh.stdout, fresh.stderr)))
     expected += [(argv, (0, (GOLDEN / name).read_text(encoding="utf-8"), "")) for name, argv in GOLDEN_CASES.items()]
-    for _ in range(2):
-        monkeypatch.chdir(ROOT)   # where the golden manifest's paths start
-        for argv, output in expected:
-            assert run_cli(capsys, *argv) == output
-        for name in FAILURES:
-            failing_run(name)
+    # the failing runs, each once, come between two passes of the usage errors and goldens, so state left either way shows
+    monkeypatch.chdir(ROOT)   # where the golden manifest's paths start
+    for argv, output in expected:
+        assert run_cli(capsys, *argv) == output
+    for name in FAILURES:
+        failing_run(name)
+    monkeypatch.chdir(ROOT)
+    for argv, output in expected:
+        assert run_cli(capsys, *argv) == output
 
 
 UNLOADED_MODULES = ("numpy", "scipy", "dataclasses", "inspect")

@@ -1,13 +1,12 @@
+import functools
 import math
 import re
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate as si
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_legendre, spherical_jn
 
 import cslbounds.cli as cli
 from cslbounds import (
@@ -27,85 +26,60 @@ from cslbounds.grids import linspace, logspace
 EB_DEFAULT = 2.224575
 
 
-def _zero_range_density(model, k):
-    # closed form for u = sqrt(2 kappa) exp(-kappa r):
-    # I(k) = 2 sqrt(2 kappa) k / (kappa^2 + k^2)^2, density = (2/pi) k^2 I^2
-    kap = model.kappa_per_fm
-    return (16.0 * kap / math.pi) * k**4 / (kap**2 + k**2) ** 4
+def _terms(model):
+    # (c_i, a_i) of u = N sum_i c_i exp(-a_i r)
+    return [(1, model.kappa_per_fm)] + ([] if model.beta_per_fm is None else [(-1, model.beta_per_fm)])
 
 
 def _r2_closed_form_fm2(model):
-    # u = N sum_i c_i exp(-a_i r), so int r^2 u^2 dr = N^2 sum_ij c_i c_j 2 / (a_i + a_j)^3
-    terms = [(1.0, model.kappa_per_fm)]
-    if model.beta_per_fm is not None:
-        terms.append((-1.0, model.beta_per_fm))
+    # int r^2 u^2 dr = N^2 sum_ij c_i c_j 2 / (a_i + a_j)^3
+    terms = _terms(model)
     return model.norm**2 * sum(ci * cj * 2.0 / (ai + aj) ** 3 for ci, ai in terms for cj, aj in terms)
 
 
-def _spectral_integral_cm2(model, rel=1e-6):
-    # truncation at 60 kappa leaves a tail below 2e-5 relative for both kinds
-    kap = model.kappa_per_fm
-    value, _ = si.quad(
-        lambda k: spectrum_densities(model, (k,))[0], 0.0, 60.0 * kap, limit=200, epsrel=rel
-    )
-    return value * 1e-26
+def _half_line(f, rate, omega=0.0):
+    # int_0^inf f at 20 digits, for an f that varies on the scale 1/rate and oscillates at angular
+    # frequency omega: tanh-sinh while omega is at most 4 rate, quadosc above that, where
+    # tanh-sinh missed I(k) by up to 5e-9 at 8 kappa
+    with mpmath.workdps(20):
+        if omega <= 4 * rate:
+            return mpmath.quad(f, [0, 1 / rate, 10 / rate, mpmath.inf])
+        return mpmath.quadosc(f, [0, mpmath.inf], omega=omega)
 
 
-def _half_line_integral(f):
-    # int_0^inf f(r) dr by scipy's QUADPACK, at the package rule's relative tolerance
-    value, _ = si.quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-9, limit=200)
-    return value
+@functools.cache
+def _exponential_bessel_integral(a, ell, k):
+    # int r^2 exp(-a r) j_l(kr) dr, with j_l by upward recurrence from j_-1 = cos(x)/x and j_0 = sin(x)/x;
+    # cached, as both kinds of model at one E_B share the kappa term
+    def integrand(r):
+        x = k * r
+        cos, sin = mpmath.cos_sin(x)
+        j_prev, j = cos / x, sin / x
+        for n in range(ell):
+            j_prev, j = j, (2 * n + 1) / x * j - j_prev
+        return r * r * mpmath.exp(-a * r) * j
+
+    return _half_line(integrand, a, k)
 
 
 def _bessel_radial_integral(model, ell, k):
-    # int r^2 u(r) j_l(kr) dr by adaptive quadrature
-    return _half_line_integral(lambda r: r * r * model.u(r) * spherical_jn(ell, k * r))
+    # int r^2 u(r) j_l(kr) dr from the model's float parameters, one term of u at a time and at its
+    # own rate: quadosc sums fewer periods of one term than of their difference. fsum subtracts exactly
+    return float(model.norm * mpmath.fsum(c * _exponential_bessel_integral(a, ell, k) for c, a in _terms(model)))
 
 
-def _quadrature_dipole(model, k):
-    # oracle for the closed-form dipole integral, switching to Fourier-weight
-    # quadrature where j_1 oscillates too fast for plain subdivision
-    kap = model.kappa_per_fm
-    if k <= 8.0 * kap:
-        return _bessel_radial_integral(model, 1, k)
-    # j_1(x) = sin(x)/x^2 - cos(x)/x; exp(-45) puts the truncated tail far below tolerance
-    r_max = 45.0 / kap
-    fourier = dict(wvar=k, epsabs=0.0, epsrel=1e-9, limit=200, maxp1=100)
-    sin_part, _ = si.quad(lambda r: float(model.u(r)), 0.0, r_max, weight="sin", **fourier)
-    cos_part, _ = si.quad(lambda r: r * float(model.u(r)), 0.0, r_max, weight="cos", **fourier)
-    return sin_part / k**2 - cos_part / k
-
-
-def _mpmath_dipole(model, k):
-    # the same integral at 30 significant digits from the model's float parameters;
-    # tanh-sinh on these intervals is accurate only while k is at most a few kappa
-    with mpmath.workdps(30):
-        kap, k = mpmath.mpf(model.kappa_per_fm), mpmath.mpf(k)
-        decays = [kap] if model.beta_per_fm is None else [kap, mpmath.mpf(model.beta_per_fm)]
-
-        def integrand(r):
-            u = model.norm * sum((-1) ** i * mpmath.exp(-a * r) for i, a in enumerate(decays))
-            x = k * r
-            return r * r * u * (mpmath.sin(x) / x**2 - mpmath.cos(x) / x)
-
-        return float(mpmath.quad(integrand, [0, 1 / kap, 10 / kap, mpmath.inf]))
-
-
-def _mpmath_hulthen(model, k):
-    # (I(k), density(k)) from the subtractive closed form at 50 digits and the model's float
-    # parameters; beta/kappa - 1 >= 1e-15 costs the difference at most 15 of them
+def _closed_form(model, k):
+    # (I(k), density(k)) from the subtractive per-term sum I = N sum_i c_i 2k / (k^2 + a_i^2)^2 at 50
+    # digits and the model's float parameters; beta/kappa - 1 >= 1e-15 costs the difference at most 15
     with mpmath.workdps(50):
-        kap, beta, k = map(mpmath.mpf, (model.kappa_per_fm, model.beta_per_fm, k))
-        norm = mpmath.sqrt(2 * kap * beta * (kap + beta)) / (beta - kap)
-        dipole = norm * (2 * k / (k**2 + kap**2) ** 2 - 2 * k / (k**2 + beta**2) ** 2)
+        k = mpmath.mpf(k)
+        dipole = model.norm * sum(c * 2 * k / (k**2 + mpmath.mpf(a) ** 2) ** 2 for c, a in _terms(model))
         return float(dipole), float(2 / mpmath.pi * k**2 * dipole**2)
 
 
 def _legendre_dipole_weight(ell):
-    # Legendre coefficient of cos(theta): (2l+1)/2 int_-1^1 mu P_l(mu) dmu; the
-    # integrand is bounded by 1, so an absolute tolerance lets zeros converge
-    value, _ = si.quad(lambda mu: mu * eval_legendre(ell, mu), -1.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-    return 0.5 * (2 * ell + 1) * value
+    # Legendre coefficient of cos(theta): (2l+1)/2 int_-1^1 mu P_l(mu) dmu
+    return float((2 * ell + 1) / mpmath.mpf(2) * mpmath.quad(lambda mu: mu * mpmath.legendre(ell, mu), [-1, 1]))
 
 
 def _partial_wave_matrix_element(model, ell, k):
@@ -129,12 +103,12 @@ def test_kappa_sqrt_scaling():
 
 def test_zero_range_normalization():
     m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
-    assert _half_line_integral(lambda r: m.u(r) ** 2) == pytest.approx(1.0, rel=1e-9)
+    assert _half_line(lambda r: m.u(r) ** 2, m.kappa_per_fm) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hulthen_normalization():
     m = BoundStateModel(ModelKind.HULTHEN, 2.2246, 6.163)
-    assert _half_line_integral(lambda r: m.u(r) ** 2) == pytest.approx(1.0, rel=1e-9)
+    assert _half_line(lambda r: m.u(r) ** 2, m.kappa_per_fm) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hulthen_vanishes_at_origin_and_positive():
@@ -315,26 +289,29 @@ def test_spectrum_density_non_negative_sampled():
 def test_spectrum_matches_zero_range_closed_form():
     m = BoundStateModel(binding_energy_mev=EB_DEFAULT)
     kap = m.kappa_per_fm
+    # the package missed by at most 5.3e-16 relative here, and by 1.1e-15 over 3000 random
+    # E_B in [0.5, 10] MeV and k/kappa log-uniform in [1e-3, 100]
     for factor in (0.05, 0.3, 1.0, 3.0, 7.0, 12.0, 40.0):
         k = factor * kap
         got = spectrum_densities(m, (k,))[0]
-        assert got == pytest.approx(_zero_range_density(m, k), rel=1e-9, abs=0)
+        assert got == pytest.approx(_closed_form(m, k)[1], rel=2e-15, abs=0)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=["build_zero_range", "build_hulthen"])
 @pytest.mark.parametrize("eb", [1.0, 2.2246, 5.0])
 def test_spectrum_sum_rule(kind, eb):
     model = BoundStateModel(kind, eb)
-    assert _spectral_integral_cm2(model) == pytest.approx(mean_square_radius(model), rel=1e-3, abs=0)
+    spectral = _half_line(lambda k: spectrum_densities(model, (float(k),))[0], 1.0 / model.kappa_per_fm)
+    assert spectral * 1e-26 == pytest.approx(mean_square_radius(model), rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("eb", [0.5, 1.0, EB_DEFAULT, 5.0, 10.0])
 def test_spectrum_sum_rule_as_beta_approaches_kappa(eb):
-    # at beta/kappa = 1 + 1e-6 the tail beyond 60 kappa is below 3e-12 relative and <r^2>'s
-    # quadrature is good to about 2e-11; the subtractive spectrum missed by up to 8e-11.
-    # abs=0: approx's default absolute tolerance of 1e-12 would pass any value in cm^2
+    # at beta/kappa = 1 + 1e-6 <r^2>'s quadrature is good to about 2e-11; the subtractive spectrum
+    # missed by up to 8e-11. abs=0: approx's default absolute tolerance of 1e-12 would pass any value in cm^2
     model = BoundStateModel(ModelKind.HULTHEN, eb, 1.0 + 1e-6)
-    assert _spectral_integral_cm2(model, rel=1e-12) == pytest.approx(mean_square_radius(model), rel=4e-11, abs=0)
+    spectral = _half_line(lambda k: spectrum_densities(model, (float(k),))[0], 1.0 / model.kappa_per_fm)
+    assert spectral * 1e-26 == pytest.approx(mean_square_radius(model), rel=4e-11, abs=0)
 
 
 def test_dipole_selection_rule():
@@ -363,11 +340,26 @@ def test_partial_wave_contributions_vanish_off_dipole():
     k_over_kappa=st.floats(min_value=1e-3, max_value=50.0),
 )
 def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over_kappa):
-    # the scipy oracle missed by at most 1.2e-10 relative over 300 random draws
-    # and the corners of this domain
+    # the oracle is the subtractive closed form, which the two tests below check against quadrature
     m = BoundStateModel(ModelKind.HULTHEN if hulthen else ModelKind.ZERO_RANGE, eb, beta_over_kappa)
     k = k_over_kappa * m.kappa_per_fm
-    assert dipole_radial_integral(m, k) == pytest.approx(_quadrature_dipole(m, k), rel=1e-8, abs=0)
+    assert dipole_radial_integral(m, k) == pytest.approx(_closed_form(m, k)[0], rel=1e-14, abs=0)
+
+
+# (E_B, beta/kappa, k/kappa): the corners of the property's domain above, with k from 1e-3 kappa to
+# 50 kappa on both sides of _half_line's switch to quadosc at 4 kappa, and the default model
+@pytest.mark.parametrize("eb, beta_over_kappa, k_over_kappa", [
+    (0.5, 1.5, 1e-3),
+    (0.5, 20.0, 50.0),
+    (10.0, 1.5, 4.0),
+    (10.0, 20.0, 5.0),
+    (EB_DEFAULT, HULTHEN_BETA_OVER_KAPPA, 1.0),
+])
+@pytest.mark.parametrize("hulthen", [False, True])
+def test_closed_form_matches_quadrature(eb, beta_over_kappa, k_over_kappa, hulthen):
+    m = BoundStateModel(ModelKind.HULTHEN if hulthen else ModelKind.ZERO_RANGE, eb, beta_over_kappa)
+    k = k_over_kappa * m.kappa_per_fm
+    assert _closed_form(m, k)[0] == pytest.approx(_bessel_radial_integral(m, 1, k), rel=1e-12, abs=0)
 
 
 # (E_B, beta/kappa, k) where the built-in quadrature missed I(k) by 0.8e-7 and
@@ -379,7 +371,9 @@ def test_dipole_integral_matches_quadrature(hulthen, eb, beta_over_kappa, k_over
 @pytest.mark.parametrize("hulthen", [False, True])
 def test_dipole_integral_matches_mpmath_where_quadrature_missed(eb, beta_over_kappa, k, hulthen):
     m = BoundStateModel(ModelKind.HULTHEN if hulthen else ModelKind.ZERO_RANGE, eb, beta_over_kappa)
-    assert dipole_radial_integral(m, k) == pytest.approx(_mpmath_dipole(m, k), rel=1e-12)
+    exact = _bessel_radial_integral(m, 1, k)
+    assert dipole_radial_integral(m, k) == pytest.approx(exact, rel=1e-12, abs=0)
+    assert _closed_form(m, k)[0] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_hulthen_dipole_integral_matches_mpmath_as_beta_approaches_kappa():
@@ -389,7 +383,7 @@ def test_hulthen_dipole_integral_matches_mpmath_as_beta_approaches_kappa():
     for log_excess, log_eb in zip(rng.uniform(-12.0, 3.0, 100), rng.uniform(-6.0, 6.0, 100)):
         m = BoundStateModel(ModelKind.HULTHEN, 10.0**log_eb, 1.0 + 10.0**log_excess)
         for k in default_k_grid(m)[::10]:
-            exact, _ = _mpmath_hulthen(m, k)
+            exact, _ = _closed_form(m, k)
             assert abs(dipole_radial_integral(m, k) - exact) <= 1e-14 * exact, (m, k)
 
 
@@ -404,7 +398,7 @@ def test_cli_hulthen_density_as_beta_approaches_kappa(capsys, tmp_path):
     assert all(density > 0 for _, density in rows)
     model = BoundStateModel(ModelKind.HULTHEN, EB_DEFAULT, 1.000000000000001)
     for k, density in rows[::10] + rows[-1:]:
-        _, exact = _mpmath_hulthen(model, k)
+        _, exact = _closed_form(model, k)
         assert abs(density - exact) <= 1e-12 * exact, k
 
 

@@ -2,7 +2,6 @@ import math
 
 import mpmath
 import pytest
-import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,13 +42,11 @@ def test_error_estimate_meets_tolerance():
 
 @settings(max_examples=200, deadline=None)
 @given(EXP_POLY_TERMS)
-def test_matches_scipy_quad_and_bounds_true_error(terms):
-    # scipy's QUADPACK is the reference engine, mpmath's Gamma the exact value
-    f = _exp_poly(terms)
-    value, err = integrate_radial(f)
-    reference, _ = si.quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-9, limit=200)
-    assert value == pytest.approx(reference, rel=1e-9)
-    assert abs(value - _exp_poly_integral(terms)) <= err + 1e-12 * abs(value)
+def test_matches_exact_gamma_sum_and_bounds_true_error(terms):
+    value, err = integrate_radial(_exp_poly(terms))
+    exact = _exp_poly_integral(terms)
+    assert value == pytest.approx(exact, rel=1e-9)
+    assert abs(value - exact) <= err + 1e-12 * abs(value)
 
 
 def test_non_finite_sample_raises():
