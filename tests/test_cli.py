@@ -23,6 +23,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from test_config import physical_configs
 from test_golden import CASES as GOLDEN_CASES, GOLDEN, ROOT
+from test_limits import columns, curve_of, holds_a_grid
 
 import cslbounds.cli as cli
 from cslbounds import (
@@ -30,7 +31,6 @@ from cslbounds import (
     GRW_LAMBDA_OVER_A2,
     BoundStateModel,
     CollapseParams,
-    ExclusionCurve,
     ModelKind,
     QuadratureError,
     ScanSpec,
@@ -41,6 +41,7 @@ from cslbounds import (
     expected_count,
     grw_defaults,
     load_config,
+    parse_config,
     run_full_analysis,
     scan_exclusion,
     spectrum_densities,
@@ -132,18 +133,22 @@ def run_in_process(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=40, deadline=None)
-@given(doc=near_default_documents())
-def test_csv_and_structured_outputs_agree_bit_for_bit(tmp_path_factory, doc):
-    # every number a csv row prints is the repr of the float the structured output holds under its key
-    path = tmp_path_factory.getbasetemp() / "near_default.json"
+def runs_on(path, doc):
+    """run_in_process with doc, written to path, as its config; each argv runs once, and its
+    outputs serve every check that reads them."""
     path.write_text(json.dumps(doc))
+    return functools.cache(lambda *argv: run_in_process(*argv, "--config", str(path)))
 
-    def run(*argv):
-        return run_in_process(*argv, "--config", str(path))
 
-    predict = [] if doc["collapse"]["g_n"] is None else ["--predict"]
-    for command in (["analyze", *predict], ["scan"]):
+def analyze_structured(run, *argv):
+    """analyze's exit code and, when it exits 0, its structured report."""
+    code, out, _ = run("analyze", "--format", "structured", *argv)
+    return code, json.loads(out) if code == 0 else None
+
+
+def check_csv_and_structured_outputs_agree_bit_for_bit(run, analyze, doc):
+    # every number a csv row prints is the repr of the float the structured output holds under its key
+    for command in (analyze, ("scan",)):
         code, csv_text, err = run(*command, "--format", "csv")
         structured_code, structured, structured_err = run(*command, "--format", "structured")
         assert (code, err) == (structured_code, structured_err)
@@ -223,21 +228,16 @@ def text_numbers(text: str) -> tuple[dict, list[str]]:
     return printed, rest
 
 
-@settings(max_examples=40, deadline=None)
-@given(doc=near_default_documents())
-def test_text_report_prints_the_structured_values(tmp_path_factory, doc):
+def check_text_report_prints_the_structured_values(run, analyze, doc):
     # each number the text report prints rounds, as its line rounds it, from the structured value under its key
-    path = tmp_path_factory.getbasetemp() / "near_default_text.json"
-    path.write_text(json.dumps(doc))
-    argv = ["analyze", "--config", str(path), *([] if doc["collapse"]["g_n"] is None else ["--predict"])]
-    code, text, err = run_in_process(*argv)
-    structured_code, structured, structured_err = run_in_process(*argv, "--format", "structured")
+    code, text, err = run(*analyze)
+    structured_code, structured, structured_err = run(*analyze, "--format", "structured")
     assert (code, err) == (structured_code, structured_err)
     if code != 0:
         return
     data = json.loads(structured)
     if "predicted_csl_counts" in data:   # the library's count for the same config, bit for bit
-        assert data["predicted_csl_counts"].hex() == expected_count(load_config(str(path))).hex()
+        assert data["predicted_csl_counts"].hex() == expected_count(parse_config(json.dumps(doc))).hex()
     printed, rest = text_numbers(text)
     # every pattern matched once; the predicted count's only with --predict
     assert set(printed) == {number for numbers in TEXT_NUMBERS.values() for number in numbers if number[0][0] in data}
@@ -256,66 +256,65 @@ def test_text_report_prints_the_structured_values(tmp_path_factory, doc):
     ]
 
 
-def analyze_structured(path, doc, *argv):
-    """analyze's exit code and, when it exits 0, its structured report, for doc written to path."""
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_in_process("analyze", "--config", str(path), "--format", "structured", *argv)
-    return code, json.loads(out) if code == 0 else None
-
-
-@settings(max_examples=40, deadline=None)
-@given(doc=near_default_documents())
-def test_the_neutron_bound_inverts_to_the_count_limit(tmp_path_factory, doc):
+def check_the_neutron_bound_inverts_to_the_count_limit(run, doc):
     # at GRW strength, g_n = m_n/m_p + bound predicts the count limit the bound was inverted from; rounding
     # the sum moves the squared deviation by up to 2 (m_n/m_p / bound + 1) unit roundoffs, and the tolerance
     # is twice that with 12 more for the products of the count and of the bound
-    path = tmp_path_factory.getbasetemp() / "near_default_inversion.json"
-    code, data = analyze_structured(path, doc)
+    code, data = analyze_structured(run)
     if code != 0:
         return
     bound, n_limit = data["bounds"]["gn_bound_at_grw"], data["counts"]["n_limit"]
-    cfg = load_config(str(path))
+    cfg = parse_config(json.dumps(doc))
     predicted = expected_count(cfg.replace(collapse=grw_defaults().replace(g_n=M_N_OVER_M_P + bound)))
     assert predicted == pytest.approx(n_limit, rel=2**-51 * (M_N_OVER_M_P / bound + 4), abs=0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(doc=near_default_documents(), steps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
-def test_the_neutron_bound_scales_exactly(tmp_path_factory, doc, steps):
+def check_the_neutron_bound_scales_exactly(run, doc, steps, denser_path):
     # the bound is sqrt(n_limit / (coefficient T V)) and the coefficient is linear in the density, so four
     # times the density halves it bit for bit; a larger n_sigma raises the count limit, never lowering the bound
-    path = tmp_path_factory.getbasetemp() / "near_default_scaling.json"
-    code, data = analyze_structured(path, doc)
+    code, data = analyze_structured(run)
     if code != 0:
         return
     bound = data["bounds"]["gn_bound_at_grw"]
     denser = {**doc, "experiment": {**doc["experiment"], "deuteron_density_per_cc": 4 * doc["experiment"]["deuteron_density_per_cc"]}}
-    code, data = analyze_structured(path, denser)
+    code, data = analyze_structured(runs_on(denser_path, denser))
     assert code == 0 and data["bounds"]["gn_bound_at_grw"] == bound / 2
     bounds = [bound]
     for n_sigma in itertools.accumulate(steps, initial=doc["n_sigma"]):
-        code, data = analyze_structured(path, doc, "--nsigma", repr(n_sigma))
+        code, data = analyze_structured(run, "--nsigma", repr(n_sigma))
         assert code == 0
         bounds.append(data["bounds"]["gn_bound_at_grw"])
     assert bounds == sorted(bounds)
 
 
-@settings(max_examples=40, deadline=None)
-@given(doc=near_default_documents())
-def test_the_bounds_at_grw_strength_agree_wherever_computed(tmp_path_factory, doc):
+def check_the_bounds_at_grw_strength_agree_wherever_computed(run, doc, kind_path):
     # run_full_analysis and scan_exclusion each compute the neutron bound; the electron half-width is one
     # constant, which the curve writers scale to each point as the neutron bound is scaled
-    path = tmp_path_factory.getbasetemp() / "near_default_grw.json"
     for kind in ModelKind:
-        code, data = analyze_structured(path, {**doc, "model": {**doc["model"], "kind": kind.value}})
+        kind_doc = {**doc, "model": {**doc["model"], "kind": kind.value}}
+        code, data = analyze_structured(run if kind_doc == doc else runs_on(kind_path, kind_doc))
         if code != 0:
             continue
-        run = load_config(str(path))
-        report = run_full_analysis(run)
-        assert report.gn_bound_at_grw.hex() == scan_exclusion(run).gn_bound_at_grw.hex()
+        cfg = parse_config(json.dumps(kind_doc))
+        report = run_full_analysis(cfg)
+        assert report.gn_bound_at_grw.hex() == scan_exclusion(cfg).gn_bound_at_grw.hex()
         assert report.ge_half_width_at_grw == data["bounds"]["ge_half_width_at_grw"] == GE_HALF_WIDTH_AT_GRW
         for point in data["curve"]["points"]:
             assert point["ge_bound"] == GE_HALF_WIDTH_AT_GRW * math.sqrt(GRW_LAMBDA_OVER_A2 / point["lambda_over_a2"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=near_default_documents(), steps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+def test_each_check_of_a_near_default_config_holds(tmp_path_factory, doc, steps):
+    # one drawn document for every check on it; a run two checks read is made once
+    base = tmp_path_factory.getbasetemp()
+    run = runs_on(base / "near_default.json", doc)
+    analyze = ("analyze",) if doc["collapse"]["g_n"] is None else ("analyze", "--predict")
+    check_csv_and_structured_outputs_agree_bit_for_bit(run, analyze, doc)
+    check_text_report_prints_the_structured_values(run, analyze, doc)
+    check_the_neutron_bound_inverts_to_the_count_limit(run, doc)
+    check_the_neutron_bound_scales_exactly(run, doc, steps, base / "near_default_denser.json")
+    check_the_bounds_at_grw_strength_agree_wherever_computed(run, doc, base / "near_default_kind.json")
 
 
 # n_sigma 0 and an observed count equal to the prediction: the count limit and the neutron bound are 0
@@ -681,15 +680,6 @@ bound_floats = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(ED
 grid_floats = st.floats(min_value=1e-300, allow_infinity=False) | st.sampled_from([1e-300, 1e-6, 1.7976931348623157e308])
 
 
-def holds_a_grid(spec: ScanSpec) -> bool:
-    """False for a spec whose grid repeats a point or overflows."""
-    try:
-        spec.grid()
-    except (ValueError, OverflowError):
-        return False
-    return True
-
-
 scan_specs = st.builds(
     lambda ends, points, log_spacing: ScanSpec(*sorted(ends), points, log_spacing),
     st.sets(grid_floats, min_size=2, max_size=2),
@@ -714,19 +704,6 @@ def with_curve_examples(test):
     return test
 
 
-def curve_of(args) -> ExclusionCurve:
-    scan, gn = args
-    return ExclusionCurve(scan, gn, theoretical_floor=1e-10)
-
-
-def columns_of(args) -> tuple[list[float], list[float], list[float]]:
-    """The grid and the bounds at each of its points, each bound scaled from GRW strength."""
-    scan, gn = args
-    grid = scan.grid()
-    scalings = [math.sqrt(GRW_LAMBDA_OVER_A2 / x) for x in grid]
-    return grid, [gn * f for f in scalings], [GE_HALF_WIDTH_AT_GRW * f for f in scalings]
-
-
 def point_dicts(columns) -> list[dict]:
     return [dict(zip(cli.CURVE_COLUMNS, row)) for row in zip(*columns)]
 
@@ -739,14 +716,14 @@ def default_report():
 @given(curve_args)
 @with_curve_examples
 def test_scan_json_matches_encoder(args):
-    curve = curve_of(args)
+    curve = curve_of(*args)
     block = cli._curve_block(curve)
-    assert "".join(cli._json(block, curve)) == json.dumps({**block, "points": point_dicts(columns_of(args))}, indent=2) + "\n"
+    assert "".join(cli._json(block, curve)) == json.dumps({**block, "points": point_dicts(columns(curve))}, indent=2) + "\n"
 
 
 def test_json_keeps_no_curve_alive():
     # a 1.5e4-point curve holds about 0.5 MB; it must not wait in a reference cycle for the collector
-    curve = curve_of(CURVE_EXAMPLES[4])
+    curve = curve_of(*CURVE_EXAMPLES[4])
     ref = weakref.ref(curve)
     gc.disable()
     try:
@@ -793,24 +770,25 @@ def record_fields(record):
 @given(curve_args)
 @with_curve_examples
 def test_analyze_json_matches_encoder(args):
-    curve = curve_of(args)
+    curve = curve_of(*args)
     data = cli._report_structured(cli._report_rows(default_report().replace(curve=curve), None))
-    expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns_of(args))}}
+    expected = {**data, "curve": {**data["curve"], "points": point_dicts(columns(curve))}}
     assert "".join(cli._json(data, curve)) == json.dumps(expected, indent=2, default=record_fields) + "\n"
 
 
 @given(curve_args)
 @with_curve_examples
 def test_scan_csv_matches_csv_writer(args):
-    columns = columns_of(args)
+    curve = curve_of(*args)
+    table = columns(curve)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.CURVE_COLUMNS)
-    writer.writerows(zip(*columns))
-    assert "".join(cli._curve_csv(curve_of(args), "# note\n")) == "# note\n" + buf.getvalue()
+    writer.writerows(zip(*table))
+    assert "".join(cli._curve_csv(curve, "# note\n")) == "# note\n" + buf.getvalue()
     # analyze rows: [name, central, err_up, err_down] or [name, value, "", ""]; spectrum rows: (k, value)
-    analyze_rows = [["n_csl", *row] for row in zip(*columns)] + [["model_r2_cm2", x, "", ""] for x in columns[1]]
-    spectrum_rows = list(zip(columns[0], columns[1]))
+    analyze_rows = [["n_csl", *row] for row in zip(*table)] + [["model_r2_cm2", x, "", ""] for x in table[1]]
+    spectrum_rows = list(zip(table[0], table[1]))
     for header, rows in (
         (["quantity", "central", "err_up", "err_down"], analyze_rows),
         (["k_per_fm", "rate_density"], spectrum_rows),

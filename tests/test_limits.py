@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_deuteron import EB_DEFAULT
 
 from cslbounds import (
     GE_HALF_WIDTH_AT_GRW,
@@ -39,8 +40,6 @@ from cslbounds import (
 from cslbounds import cli
 from cslbounds.constants import M_E_OVER_M_P, M_N_OVER_M_P, CollapseParams
 from cslbounds.limits import _floor_regime
-
-EB_DEFAULT = 2.224575
 
 
 def reference_experiment(**overrides):
@@ -381,6 +380,7 @@ def test_exclusion_curve_validation():
 
 
 def holds_a_grid(spec):
+    """False for a spec whose grid repeats a point or overflows."""
     try:
         spec.grid()
     except (ValueError, OverflowError):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from test_deuteron import EB_DEFAULT
 
 from cslbounds import (
     BoundStateModel,
@@ -17,7 +18,6 @@ from cslbounds import (
 )
 from cslbounds.constants import HBAR_C_MEV_FM, M_N_OVER_M_P, REDUCED_MASS_NP_MEV
 
-EB_DEFAULT = 2.224575
 PAPER_DENSITY = (2.0 / 3.0) * 1e23
 
 

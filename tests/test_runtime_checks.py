@@ -4,7 +4,8 @@ The script is what CI runs on a bare install, and where the CLI's exits are chec
 every subcommand, the golden outputs to stdout and through --output, every failing run of
 tests/golden/failures.txt with its exit code and stderr line, a closed pipe and a full disk. Here a
 `cslbounds` shim on PATH runs `python -m cslbounds.cli` with src/ first on PYTHONPATH, so a stale golden or
-exit code fails the tier-1 tests.
+exit code fails the tier-1 tests. Under `python -X dev`, every process the script starts runs in development
+mode too, with a ResourceWarning an error.
 """
 
 import os
@@ -28,7 +29,14 @@ def test_runtime_checks_script_passes(tmp_path):
         "PATH": os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
         "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
         "RUNNER_TEMP": str(scratch),
+        # the processes compile the package once, into a bytecode cache of their own, as an install's do
+        "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache"),
     }
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if sys.flags.dev_mode:
+        # -X dev and -W do not reach a child process; these variables do. A pytest category here would be
+        # an "Invalid -W option" line on every child's stderr, so only the ResourceWarning filter goes
+        env |= {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error::ResourceWarning"}
     result = subprocess.run(
         ["bash", str(ROOT / "ci" / "runtime_checks.sh")], env=env, capture_output=True, text=True, timeout=600
     )
