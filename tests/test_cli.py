@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 import tracemalloc
 import warnings
 import weakref
@@ -305,7 +306,7 @@ def check_the_bounds_at_grw_strength_agree_wherever_computed(run, doc, kind_path
 
 @settings(max_examples=40, deadline=None)
 @given(doc=near_default_documents(), steps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
-def test_each_check_of_a_near_default_config_holds(tmp_path_factory, doc, steps):
+def each_check_of_a_near_default_config(tmp_path_factory, doc, steps):
     # one drawn document for every check on it; a run two checks read is made once
     base = tmp_path_factory.getbasetemp()
     run = runs_on(base / "near_default.json", doc)
@@ -315,6 +316,53 @@ def test_each_check_of_a_near_default_config_holds(tmp_path_factory, doc, steps)
     check_the_neutron_bound_inverts_to_the_count_limit(run, doc)
     check_the_neutron_bound_scales_exactly(run, doc, steps, base / "near_default_denser.json")
     check_the_bounds_at_grw_strength_agree_wherever_computed(run, doc, base / "near_default_kind.json")
+
+
+def failures_by_check(prop, **kwargs):
+    """Run the hypothesis property prop once, and map each failure it raises to the outermost check_ function
+    it was raised in, or to None."""
+    try:
+        prop(**kwargs)
+    except Exception as raised:
+        failures = {}
+        for failure in getattr(raised, "exceptions", [raised]):   # one failure, or a group of distinct ones
+            names = (frame.f_code.co_name for frame, _ in traceback.walk_tb(failure.__traceback__))
+            failures.setdefault(next((name for name in names if name.startswith("check_")), None), failure)
+        return failures
+    return {}
+
+
+def assert_check_held(failures, check):
+    """Raise check's failure, or, if the property failed elsewhere, stopping before check ran on every example, say so."""
+    if check.__name__ in failures:
+        raise failures[check.__name__]
+    assert not failures, f"{check.__name__} did not run on every drawn example: {', '.join(map(str, failures))} failed"
+
+
+@pytest.fixture(scope="module")
+def near_default_failures(tmp_path_factory):
+    """The failures of each near-default check, over one set of drawn documents that every check reads."""
+    return failures_by_check(each_check_of_a_near_default_config, tmp_path_factory=tmp_path_factory)
+
+
+def test_csv_and_structured_outputs_agree_bit_for_bit(near_default_failures):
+    assert_check_held(near_default_failures, check_csv_and_structured_outputs_agree_bit_for_bit)
+
+
+def test_text_report_prints_the_structured_values(near_default_failures):
+    assert_check_held(near_default_failures, check_text_report_prints_the_structured_values)
+
+
+def test_the_neutron_bound_inverts_to_the_count_limit(near_default_failures):
+    assert_check_held(near_default_failures, check_the_neutron_bound_inverts_to_the_count_limit)
+
+
+def test_the_neutron_bound_scales_exactly(near_default_failures):
+    assert_check_held(near_default_failures, check_the_neutron_bound_scales_exactly)
+
+
+def test_the_bounds_at_grw_strength_agree_wherever_computed(near_default_failures):
+    assert_check_held(near_default_failures, check_the_bounds_at_grw_strength_agree_wherever_computed)
 
 
 # n_sigma 0 and an observed count equal to the prediction: the count limit and the neutron bound are 0

@@ -13,11 +13,11 @@ largest term.
 import json
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
-from itertools import chain
 
 import mpmath
+import pytest
 from hypothesis import given, settings
-from test_cli import near_default_documents, run_in_process
+from test_cli import assert_check_held, failures_by_check, near_default_documents, run_in_process
 
 from cslbounds import (
     GRW_LAMBDA_OVER_A2,
@@ -166,9 +166,27 @@ def kind_documents(doc):
     return (json.dumps({**doc, "model": {**doc["model"], "kind": kind.value}}) for kind in ModelKind)
 
 
+def assert_within_budgets(numbers, run):
+    for name, distance in numbers:
+        assert abs(distance) <= BUDGETS[name], (name, distance, run.model.kind)
+
+
+def check_the_rate_law(run, data):
+    assert_within_budgets(oracle_ulps(run, data), run)
+
+
+def check_the_counts_and_the_count_limit(run):
+    assert_within_budgets(count_ulps(run), run)
+
+
+def check_the_floors_the_ratio_and_the_curve(run, data):
+    if data is not None:
+        assert_within_budgets(analyze_ulps(run, data), run)
+
+
 @settings(max_examples=100, deadline=None)
 @given(doc=near_default_documents())
-def test_each_number_of_the_law_the_counts_and_the_report_is_within_its_ulp_budget(tmp_path_factory, doc):
+def each_number_of_a_near_default_config(tmp_path_factory, doc):
     # each model kind is parsed once, and one structured analyze of it feeds the bound and the report's numbers
     path = tmp_path_factory.getbasetemp() / "oracle.json"
     for document in kind_documents(doc):
@@ -181,5 +199,24 @@ def test_each_number_of_the_law_the_counts_and_the_report_is_within_its_ulp_budg
         # exit 1 is a downward fluctuation, or a floor above the ceiling, which leave no bound to check
         assert code in (0, 1), err
         data = json.loads(out) if code == 0 else None
-        for name, distance in chain(oracle_ulps(run, data), count_ulps(run), analyze_ulps(run, data) if data else ()):
-            assert abs(distance) <= BUDGETS[name], (name, distance, run.model.kind)
+        check_the_rate_law(run, data)
+        check_the_counts_and_the_count_limit(run)
+        check_the_floors_the_ratio_and_the_curve(run, data)
+
+
+@pytest.fixture(scope="module")
+def oracle_failures(tmp_path_factory):
+    """The failures of each oracle check, over one set of drawn documents that every check reads."""
+    return failures_by_check(each_number_of_a_near_default_config, tmp_path_factory=tmp_path_factory)
+
+
+def test_each_number_of_the_rate_law_is_within_its_ulp_budget(oracle_failures):
+    assert_check_held(oracle_failures, check_the_rate_law)
+
+
+def test_each_count_and_the_count_limit_are_within_their_ulp_budgets(oracle_failures):
+    assert_check_held(oracle_failures, check_the_counts_and_the_count_limit)
+
+
+def test_each_number_of_the_floors_the_ratio_and_the_curve_is_within_its_ulp_budget(oracle_failures):
+    assert_check_held(oracle_failures, check_the_floors_the_ratio_and_the_curve)
