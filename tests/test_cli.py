@@ -24,7 +24,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from test_config import physical_configs
 from test_golden import CASES as GOLDEN_CASES, GOLDEN, ROOT
-from test_limits import columns, curve_of, holds_a_grid
+from test_limits import EB_DEFAULT, columns, curve_of, holds_a_grid
 
 import cslbounds.cli as cli
 from cslbounds import (
@@ -306,9 +306,8 @@ def check_the_bounds_at_grw_strength_agree_wherever_computed(run, doc, kind_path
 
 @settings(max_examples=40, deadline=None)
 @given(doc=near_default_documents(), steps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
-def each_check_of_a_near_default_config(tmp_path_factory, doc, steps):
+def each_check_of_a_near_default_config(base, doc, steps):
     # one drawn document for every check on it; a run two checks read is made once
-    base = tmp_path_factory.getbasetemp()
     run = runs_on(base / "near_default.json", doc)
     analyze = ("analyze",) if doc["collapse"]["g_n"] is None else ("analyze", "--predict")
     check_csv_and_structured_outputs_agree_bit_for_bit(run, analyze, doc)
@@ -318,51 +317,49 @@ def each_check_of_a_near_default_config(tmp_path_factory, doc, steps):
     check_the_bounds_at_grw_strength_agree_wherever_computed(run, doc, base / "near_default_kind.json")
 
 
-def failures_by_check(prop, **kwargs):
-    """Run the hypothesis property prop once, and map each failure it raises to the outermost check_ function
-    it was raised in, or to None."""
+@functools.cache
+def failures_by_check(prop, base):
+    """Run the hypothesis property prop once, writing its files in base, and map each failure it raises (one, or each
+    of a group) to the name of the outermost check_ function it was raised in, or to None."""
     try:
-        prop(**kwargs)
+        prop(base=base)
     except Exception as raised:
         failures = {}
-        for failure in getattr(raised, "exceptions", [raised]):   # one failure, or a group of distinct ones
+        for failure in getattr(raised, "exceptions", [raised]):
             names = (frame.f_code.co_name for frame, _ in traceback.walk_tb(failure.__traceback__))
             failures.setdefault(next((name for name in names if name.startswith("check_")), None), failure)
         return failures
     return {}
 
 
-def assert_check_held(failures, check):
-    """Raise check's failure, or, if the property failed elsewhere, stopping before check ran on every example, say so."""
+def assert_check_held(prop, check, tmp_path_factory):
+    """Raise check's failure in prop's one run; where prop stopped at another failure, before check ran on every drawn
+    example, fail with that failure as the cause."""
+    failures = failures_by_check(prop, tmp_path_factory.getbasetemp())
     if check.__name__ in failures:
         raise failures[check.__name__]
-    assert not failures, f"{check.__name__} did not run on every drawn example: {', '.join(map(str, failures))} failed"
+    for name, failure in failures.items():
+        raise AssertionError(f"{check.__name__} did not run on every drawn example: {name or prop.__name__} failed") from failure
 
 
-@pytest.fixture(scope="module")
-def near_default_failures(tmp_path_factory):
-    """The failures of each near-default check, over one set of drawn documents that every check reads."""
-    return failures_by_check(each_check_of_a_near_default_config, tmp_path_factory=tmp_path_factory)
+def test_csv_and_structured_outputs_agree_bit_for_bit(tmp_path_factory):
+    assert_check_held(each_check_of_a_near_default_config, check_csv_and_structured_outputs_agree_bit_for_bit, tmp_path_factory)
 
 
-def test_csv_and_structured_outputs_agree_bit_for_bit(near_default_failures):
-    assert_check_held(near_default_failures, check_csv_and_structured_outputs_agree_bit_for_bit)
+def test_text_report_prints_the_structured_values(tmp_path_factory):
+    assert_check_held(each_check_of_a_near_default_config, check_text_report_prints_the_structured_values, tmp_path_factory)
 
 
-def test_text_report_prints_the_structured_values(near_default_failures):
-    assert_check_held(near_default_failures, check_text_report_prints_the_structured_values)
+def test_the_neutron_bound_inverts_to_the_count_limit(tmp_path_factory):
+    assert_check_held(each_check_of_a_near_default_config, check_the_neutron_bound_inverts_to_the_count_limit, tmp_path_factory)
 
 
-def test_the_neutron_bound_inverts_to_the_count_limit(near_default_failures):
-    assert_check_held(near_default_failures, check_the_neutron_bound_inverts_to_the_count_limit)
+def test_the_neutron_bound_scales_exactly(tmp_path_factory):
+    assert_check_held(each_check_of_a_near_default_config, check_the_neutron_bound_scales_exactly, tmp_path_factory)
 
 
-def test_the_neutron_bound_scales_exactly(near_default_failures):
-    assert_check_held(near_default_failures, check_the_neutron_bound_scales_exactly)
-
-
-def test_the_bounds_at_grw_strength_agree_wherever_computed(near_default_failures):
-    assert_check_held(near_default_failures, check_the_bounds_at_grw_strength_agree_wherever_computed)
+def test_the_bounds_at_grw_strength_agree_wherever_computed(tmp_path_factory):
+    assert_check_held(each_check_of_a_near_default_config, check_the_bounds_at_grw_strength_agree_wherever_computed, tmp_path_factory)
 
 
 # n_sigma 0 and an observed count equal to the prediction: the count limit and the neutron bound are 0
@@ -447,7 +444,7 @@ def test_analyze_predict(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     # the rate per deuteron times the deuterons in the fiducial sphere times the live time in seconds
-    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.5), BoundStateModel(binding_energy_mev=2.224575))
+    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.5), BoundStateModel(binding_energy_mev=EB_DEFAULT))
     deuterons = (2.0 / 3.0) * 1e23 * (4 * np.pi / 3) * 550.0**3
     expected = rate * deuterons * 254.2 * 86400.0
     assert data["predicted_csl_counts"] == pytest.approx(expected, rel=1e-12)
@@ -500,7 +497,7 @@ def test_spectrum_rate_matches_total(capsys, tmp_path):
     ks = np.array([float(r[0]) for r in rows])
     dens = np.array([float(r[1]) for r in rows])
     total = np.trapezoid(dens, ks)
-    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), BoundStateModel(binding_energy_mev=2.224575))
+    rate = deuteron_rate(CollapseParams(1e-16, 1e-5, g_n=0.0), BoundStateModel(binding_energy_mev=EB_DEFAULT))
     assert total == pytest.approx(rate, rel=0.01, abs=0)
     # low k edge is phase-space suppressed
     assert dens[0] < 1e-4 * dens.max()

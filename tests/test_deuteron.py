@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_limits import EB_DEFAULT
 
 import cslbounds.cli as cli
 from cslbounds import (
@@ -22,8 +23,6 @@ from cslbounds import (
 from cslbounds.constants import HBAR_C_MEV_FM, REDUCED_MASS_NP_MEV
 from cslbounds.deuteron import HULTHEN_BETA_OVER_KAPPA
 from cslbounds.grids import linspace, logspace
-
-EB_DEFAULT = 2.224575
 
 
 def _terms(model):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_deuteron import EB_DEFAULT
 
 from cslbounds import (
     GE_HALF_WIDTH_AT_GRW,
@@ -40,6 +39,8 @@ from cslbounds import (
 from cslbounds import cli
 from cslbounds.constants import M_E_OVER_M_P, M_N_OVER_M_P, CollapseParams
 from cslbounds.limits import _floor_regime
+
+EB_DEFAULT = 2.224575   # the deuteron's binding energy in MeV, the model's default
 
 
 def reference_experiment(**overrides):

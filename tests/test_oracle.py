@@ -15,9 +15,8 @@ import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import mpmath
-import pytest
 from hypothesis import given, settings
-from test_cli import assert_check_held, failures_by_check, near_default_documents, run_in_process
+from test_cli import assert_check_held, near_default_documents, run_in_process
 
 from cslbounds import (
     GRW_LAMBDA_OVER_A2,
@@ -186,9 +185,9 @@ def check_the_floors_the_ratio_and_the_curve(run, data):
 
 @settings(max_examples=100, deadline=None)
 @given(doc=near_default_documents())
-def each_number_of_a_near_default_config(tmp_path_factory, doc):
+def each_number_of_a_near_default_config(base, doc):
     # each model kind is parsed once, and one structured analyze of it feeds the bound and the report's numbers
-    path = tmp_path_factory.getbasetemp() / "oracle.json"
+    path = base / "oracle.json"
     for document in kind_documents(doc):
         try:
             run = parse_config(document)
@@ -204,19 +203,13 @@ def each_number_of_a_near_default_config(tmp_path_factory, doc):
         check_the_floors_the_ratio_and_the_curve(run, data)
 
 
-@pytest.fixture(scope="module")
-def oracle_failures(tmp_path_factory):
-    """The failures of each oracle check, over one set of drawn documents that every check reads."""
-    return failures_by_check(each_number_of_a_near_default_config, tmp_path_factory=tmp_path_factory)
+def test_each_number_of_the_rate_law_is_within_its_ulp_budget(tmp_path_factory):
+    assert_check_held(each_number_of_a_near_default_config, check_the_rate_law, tmp_path_factory)
 
 
-def test_each_number_of_the_rate_law_is_within_its_ulp_budget(oracle_failures):
-    assert_check_held(oracle_failures, check_the_rate_law)
+def test_each_count_and_the_count_limit_are_within_their_ulp_budgets(tmp_path_factory):
+    assert_check_held(each_number_of_a_near_default_config, check_the_counts_and_the_count_limit, tmp_path_factory)
 
 
-def test_each_count_and_the_count_limit_are_within_their_ulp_budgets(oracle_failures):
-    assert_check_held(oracle_failures, check_the_counts_and_the_count_limit)
-
-
-def test_each_number_of_the_floors_the_ratio_and_the_curve_is_within_its_ulp_budget(oracle_failures):
-    assert_check_held(oracle_failures, check_the_floors_the_ratio_and_the_curve)
+def test_each_number_of_the_floors_the_ratio_and_the_curve_is_within_its_ulp_budget(tmp_path_factory):
+    assert_check_held(each_number_of_a_near_default_config, check_the_floors_the_ratio_and_the_curve, tmp_path_factory)

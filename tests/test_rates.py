@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from test_deuteron import EB_DEFAULT
+from test_limits import EB_DEFAULT
 
 from cslbounds import (
     BoundStateModel,
